@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from qutrit_exact.adjoint.rep import AdjointMatrix, adjoint_of, block_lde
 from qutrit_exact.rings.alpha import k_residue
-from qutrit_exact.rings.errors import KTooSmallError, RingError
+from qutrit_exact.errors import KTooSmallError, RingError
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 

@@ -13,7 +13,7 @@ available for inspection.
 from __future__ import annotations
 
 from qutrit_exact.adjoint.basis import AdjointBasis, BASIS_NORM, build_basis
-from qutrit_exact.errors import DimMismatchError
+from qutrit_exact.errors import DimMismatchError, RingError
 from qutrit_exact.rings.alpha import AlphaElem, to_alpha
 from qutrit_exact.rings.cyclo import Cyclo36
 from qutrit_exact.sim.matrix import UnitaryMatrix
@@ -60,8 +60,6 @@ class AdjointMatrix:
         return self._alpha
 
     def in_alpha_ring(self) -> bool:
-        from qutrit_exact.rings.errors import RingError
-
         try:
             self.alpha_entries()
             return True
@@ -112,8 +110,6 @@ class AdjointMatrix:
 
     def describe(self) -> str:
         """Entrywise report: alpha-coefficient lists with denominator exponents."""
-        from qutrit_exact.rings.errors import RingError
-
         lines = []
         try:
             alpha = self.alpha_entries()

@@ -12,7 +12,6 @@ from qutrit_exact.analysis.pauli import (
 from qutrit_exact.analysis.ringcert import (
     Refutation,
     RingCertificate,
-    circuit_ring_certificate,
     matrix_ring_certificate,
     refute_phase_membership,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "Refutation",
     "RingCertificate",
     "WITNESS_UNITS",
-    "circuit_ring_certificate",
     "hierarchy_level",
     "is_clifford",
     "is_pauli",

@@ -15,11 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qutrit_exact.analysis.pauli import WITNESS_UNITS
-from qutrit_exact.circuit.core import Circuit
 from qutrit_exact.rings.cyclo import Cyclo36
-from qutrit_exact.rings.errors import RingError
+from qutrit_exact.errors import RingError
 from qutrit_exact.rings.membership import RingTag, in_ring
-from qutrit_exact.sim.gates import circuit_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 _ZERO = Cyclo36.from_int(0)
@@ -89,10 +87,6 @@ def matrix_ring_certificate(m: UnitaryMatrix, tag: RingTag | str) -> RingCertifi
         if all(_member(w * e, rtag) for e in entries):
             return RingCertificate(True, rtag, w)
     return RingCertificate(False, rtag)
-
-
-def circuit_ring_certificate(c: Circuit, tag: RingTag | str) -> RingCertificate:
-    return matrix_ring_certificate(circuit_matrix(c), tag)
 
 
 def refute_phase_membership(m: UnitaryMatrix, tag: RingTag | str) -> Refutation:

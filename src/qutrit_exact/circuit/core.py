@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from ..errors import DimMismatchError
-from .perm import TAU_LABELS
+from .perm import TAU_LABELS, Permutation
 
 __all__ = [
     "Op",
@@ -16,17 +16,79 @@ __all__ = [
     "adjoint",
     "tensor",
     "print_circuit",
+    "GateFacts",
+    "GATES",
+    "gate_facts",
     "SINGLE_QUTRIT_KINDS",
     "BASE_KINDS",
 ]
 
+
+@dataclass(frozen=True)
+class GateFacts:
+    """Everything the toolkit uses about one single-qutrit gate.
+
+    A monomial gate sends basis state ``c`` to ``zeta18**zeta18[c]`` times
+    basis state ``images[c]``, with zeta18 = exp(2*pi*i/18); its determinant
+    is zeta18**sum(zeta18) up to sign.  A dense gate has ``images`` None and
+    ``zeta18`` giving a diagonal gate of the same determinant up to sign: the
+    one XPHASE conjugates by H, and the identity for H and HDG.
+    ``adjoint`` is the inverse as (kind, params); ``square`` is
+    (kind, params, controlled phase) with g^2 = phase * kind(params), or None
+    when g^2 = I; ``base`` says whether full expansion may emit the gate.
+    """
+
+    images: tuple[int, int, int] | None
+    zeta18: tuple[int, int, int]
+    adjoint: tuple[str, tuple]
+    square: tuple[str, tuple, tuple[int, int] | None] | None
+    base: bool
+
+
+_ID = (0, 1, 2)
+# T = diag(1, zeta_9, zeta_9^8); R = diag(1, 1, -1) with -1 = zeta18**9
+GATES: dict[str, GateFacts] = {
+    "X": GateFacts((1, 2, 0), (0, 0, 0), ("TAU", ("021",)), ("TAU", ("021",), None), True),
+    "Z": GateFacts(_ID, (0, 6, 12), ("ZPHASE", (2, 1)), ("ZPHASE", (2, 1), None), True),
+    "S": GateFacts(_ID, (0, 0, 6), ("SDG", ()), ("SDG", (), None), True),
+    "SDG": GateFacts(_ID, (0, 0, 12), ("S", ()), ("S", (), None), True),
+    "T": GateFacts(
+        _ID, (0, 2, 16), ("TDG", ()), ("ZPHASE", (Fraction(2, 3), Fraction(7, 3)), None), True
+    ),
+    "TDG": GateFacts(
+        _ID, (0, 16, 2), ("T", ()), ("ZPHASE", (Fraction(7, 3), Fraction(2, 3)), None), True
+    ),
+    "H": GateFacts(None, (0, 0, 0), ("HDG", ()), ("TAU", ("12",), (-1, 0)), True),
+    "HDG": GateFacts(None, (0, 0, 0), ("H", ()), ("TAU", ("12",), (-1, 0)), True),
+    "R": GateFacts(_ID, (0, 0, 9), ("R", ()), None, False),
+}
+
 # single-qutrit gate kinds (usable as controlled targets)
-SINGLE_QUTRIT_KINDS = frozenset(
-    {"X", "Z", "S", "SDG", "H", "HDG", "T", "TDG", "R", "TAU", "ZPHASE", "XPHASE"}
-)
+SINGLE_QUTRIT_KINDS = frozenset(GATES) | {"TAU", "ZPHASE", "XPHASE"}
 # the base set that full expansion is allowed to emit
-BASE_KINDS = frozenset({"X", "Z", "S", "SDG", "H", "HDG", "T", "TDG", "TAU", "CX"})
+BASE_KINDS = frozenset(k for k, facts in GATES.items() if facts.base) | {"TAU", "CX"}
 _ALL_KINDS = SINGLE_QUTRIT_KINDS | {"CX", "C2", "LAMBDA"}
+
+
+def gate_facts(kind: str, params: tuple) -> GateFacts:
+    """The facts of a single-qutrit gate: a table row, or computed for a family."""
+    if kind == "TAU":
+        perm = Permutation.from_label(params[0])
+        label = perm.inverse().label
+        # a transposition squares to I; a 3-cycle squares to its inverse
+        square = None if label == params[0] else ("TAU", (label,), None)
+        return GateFacts(perm.images, (0, 0, 0), ("TAU", (label,)), square, True)
+    if kind in ("ZPHASE", "XPHASE"):
+        a, b = params
+        sq = ((2 * a) % 3, (2 * b) % 3)
+        return GateFacts(
+            _ID if kind == "ZPHASE" else None,
+            (0, int(6 * a), int(6 * b)),
+            (kind, (-a % 3, -b % 3)),
+            None if sq == (0, 0) else (kind, sq, None),
+            False,
+        )
+    return GATES[kind]
 
 
 def _check_third(value: Fraction, name: str) -> Fraction:
@@ -129,31 +191,8 @@ def compose(first: Circuit, second: Circuit) -> Circuit:
     return Circuit(first.n, first.ops + second.ops)
 
 
-_ADJOINT_SIMPLE = {
-    "S": "SDG",
-    "SDG": "S",
-    "H": "HDG",
-    "HDG": "H",
-    "T": "TDG",
-    "TDG": "T",
-    "R": "R",
-}
-_ADJOINT_TAU = {"01": "01", "02": "02", "12": "12", "012": "021", "021": "012"}
-
-
 def _adjoint_ops(op: Op) -> tuple[Op, ...]:
     k = op.kind
-    if k in _ADJOINT_SIMPLE:
-        return (replace(op, kind=_ADJOINT_SIMPLE[k]),)
-    if k == "X":
-        return (Op("TAU", op.wires, ("021",)),)
-    if k == "Z":
-        return (Op("ZPHASE", op.wires, (Fraction(2), Fraction(1))),)
-    if k == "TAU":
-        return (Op("TAU", op.wires, (_ADJOINT_TAU[op.params[0]],)),)
-    if k in ("ZPHASE", "XPHASE"):
-        a, b = op.params
-        return (Op(k, op.wires, (-a % 3, -b % 3)),)
     if k == "CX":
         return (op, op)
     if k in ("C2", "LAMBDA"):
@@ -163,7 +202,8 @@ def _adjoint_ops(op: Op) -> tuple[Op, ...]:
             s, e = op.phase
             phase = (s, (-e) % 9)
         return (Op(k, op.wires, inner=inner_adj, phase=phase),)
-    raise AssertionError(k)
+    kind, params = gate_facts(k, op.params).adjoint
+    return (Op(kind, op.wires, params),)
 
 
 def adjoint(circ: Circuit) -> Circuit:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ..errors import UnexpandableError, UnknownMacroError
-from .core import BASE_KINDS, Circuit, Op
+from .core import BASE_KINDS, Circuit, Op, gate_facts
 from .parse import parse_circuit
 
 __all__ = [
@@ -49,6 +49,9 @@ _C2_FILES: dict[tuple, str] = {
     ("TAU", ("12",), (-1, 0)): "c2neg_tau12",
 }
 
+# named kinds outside the base set -> data file implementing the gate on
+# wire 0 of two, with wire 1 borrowed and returned unchanged
+_BORROWED_FILES = {"R": "r_construction"}
 _STANDALONE = ("r_construction", "r_construction_naive")
 
 
@@ -90,42 +93,21 @@ def load_named(name: str) -> Circuit:
     return _CACHE[path]
 
 
-def _det_exponent(op: Op) -> Fraction | None:
-    """e with det(gate) = zeta_9**(3e), or None for det -1 gates."""
-    k = op.kind
-    if k == "R":
-        return None  # det diag(1, 1, -1) = -1
-    if k in ("X", "Z", "T", "TDG", "H", "HDG"):
-        return Fraction(0)
-    if k == "TAU":
-        return Fraction(0) if op.params[0] in ("012", "021") else None
-    if k in ("ZPHASE", "XPHASE"):
-        a, b = op.params
-        return (a + b) % 3
-    if k in ("S",):
-        return Fraction(1)
-    if k == "SDG":
-        return Fraction(2)
-    raise AssertionError(k)
-
-
 def _c2_obstruction(op: Op) -> str | None:
     """Reason the controlled gate cannot be reached exactly, or None."""
-    e = _det_exponent(op.inner)
-    sign_flips = e is None
-    e_val = Fraction(0) if e is None else e
+    # zeta18**e = (-1)**e * zeta_9**(5e), so up to sign det(inner) = zeta_9**(5 * sum)
+    # and det(phase * inner) = zeta_9**(5 * sum + 3 * phase exponent)
+    det = 5 * sum(gate_facts(op.inner.kind, op.inner.params).zeta18)
     if op.phase is not None:
-        _, pe = op.phase
-        e_val += pe
-    if e_val % 3 != 0:
-        zeta_exp = int(3 * (e_val % 3))
-        det = f"omega^{zeta_exp // 3}" if zeta_exp % 3 == 0 else f"zeta^{zeta_exp}"
-        return (
-            f"controlled block has determinant {det}, but every two-qutrit "
-            "circuit over the base set has determinant +1 or -1"
-        )
-    _ = sign_flips  # determinant -1 blocks are fine: tau layers supply -1
-    return None
+        det += 3 * op.phase[1]
+    det %= 9
+    if det == 0:
+        return None
+    text = f"omega^{det // 3}" if det % 3 == 0 else f"zeta^{det}"
+    return (
+        f"controlled block has determinant {text}, but every two-qutrit "
+        "circuit over the base set has determinant +1 or -1"
+    )
 
 
 def _int_zphase_ops(wire: int, a: int, b: int) -> list[Op]:
@@ -150,42 +132,19 @@ def _zphase_ops(wire: int, a: Fraction, b: Fraction) -> list[Op]:
     return ops
 
 
-_SQUARE_SIMPLE = {
-    "X": ("TAU", ("021",), None),
-    "Z": ("ZPHASE", (Fraction(2), Fraction(1)), None),
-    "S": ("SDG", (), None),
-    "SDG": ("S", (), None),
-    "H": ("TAU", ("12",), (-1, 0)),
-    "HDG": ("TAU", ("12",), (-1, 0)),
-}
-
-
 def _square_c2(op: Op) -> Op | None:
     """C2 applying inner^2 (with controlled phase where needed), or None if inner^2 = I."""
-    inner = op.inner
-    k = inner.kind
-    phase = None
-    if k in _SQUARE_SIMPLE:
-        kind, params, phase = _SQUARE_SIMPLE[k]
-        sq = Op(kind, inner.wires, params)
-    elif k == "TAU":
-        label = inner.params[0]
-        if label in ("01", "02", "12"):
-            return None
-        sq = Op("TAU", inner.wires, ("021" if label == "012" else "012",))
-    elif k == "R":
+    square = gate_facts(op.inner.kind, op.inner.params).square
+    if square is None:
         return None
-    elif k in ("T", "TDG"):
-        a, b = (Fraction(2, 3), Fraction(-2, 3)) if k == "T" else (Fraction(-2, 3), Fraction(2, 3))
-        sq = Op("ZPHASE", inner.wires, (a % 3, b % 3))
-    elif k in ("ZPHASE", "XPHASE"):
-        a, b = inner.params
-        if (2 * a) % 3 == 0 and (2 * b) % 3 == 0:
-            return None
-        sq = Op(k, inner.wires, ((2 * a) % 3, (2 * b) % 3))
-    else:
-        raise AssertionError(k)
-    return Op("C2", op.wires, inner=sq, phase=phase)
+    kind, params, phase = square
+    return Op("C2", op.wires, inner=Op(kind, op.inner.wires, params), phase=phase)
+
+
+def _splice(stem: str, wire0: int, wire1: int, out: list[Op]) -> None:
+    """Append a two-qutrit data file with its wires 0 and 1 mapped as given."""
+    table = {0: wire0, 1: wire1}
+    out.extend(sub.remap(lambda x: table[x]) for sub in load_named(stem).ops)
 
 
 def _expand_op(op: Op, n: int, out: list[Op]) -> None:
@@ -202,16 +161,6 @@ def _expand_op(op: Op, n: int, out: list[Op]) -> None:
         out.extend(_zphase_ops(w, *op.params))
         out.append(Op("H", (w,)))
         return
-    if k == "R":
-        if n < 2:
-            raise UnexpandableError(
-                "R on a lone qutrit: the construction borrows a second qutrit"
-            )
-        partner = min(x for x in range(n) if x != w)
-        body = load_named("r_construction")
-        table = {0: w, 1: partner}
-        out.extend(sub.remap(lambda x: table[x]) for sub in body.ops)
-        return
     if k == "C2":
         reason = _c2_obstruction(op)
         if reason is not None:
@@ -222,18 +171,15 @@ def _expand_op(op: Op, n: int, out: list[Op]) -> None:
             raise UnknownMacroError(
                 f"no registered expansion for C2[{op.inner.kind}] with phase {op.phase}"
             )
-        body = load_named(stem)
-        table = {0: op.wires[0], 1: op.inner.wires[0]}
-        out.extend(sub.remap(lambda x: table[x]) for sub in body.ops)
+        _splice(stem, op.wires[0], op.inner.wires[0], out)
         return
     if k == "LAMBDA":
         c, t = op.wires[0], op.inner.wires[0]
-        if op.inner.kind == "X" or (op.inner.kind == "TAU" and op.inner.params[0] == "012"):
-            out.append(Op("CX", (c, t)))
-            return
-        if op.inner.kind == "TAU" and op.inner.params[0] == "021":
-            out.append(Op("CX", (c, t)))
-            out.append(Op("CX", (c, t)))
+        facts = gate_facts(op.inner.kind, op.inner.params)
+        # LAMBDA[g] is CX when g = X and CX^2 when g = X^2
+        cx_count = {(1, 2, 0): 1, (2, 0, 1): 2}.get(facts.images)
+        if cx_count and not any(facts.zeta18):
+            out.extend([Op("CX", (c, t))] * cx_count)
             return
         # level-1 trigger: conjugate the control by X so 1 -> 2
         out.append(Op("X", (c,)))
@@ -243,7 +189,12 @@ def _expand_op(op: Op, n: int, out: list[Op]) -> None:
         if square is not None:
             _expand_op(square, n, out)
         return
-    raise AssertionError(k)
+    # what is left is a named kind outside the base set
+    if n < 2:
+        raise UnexpandableError(
+            f"{k} on a lone qutrit: the construction borrows a second qutrit"
+        )
+    _splice(_BORROWED_FILES[k], w, min(x for x in range(n) if x != w), out)
 
 
 def expand_macros(circ: Circuit) -> Circuit:

@@ -12,9 +12,10 @@ a comment.  Wires are 0-based, qutrit 0 most significant.  Examples::
     C2[TAU(12) 1] 0 phase=-1
 
 ``C2[g t] c`` applies ``g`` to ``t`` when the control holds level 2; the
-optional ``phase=`` suffix (values ``1``, ``-1``, ``zeta^k``, ``-zeta^k``)
-multiplies the controlled block by that scalar.  ``C1[...]``/``C0[...]`` are
-sugar for conjugating the control by X so the trigger level moves to 1 or 0.
+optional ``phase=PH`` suffix multiplies the controlled block by the unit PH,
+written ``[-](1|omega|zeta)[^k]`` (see ``parse_phase``).  ``C1[...]`` and
+``C0[...]`` are sugar for conjugating the control by X so the trigger level
+moves to 1 or 0.
 ``LAMBDA[g t] c`` applies ``g`` once per control level.
 """
 
@@ -24,21 +25,35 @@ import re
 from fractions import Fraction
 
 from ..errors import ParseError
-from .core import Circuit, Op, SINGLE_QUTRIT_KINDS
+from .core import GATES, Circuit, Op, SINGLE_QUTRIT_KINDS
 from .perm import TAU_LABELS
 
-__all__ = ["parse_circuit"]
+__all__ = ["Tokens", "parse_circuit", "parse_phase"]
 
 _TOKEN = re.compile(r"\[|\]|[^\s\[\]]+")
 _TAU = re.compile(r"TAU\((01|02|12|012|021)\)\Z", re.IGNORECASE)
-_PHASE = re.compile(r"phase=(-?)(1|zeta(?:\^(-?\d+))?)\Z", re.IGNORECASE)
+_PHASE = re.compile(r"(-?)(1|omega|zeta)(?:\^(-?\d+))?\Z", re.IGNORECASE)
+_PHASE_KEY = "phase="
 _INT = re.compile(r"[+-]?\d+\Z")
 _THIRD = re.compile(r"([+-]?\d+)/3\Z")
 
-_PLAIN = {"X", "Z", "S", "SDG", "H", "HDG", "T", "TDG", "R"}
+
+def parse_phase(text: str) -> tuple[int, int]:
+    """A unit ``[-](1|omega|zeta)[^k]`` as (sign, e) meaning sign * zeta_9**e.
+
+    ``k`` defaults to 1 and may be negative; names are case-insensitive.
+    """
+    m = _PHASE.match(text)
+    if m is None:
+        raise ValueError(f"bad phase value {text!r}")
+    step = {"1": 0, "omega": 3, "zeta": 1}[m.group(2).lower()]
+    k = 1 if m.group(3) is None else int(m.group(3))
+    return (-1 if m.group(1) else 1, step * k % 9)
 
 
-class _Tokens:
+class Tokens:
+    """The tokens of one line of text: brackets, and runs of other non-space."""
+
     def __init__(self, text: str, line_no: int):
         self.items = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(text)]
         self.pos = 0
@@ -62,8 +77,26 @@ class _Tokens:
         if tok != literal:
             raise ParseError(f"expected {literal!r}, got {tok!r}", self.line_no, col)
 
+    def take_phase(self) -> tuple[int, int] | None:
+        """An optional ``phase=PH`` token, read by ``parse_phase``."""
+        item = self.peek()
+        if item is None or not item[0].lower().startswith(_PHASE_KEY):
+            return None
+        self.pos += 1
+        tok, col = item
+        try:
+            return parse_phase(tok[len(_PHASE_KEY):])
+        except ValueError as exc:
+            raise ParseError(str(exc), self.line_no, col) from None
 
-def _parse_wire(toks: _Tokens, n: int) -> int:
+    def finish(self) -> None:
+        """Reject any token left on the line."""
+        item = self.peek()
+        if item is not None:
+            raise ParseError(f"unexpected trailing token {item[0]!r}", self.line_no, item[1])
+
+
+def _parse_wire(toks: Tokens, n: int) -> int:
     tok, col = toks.take("a wire index")
     if not _INT.match(tok):
         raise ParseError(f"expected a wire index, got {tok!r}", toks.line_no, col)
@@ -73,7 +106,7 @@ def _parse_wire(toks: _Tokens, n: int) -> int:
     return w
 
 
-def _parse_third(toks: _Tokens) -> Fraction:
+def _parse_third(toks: Tokens) -> Fraction:
     tok, col = toks.take("a phase exponent")
     if _INT.match(tok):
         return Fraction(int(tok))
@@ -85,10 +118,10 @@ def _parse_third(toks: _Tokens) -> Fraction:
     )
 
 
-def _parse_simple_gate(toks: _Tokens, n: int) -> Op:
+def _parse_simple_gate(toks: Tokens, n: int) -> Op:
     tok, col = toks.take("a gate name")
     name = tok.upper()
-    if name in _PLAIN:
+    if name in GATES:
         return Op(name, (_parse_wire(toks, n),))
     m = _TAU.match(tok)
     if m:
@@ -103,24 +136,7 @@ def _parse_simple_gate(toks: _Tokens, n: int) -> Op:
     raise ParseError(f"unknown gate {tok!r}", toks.line_no, col)
 
 
-def _parse_phase_suffix(toks: _Tokens) -> tuple[int, int] | None:
-    item = toks.peek()
-    if item is None:
-        return None
-    tok, col = item
-    m = _PHASE.match(tok)
-    if m is None:
-        raise ParseError(f"unexpected trailing token {tok!r}", toks.line_no, col)
-    toks.pos += 1
-    sign = -1 if m.group(1) == "-" else 1
-    body = m.group(2).lower()
-    if body == "1":
-        return (sign, 0)
-    exp = 1 if m.group(3) is None else int(m.group(3))
-    return (sign, exp % 9)
-
-
-def _parse_controlled(toks: _Tokens, n: int, head: str, col: int) -> list[Op]:
+def _parse_controlled(toks: Tokens, n: int, head: str, col: int) -> list[Op]:
     toks.expect("[")
     inner = _parse_simple_gate(toks, n)
     if inner.kind not in SINGLE_QUTRIT_KINDS:
@@ -130,14 +146,10 @@ def _parse_controlled(toks: _Tokens, n: int, head: str, col: int) -> list[Op]:
     if control == inner.wires[0]:
         raise ParseError("control and target wires must differ", toks.line_no, col)
     if head == "LAMBDA":
-        if toks.peek() is not None:
-            tok, pcol = toks.peek()
-            raise ParseError(f"unexpected trailing token {tok!r}", toks.line_no, pcol)
+        toks.finish()
         return [Op("LAMBDA", (control,), inner=inner)]
-    phase = _parse_phase_suffix(toks)
-    if toks.peek() is not None:
-        tok, pcol = toks.peek()
-        raise ParseError(f"unexpected trailing token {tok!r}", toks.line_no, pcol)
+    phase = toks.take_phase()
+    toks.finish()
     core = Op("C2", (control,), inner=inner, phase=phase)
     if head == "C2":
         return [core]
@@ -158,7 +170,7 @@ def parse_circuit(text: str) -> Circuit:
         body = raw.split("#", 1)[0]
         if not body.strip():
             continue
-        toks = _Tokens(body, line_no)
+        toks = Tokens(body, line_no)
         tok, col = toks.take("a statement")
         if n is None:
             if tok.lower() != "qutrits":
@@ -167,9 +179,7 @@ def parse_circuit(text: str) -> Circuit:
             if not count.isdigit() or int(count) < 1:
                 raise ParseError(f"bad qutrit count {count!r}", line_no, ccol)
             n = int(count)
-            if toks.peek() is not None:
-                extra, ecol = toks.peek()
-                raise ParseError(f"unexpected trailing token {extra!r}", line_no, ecol)
+            toks.finish()
             continue
         head = tok.upper()
         if head in ("C0", "C1", "C2", "LAMBDA"):
@@ -184,9 +194,7 @@ def parse_circuit(text: str) -> Circuit:
             target = _parse_wire(toks, n)
             if control == target:
                 raise ParseError("control and target wires must differ", line_no, col)
-            if toks.peek() is not None:
-                extra, ecol = toks.peek()
-                raise ParseError(f"unexpected trailing token {extra!r}", line_no, ecol)
+            toks.finish()
             ops.append(Op("CX", (control, target)))
         else:
             toks.pos = 0
@@ -196,9 +204,7 @@ def parse_circuit(text: str) -> Circuit:
                 if isinstance(exc, ParseError):
                     raise
                 raise ParseError(str(exc), line_no, col) from None
-            if toks.peek() is not None:
-                extra, ecol = toks.peek()
-                raise ParseError(f"unexpected trailing token {extra!r}", line_no, ecol)
+            toks.finish()
     if n is None:
         raise ParseError("empty circuit text", 1, 1)
     return Circuit(n, tuple(ops))

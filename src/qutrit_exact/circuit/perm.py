@@ -55,9 +55,6 @@ class Permutation:
             inv[v] = k
         return Permutation(inv)
 
-    def is_identity(self) -> bool:
-        return self._img == (0, 1, 2)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented

@@ -15,7 +15,7 @@ from typing import Callable
 from qutrit_exact.adjoint import adjoint_of, single_qutrit_ct_obstruction
 from qutrit_exact.analysis import hierarchy_level, refute_phase_membership
 from qutrit_exact.circuit.core import Circuit, Op
-from qutrit_exact.circuit.macros import load_named
+from qutrit_exact.circuit.macros import load_named, t_count
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
 from qutrit_exact.rings.membership import RingTag, in_ring
 from qutrit_exact.rings.polynomials import has_rational_root
@@ -47,7 +47,7 @@ def _file_claim(name: str, block: UnitaryMatrix,
     target = controlled_target(block, phase)
     got = circuit_matrix(circ)
     _require(equal_exact(got, target), "matrix mismatch")
-    t = sum(1 for op in circ.ops if op.kind in ("T", "TDG"))
+    t = t_count(circ)
     _require(t == t_expected, f"T-count {t} != {t_expected}")
     return f"exact match, T-count {t}"
 
@@ -124,7 +124,7 @@ def _claim_r_construction(name: str, t_expected: int) -> Callable[[], str]:
         circ = load_named(name)
         target = gate_matrix(Op("R", (0,)), 2)
         _require(equal_exact(circuit_matrix(circ), target), "matrix mismatch")
-        t = sum(1 for op in circ.ops if op.kind in ("T", "TDG"))
+        t = t_count(circ)
         _require(t == t_expected, f"T-count {t} != {t_expected}")
         return f"R on qutrit 0 of 2, exact, T-count {t}"
 

@@ -99,23 +99,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _classify_ring(m: UnitaryMatrix, tag: RingTag) -> bool:
+def _classify_ring(m: UnitaryMatrix, tag: RingTag, out: list[str]) -> bool:
     cert = matrix_ring_certificate(m, tag)
     if cert.found:
-        print("member: true")
-        print(f"  {cert.text()}")
+        out += ["member: true", f"  {cert.text()}"]
         return True
     ref = refute_phase_membership(m, tag)
     if ref.refuted:
         a, b = ref.pair
-        print(f"refuted: pair ({a}, {b})")
-        print(f"  {ref.text()}")
+        out += [f"refuted: pair ({a}, {b})", f"  {ref.text()}"]
         return False
-    print("member: unknown")
-    print(
+    out += [
+        "member: unknown",
         f"  no unit phase in the witness set puts the matrix inside "
-        f"{tag.value}, and no entry pair refutes membership"
-    )
+        f"{tag.value}, and no entry pair refutes membership",
+    ]
     return False
 
 
@@ -129,24 +127,24 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     circ = _load_circuit(args.file)
     m = circuit_matrix(circ)
     all_positive = True
+    # every check runs before anything is printed, so a check that rejects
+    # its input leaves stdout empty
+    out: list[str] = []
 
     if args.clifford:
         cert = is_clifford(m)
-        print(f"clifford: {'true' if cert.found else 'false'}")
-        for line in cert.text().splitlines():
-            print(f"  {line}")
+        out.append(f"clifford: {'true' if cert.found else 'false'}")
+        out += [f"  {line}" for line in cert.text().splitlines()]
         all_positive &= cert.found
 
     if args.hierarchy is not None:
         report = hierarchy_level(m, cap=args.hierarchy)
-        print(f"level: {report.level if report.level is not None else 'none'}")
-        for line in report.text().splitlines():
-            print(f"  {line}")
+        out.append(f"level: {report.level if report.level is not None else 'none'}")
+        out += [f"  {line}" for line in report.text().splitlines()]
         all_positive &= report.level is not None
 
     if args.ring:
-        tag = RingTag.parse(args.ring)
-        all_positive &= _classify_ring(m, tag)
+        all_positive &= _classify_ring(m, RingTag.parse(args.ring), out)
 
     if args.obstruct:
         if m.dim != 3:
@@ -155,12 +153,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             )
         verdict = single_qutrit_ct_obstruction(m)
         if verdict.is_obstructed():
-            print(f"obstructed: {verdict.reason}")
+            out.append(f"obstructed: {verdict.reason}")
             all_positive = False
         else:
-            print(f"consistent: T-count {verdict.t_count}")
-        print(f"  {verdict.text()}")
+            out.append(f"consistent: T-count {verdict.t_count}")
+        out.append(f"  {verdict.text()}")
 
+    print("\n".join(out))
     return 0 if all_positive else 1
 
 
@@ -222,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
+        for name, value in vars(args).items():
+            if value == []:  # argparse reads '--opt=--' as an empty list
+                raise ValueError(f"--{name} needs a value")
         return args.func(args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -6,11 +6,13 @@ Grammar (tokens separated by whitespace; brackets may hug):
     TERM  := '-'? ATOM
     ATOM  := 'I' | 'CX' | GATE | 'C2' '[' '-'? GATE ']' PHASE?
     GATE  := name, optionally with parameters: TAU(12), ZPHASE(1/3,-1/3), ...
-    PHASE := 'phase=' '-'? ('1' | 'omega'['^'k] | 'zeta'['^'k])
+    PHASE := 'phase=' '-'? ('1' | 'omega' | 'zeta') ['^' k]
 
 'I' is the 3 x 3 identity, 'zeta' the primitive ninth root of unity, and
-'omega' the primitive cube root.  C2[g] is the two-qutrit gate applying g
-(times the optional phase) when the control qutrit is in state 2.
+'omega' the primitive cube root; k may be negative.  C2[g] is the two-qutrit
+gate applying g (times the optional phase) when the control qutrit is in
+state 2.  Tokens and phases are read exactly as in circuit files
+(``qutrit_exact.circuit.parse``).
 """
 
 from __future__ import annotations
@@ -19,50 +21,22 @@ import re
 from fractions import Fraction
 
 from qutrit_exact.circuit.core import Op, SINGLE_QUTRIT_KINDS
+from qutrit_exact.circuit.parse import Tokens, parse_phase
 from qutrit_exact.errors import ParseError
-from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
+from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE
 from qutrit_exact.sim.gates import gate_matrix
-from qutrit_exact.sim.matrix import UnitaryMatrix, controlled_target
+from qutrit_exact.sim.matrix import UnitaryMatrix
 
-_TOKEN = re.compile(r"\[|\]|[^\s\[\]]+")
 _GATE = re.compile(r"^([A-Z][A-Z0-9]*)(?:\(([^()]*)\))?$")
-_PHASE = re.compile(r"^(-)?(1|omega|zeta)(?:\^(\d+))?$")
 
 
 def parse_phase_value(text: str) -> Cyclo36:
     """'-zeta^2', 'omega', '1', ... as an exact unit."""
-    m = _PHASE.match(text)
-    if m is None:
-        raise ParseError(f"bad phase value {text!r}", 1, 1)
-    sign = MINUS_ONE if m.group(1) else ONE
-    base = m.group(2)
-    e = int(m.group(3)) if m.group(3) else 1
-    if base == "1":
-        return sign
-    if base == "omega":
-        return sign * Cyclo36.omega_pow(e)
-    return sign * Cyclo36.zeta9_pow(e)
-
-
-class _Stream:
-    def __init__(self, text: str):
-        self.toks = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(text)]
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def col(self) -> int:
-        if self.pos < len(self.toks):
-            return self.toks[self.pos][1]
-        return self.toks[-1][1] + len(self.toks[-1][0]) if self.toks else 1
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of target expression", 1, self.col())
-        self.pos += 1
-        return tok
+    try:
+        sign, e = parse_phase(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), 1, 1) from None
+    return Cyclo36.zeta9_pow(e) * sign
 
 
 def _parse_gate_token(tok: str, col: int) -> Op:
@@ -88,59 +62,51 @@ def _parse_gate_token(tok: str, col: int) -> Op:
         raise ParseError(str(e), 1, col) from None
 
 
-def _parse_atom(s: _Stream) -> UnitaryMatrix:
-    col = s.col()
-    tok = s.take()
+def _negated(s: Tokens) -> bool:
+    """Consume a leading '-', standing alone or hugging the next token."""
+    item = s.peek()
+    if item is None or not item[0].startswith("-"):
+        return False
+    tok, col = item
+    if tok == "-":
+        s.pos += 1
+    else:
+        s.items[s.pos] = (tok[1:], col + 1)
+    return True
+
+
+def _parse_atom(s: Tokens) -> UnitaryMatrix:
+    tok, col = s.take("a gate")
     if tok == "I":
         return UnitaryMatrix.identity(3)
     if tok == "CX":
         return gate_matrix(Op("CX", (0, 1)), 2)
     if tok == "C2":
-        if s.peek() != "[":
-            raise ParseError("C2 requires a bracketed target gate", 1, s.col())
-        s.take()
-        sign = ONE
-        inner_tok = s.take()
-        inner_col = col
-        if inner_tok == "-":
-            sign = MINUS_ONE
-            inner_tok = s.take()
-        elif inner_tok.startswith("-"):
-            sign = MINUS_ONE
-            inner_tok = inner_tok[1:]
-        inner = gate_matrix(_parse_gate_token(inner_tok, inner_col), 1)
-        if s.take() != "]":
-            raise ParseError("expected ']' after C2 target", 1, s.col())
-        phase = sign
-        nxt = s.peek()
-        if nxt is not None and nxt.startswith("phase="):
-            s.take()
-            phase = sign * parse_phase_value(nxt[len("phase="):])
-        return controlled_target(inner, phase)
+        s.expect("[")
+        sign = -1 if _negated(s) else 1
+        inner_tok, inner_col = s.take("a target gate")
+        inner = _parse_gate_token(inner_tok, inner_col)
+        s.expect("]")
+        psign, e = s.take_phase() or (1, 0)
+        op = Op("C2", (0,), inner=inner.remap(lambda _: 1), phase=(sign * psign, e))
+        return gate_matrix(op, 2)
     return gate_matrix(_parse_gate_token(tok, col), 1)
 
 
-def _parse_term(s: _Stream) -> UnitaryMatrix:
-    tok = s.peek()
-    if tok == "-":
-        s.take()
-        return _parse_atom(s).scale(MINUS_ONE)
-    if tok is not None and tok.startswith("-") and tok not in ("-",):
-        # '-H' hugs the sign; rewrite in place
-        s.toks[s.pos] = (tok[1:], s.toks[s.pos][1] + 1)
+def _parse_term(s: Tokens) -> UnitaryMatrix:
+    if _negated(s):
         return _parse_atom(s).scale(MINUS_ONE)
     return _parse_atom(s)
 
 
 def parse_target(text: str) -> UnitaryMatrix:
     """Evaluate a target expression to an exact matrix."""
-    s = _Stream(text)
+    s = Tokens(text, 1)
     if s.peek() is None:
         raise ParseError("empty target expression", 1, 1)
     out = _parse_term(s)
     while s.peek() is not None:
-        col = s.col()
-        tok = s.take()
+        tok, col = s.take("'x'")
         if tok != "x":
             raise ParseError(
                 f"expected tensor separator 'x', got {tok!r}", 1, col

@@ -1,38 +1,77 @@
-"""Errors shared by the circuit and simulation layers."""
+"""The toolkit's error types: one ValueError hierarchy keyed by a stable code."""
 
 from __future__ import annotations
 
-__all__ = ["DimMismatchError", "ParseError", "UnexpandableError", "UnknownMacroError"]
+__all__ = [
+    "DimMismatchError",
+    "KTooSmallError",
+    "NotInAError",
+    "NotRealError",
+    "ParseError",
+    "QutritExactError",
+    "RingError",
+    "UnexpandableError",
+    "UnknownMacroError",
+]
 
 
-class DimMismatchError(ValueError):
-    """Raised when two objects that must share a dimension do not."""
+class QutritExactError(ValueError):
+    """Base class; the message is ``CODE`` or ``CODE: message``."""
+
+    code = "ERROR"
 
     def __init__(self, message: str = ""):
-        text = "DIM_MISMATCH" if not message else f"DIM_MISMATCH: {message}"
-        super().__init__(text)
+        super().__init__(self.code if not message else f"{self.code}: {message}")
 
 
-class ParseError(ValueError):
-    """Circuit-text syntax error with line and column positions (1-based)."""
+class DimMismatchError(QutritExactError):
+    """Raised when two objects that must share a dimension do not."""
+
+    code = "DIM_MISMATCH"
+
+
+class UnexpandableError(QutritExactError):
+    """Raised when a gate has no expansion over the base gate set."""
+
+    code = "UNEXPANDABLE"
+
+
+class UnknownMacroError(QutritExactError):
+    """Raised when a controlled gate names no registered macro."""
+
+    code = "UNKNOWN_MACRO"
+
+
+class RingError(QutritExactError):
+    """Base class for ring-membership and conversion failures."""
+
+    code = "RING_ERROR"
+
+
+class NotRealError(RingError):
+    """Raised when a real-ring operation receives a value with nonzero imaginary part."""
+
+    code = "NOT_REAL"
+
+
+class NotInAError(RingError):
+    """Raised when a real value lies outside the alpha-local ring."""
+
+    code = "NOT_IN_A"
+
+
+class KTooSmallError(RingError):
+    """Raised when k-th residue is requested below the least denominator exponent."""
+
+    code = "K_TOO_SMALL"
+
+
+class ParseError(QutritExactError):
+    """Text syntax error; the message is ``line L, col C: message`` (1-based)."""
+
+    code = "PARSE_ERROR"
 
     def __init__(self, message: str, line: int, col: int):
         self.line = line
         self.col = col
-        super().__init__(f"line {line}, col {col}: {message}")
-
-
-class UnexpandableError(ValueError):
-    """Raised when a gate has no expansion over the base gate set."""
-
-    def __init__(self, message: str = ""):
-        text = "UNEXPANDABLE" if not message else f"UNEXPANDABLE: {message}"
-        super().__init__(text)
-
-
-class UnknownMacroError(ValueError):
-    """Raised when a controlled gate names no registered macro."""
-
-    def __init__(self, message: str = ""):
-        text = "UNKNOWN_MACRO" if not message else f"UNKNOWN_MACRO: {message}"
-        super().__init__(text)
+        ValueError.__init__(self, f"line {line}, col {col}: {message}")

@@ -2,7 +2,7 @@
 
 from .alpha import AlphaElem, DalphaElem, k_residue, lde, residue, to_alpha
 from .cyclo import MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO, ZETA9, Cyclo36, embed
-from .errors import KTooSmallError, NotInAError, NotRealError, RingError
+from ..errors import KTooSmallError, NotInAError, NotRealError, RingError
 from .membership import RingTag, in_ring, zeta9_coordinates
 from .polynomials import RootSearch, has_rational_root
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .cyclo import Cyclo36, embed
-from .errors import KTooSmallError, NotInAError, NotRealError
+from ..errors import KTooSmallError, NotInAError, NotRealError
 
 __all__ = [
     "DalphaElem",

@@ -226,26 +226,6 @@ class Cyclo36:
             e >>= 1
         return acc
 
-    def mul_zeta_pow(self, e: int) -> Cyclo36:
-        """Fast multiplication by zeta^e (exponent shift plus reduction)."""
-        e %= 36
-        if e == 0:
-            return self
-        prod = [0] * (_DEGREE + 35)
-        for i, c in enumerate(self._num):
-            if c:
-                prod[i + e] += c
-        for idx in range(len(prod) - 1, _DEGREE - 1, -1):
-            c = prod[idx]
-            if c:
-                prod[idx] = 0
-                if idx >= 18:
-                    prod[idx - 18] -= c
-                else:
-                    prod[idx - 6] += c
-                    prod[idx - 12] -= c
-        return Cyclo36(prod[:_DEGREE], self._den)
-
     def inverse(self) -> Cyclo36:
         """Multiplicative inverse via extended Euclid in Q[x] mod Phi_36."""
         if self.is_zero():

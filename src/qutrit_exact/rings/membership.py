@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .alpha import to_alpha
 from .cyclo import Cyclo36
-from .errors import NotInAError, NotRealError
+from ..errors import NotInAError, NotRealError
 
 __all__ = ["RingTag", "in_ring", "zeta9_coordinates"]
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from ..circuit.core import Circuit, Op
-from ..circuit.perm import Permutation
+from ..circuit.core import Circuit, Op, gate_facts
 from ..rings.cyclo import Cyclo36, ONE, ZERO, OMEGA, OMEGA2
 from .matrix import UnitaryMatrix
 
@@ -22,62 +21,27 @@ MAX_QUTRITS = 3
 
 _Rows = tuple[tuple[Cyclo36, ...], ...]
 
-
-def _diag(*entries: Cyclo36) -> _Rows:
-    dim = len(entries)
-    return tuple(
-        tuple(entries[r] if r == c else ZERO for c in range(dim)) for r in range(dim)
-    )
-
-
-def _perm_rows(perm: Permutation) -> _Rows:
-    rows = [[ZERO] * 3 for _ in range(3)]
-    for col in range(3):
-        rows[perm(col)][col] = ONE
-    return tuple(tuple(r) for r in rows)
-
-
 # H = (omega - omega^2)/3 * [[1,1,1],[1,w,w^2],[1,w^2,w]]; the prefactor is
 # 1/(omega^2 - omega) since (omega - omega^2)^2 = -3.
 _H_PRE = (OMEGA - OMEGA2) * Fraction(1, 3)
-_H_ROWS: _Rows = tuple(
-    tuple(_H_PRE * Cyclo36.omega_pow(r * c) for c in range(3)) for r in range(3)
+_H = UnitaryMatrix(
+    tuple(tuple(_H_PRE * Cyclo36.omega_pow(r * c) for c in range(3)) for r in range(3))
 )
-_HDG_ROWS: _Rows = UnitaryMatrix(_H_ROWS).dag().rows
-
-
-def _zphase_rows(a: Fraction, b: Fraction) -> _Rows:
-    return _diag(ONE, Cyclo36.zeta9_pow(int(3 * a)), Cyclo36.zeta9_pow(int(3 * b)))
+_DENSE: dict[str, _Rows] = {"H": _H.rows, "HDG": _H.dag().rows}
 
 
 @lru_cache(maxsize=None)
 def _named_rows(kind: str, params: tuple) -> _Rows:
-    if kind == "X":
-        return _perm_rows(Permutation.from_label("012"))
-    if kind == "Z":
-        return _diag(ONE, OMEGA, OMEGA2)
-    if kind == "S":
-        return _diag(ONE, ONE, OMEGA)
-    if kind == "SDG":
-        return _diag(ONE, ONE, OMEGA2)
-    if kind == "H":
-        return _H_ROWS
-    if kind == "HDG":
-        return _HDG_ROWS
-    if kind == "T":
-        return _zphase_rows(Fraction(1, 3), Fraction(-1, 3) % 3)
-    if kind == "TDG":
-        return _zphase_rows(Fraction(-1, 3) % 3, Fraction(1, 3))
-    if kind == "R":
-        return _diag(ONE, ONE, Cyclo36.from_int(-1))
-    if kind == "TAU":
-        return _perm_rows(Permutation.from_label(params[0]))
-    if kind == "ZPHASE":
-        return _zphase_rows(*params)
     if kind == "XPHASE":
-        z = UnitaryMatrix(_zphase_rows(*params))
-        return (UnitaryMatrix(_H_ROWS) @ z @ UnitaryMatrix(_HDG_ROWS)).rows
-    raise ValueError(f"no local matrix for kind {kind!r}")
+        z = UnitaryMatrix(_named_rows("ZPHASE", params))
+        return (_H @ z @ _H.dag()).rows
+    facts = gate_facts(kind, params)
+    if facts.images is None:
+        return _DENSE[kind]
+    rows = [[ZERO] * 3 for _ in range(3)]
+    for col, (row, e) in enumerate(zip(facts.images, facts.zeta18)):
+        rows[row][col] = Cyclo36.zeta_pow(2 * e)
+    return tuple(tuple(r) for r in rows)
 
 
 def _phase_value(phase: tuple[int, int] | None) -> Cyclo36:

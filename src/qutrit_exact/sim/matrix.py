@@ -96,9 +96,6 @@ class UnitaryMatrix:
             acc = acc + self._rows[i][i]
         return acc
 
-    def is_unitary(self) -> bool:
-        return self @ self.dag() == UnitaryMatrix.identity(self.dim)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitaryMatrix):
             return NotImplemented

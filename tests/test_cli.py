@@ -6,10 +6,11 @@ import pytest
 
 from qutrit_exact.circuit.core import Op
 from qutrit_exact.circuit.macros import DATA_ENV, circuits_dir
+from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.cli import main, parse_phase_value, parse_target
 from qutrit_exact.errors import ParseError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
-from qutrit_exact.sim.gates import gate_matrix
+from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 from qutrit_exact.sim.matrix import controlled_target, equal_exact
 
 
@@ -83,8 +84,16 @@ class TestTargetExpressions:
         assert parse_phase_value("omega^2") == Cyclo36.omega_pow(2)
         assert parse_phase_value("zeta^8") == Cyclo36.zeta9_pow(8)
         assert parse_phase_value("-zeta") == MINUS_ONE * Cyclo36.zeta9_pow(1)
+        assert parse_phase_value("zeta^-1") == Cyclo36.zeta9_pow(8)
+        assert parse_phase_value("-Omega^-1") == MINUS_ONE * Cyclo36.omega_pow(2)
         with pytest.raises(ParseError):
             parse_phase_value("two")
+
+    @pytest.mark.parametrize("phase", ["zeta^-1", "-omega", "ZETA^4", "-1"])
+    def test_target_and_circuit_phases_agree(self, phase):
+        circ = parse_circuit(f"qutrits 2\nC2[SDG 1] 0 phase={phase}\n")
+        target = parse_target(f"C2[SDG] phase={phase}")
+        assert equal_exact(target, circuit_matrix(circ))
 
 
 @pytest.fixture
@@ -184,6 +193,31 @@ class TestCommands:
         ) == 1
         out = capsys.readouterr().out
         assert "clifford: false" in out and "level: 3" in out
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--target=--"], ["--target", "T", "--mode", "cphase", "--phase=--"]],
+    )
+    def test_double_dash_option_value_is_an_error(self, t_file, capsys, options):
+        assert main(["verify", t_file, *options]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "qutrits,options",
+        [
+            (2, ["--clifford", "--obstruct"]),
+            (1, ["--clifford", "--ring", "bogus"]),
+            (1, ["--clifford", "--hierarchy", "0"]),
+            (1, ["--clifford", "--hierarchy", "99"]),
+        ],
+    )
+    def test_classify_rejection_prints_nothing(self, tmp_path, capsys, qutrits, options):
+        path = tmp_path / "t.qc"
+        path.write_text(f"qutrits {qutrits}\nT 0\n")
+        assert main(["classify", str(path), *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_classify_without_flags_errors(self, t_file, capsys):
         assert main(["classify", t_file]) == 2

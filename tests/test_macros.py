@@ -1,10 +1,18 @@
 """Macro expansion: data-file constructions, T-counts, and obstructions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from qutrit_exact.circuit.core import BASE_KINDS, Circuit, Op, adjoint
+from qutrit_exact.circuit.core import (
+    BASE_KINDS,
+    SINGLE_QUTRIT_KINDS,
+    Circuit,
+    Op,
+    adjoint,
+    print_circuit,
+)
 from qutrit_exact.circuit.macros import (
     DATA_ENV,
     circuits_dir,
@@ -14,6 +22,7 @@ from qutrit_exact.circuit.macros import (
     t_count,
 )
 from qutrit_exact.circuit.parse import parse_circuit
+from qutrit_exact.circuit.perm import TAU_LABELS
 from qutrit_exact.errors import UnexpandableError, UnknownMacroError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
@@ -201,3 +210,72 @@ class TestAdjointsOfMacros:
             flat_t = sum(op.kind in ("T", "TDG") for op in circ.ops)
             adj_t = sum(op.kind in ("T", "TDG") for op in adjoint(circ).ops)
             assert flat_t == adj_t, stem
+
+
+# C2 forms with a registered expansion: (inner kind, inner params, phase)
+_REGISTERED_C2 = [
+    ("X", (), None),
+    ("TAU", ("021",), None),
+    ("TAU", ("12",), (-1, 0)),
+    ("SDG", (), (1, 1)),
+    ("HDG", (), (-1, 0)),
+    ("ZPHASE", (1, 1), (1, 7)),
+]
+
+
+def _random_single(rng: random.Random, wire: int) -> Op:
+    kind = rng.choice(sorted(SINGLE_QUTRIT_KINDS))
+    params: tuple = ()
+    if kind == "TAU":
+        params = (rng.choice(TAU_LABELS),)
+    elif kind in ("ZPHASE", "XPHASE"):
+        params = (Fraction(rng.randrange(9), 3), Fraction(rng.randrange(9), 3))
+    return Op(kind, (wire,), params)
+
+
+def _random_gate(rng: random.Random, n: int) -> Op:
+    roll = rng.random() if n > 1 else 1.0
+    wire = rng.randrange(n)
+    other = (wire + 1) % n
+    if roll < 0.15:
+        kind, params, phase = rng.choice(_REGISTERED_C2)
+        return Op("C2", (wire,), inner=Op(kind, (other,), params), phase=phase)
+    if roll < 0.3:
+        phase = (rng.choice((1, -1)), rng.randrange(9))
+        return Op("C2", (wire,), inner=_random_single(rng, other), phase=phase)
+    if roll < 0.45:
+        return Op("LAMBDA", (wire,), inner=_random_single(rng, other))
+    if roll < 0.5:
+        return Op("CX", (wire, other))
+    return _random_single(rng, wire)
+
+
+def _random_words(count: int):
+    """Seeded words over every gate form, on at most two qutrits."""
+    rng = random.Random(0x7AB1E)
+    for _ in range(count):
+        n = rng.choice((1, 2))
+        yield Circuit(n, tuple(_random_gate(rng, n) for _ in range(rng.randint(1, 3))))
+
+
+class TestGateTableProperties:
+    def test_print_parse_roundtrip(self):
+        for circ in _random_words(200):
+            assert parse_circuit(print_circuit(circ)) == circ
+
+    def test_adjoint_matrix_is_dagger(self):
+        for circ in _random_words(150):
+            m = circuit_matrix(circ)
+            assert circuit_matrix(adjoint(circ)) == m.dag(), print_circuit(circ)
+
+    def test_expansion_is_exact_or_refused(self):
+        expanded = 0
+        for circ in _random_words(150):
+            try:
+                flat = expand_macros(circ)
+            except (UnexpandableError, UnknownMacroError):
+                continue
+            expanded += 1
+            assert all(op.kind in BASE_KINDS for op in flat.ops)
+            assert circuit_matrix(flat) == circuit_matrix(circ), print_circuit(circ)
+        assert expanded >= 50
