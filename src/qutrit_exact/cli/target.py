@@ -11,7 +11,8 @@ Grammar (tokens separated by whitespace; brackets may hug):
 'I' is the 3 x 3 identity, 'zeta' the primitive ninth root of unity, and
 'omega' the primitive cube root; k may be negative.  C2[g] is the two-qutrit
 gate applying g (times the optional phase) when the control qutrit is in
-state 2.  Tokens and phases are read exactly as in circuit files
+state 2.  A target acts on at most ``MAX_QUTRITS`` qutrits, as circuits do.
+Tokens and phases are read exactly as in circuit files
 (``qutrit_exact.circuit.parse``).
 """
 
@@ -22,9 +23,9 @@ from fractions import Fraction
 
 from qutrit_exact.circuit.core import Op, SINGLE_QUTRIT_KINDS
 from qutrit_exact.circuit.parse import Tokens, parse_phase
-from qutrit_exact.errors import ParseError
+from qutrit_exact.errors import DimMismatchError, ParseError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE
-from qutrit_exact.sim.gates import gate_matrix
+from qutrit_exact.sim.gates import MAX_QUTRITS, gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 _GATE = re.compile(r"^([A-Z][A-Z0-9]*)(?:\(([^()]*)\))?$")
@@ -111,5 +112,8 @@ def parse_target(text: str) -> UnitaryMatrix:
             raise ParseError(
                 f"expected tensor separator 'x', got {tok!r}", 1, col
             )
-        out = out.tensor(_parse_term(s))
+        term = _parse_term(s)
+        if out.dim * term.dim > 3**MAX_QUTRITS:
+            raise DimMismatchError(f"the target acts on more than {MAX_QUTRITS} qutrits")
+        out = out.tensor(term)
     return out

@@ -131,6 +131,21 @@ class Cyclo36:
     def denominator(self) -> int:
         return self._den
 
+    @classmethod
+    def from_zeta9_coords(cls, coords: Iterable[int], denominator: int = 1) -> Cyclo36:
+        """sum(coords[i] * zeta_9**i) / denominator for i = 0..5."""
+        a0, a1, a2, a3, a4, a5 = coords
+        # zeta_9**i = zeta**(4i) with zeta**12 = zeta**6 - 1,
+        # zeta**16 = zeta**10 - zeta**4 and zeta**20 = -zeta**2
+        return cls((a0 - a3, 0, -a5, 0, a1 - a4, 0, a3, 0, a2, 0, a4, 0), denominator)
+
+    def zeta9_coords(self) -> tuple[int, ...] | None:
+        """The numerators in the basis zeta_9**0..5, or None outside Q(zeta_9)."""
+        n = self._num
+        if any(n[1::2]):
+            return None
+        return (n[0] + n[6], n[4] + n[10], n[8], n[6], n[10], -n[2])
+
     def as_fractions(self) -> tuple[Fraction, ...]:
         d = self._den
         return tuple(Fraction(c, d) for c in self._num)
@@ -281,17 +296,9 @@ class Cyclo36:
 
     def _symbolic_terms(self) -> list[tuple[Fraction, str]] | None:
         """Terms over {1, omega, omega^2, zeta^k}, or None if not expressible."""
-        if any(self._num[k] for k in range(1, 12, 2)):
+        d = self.zeta9_coords()
+        if d is None:
             return None
-        # zeta_9 coordinates: zeta^k = zeta_36^(4k) reduced mod Phi_36
-        d = [
-            self._num[0] + self._num[6],
-            self._num[4] + self._num[10],
-            self._num[8],
-            self._num[6],
-            self._num[10],
-            -self._num[2],
-        ]
         names = ["1", "zeta", "zeta^2", "omega", "zeta^4", "zeta^5"]
         if d[1] == d[2] == d[4] == d[5] == 0:
             # polynomial in omega alone: a + b*omega, with a = b meaning -omega^2

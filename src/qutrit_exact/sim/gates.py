@@ -4,14 +4,26 @@ Basis convention: computational basis of n qutrits ordered with qutrit 0 most
 significant, so the basis index of digits (d_0, ..., d_{n-1}) is
 sum d_w * 3**(n-1-w).  Circuits list earlier gates first, so the circuit matrix
 is the reversed product of the gate matrices.
+
+The simulator works on integers.  Every gate entry lies in Z[zeta_9][1/s] with
+s = omega - omega^2 (s^2 = -3), so a circuit matrix is held as rows / s**d for
+one shared exponent d.  A basis row is a pair (e, planes): a pending factor
+zeta_18**e and six integer planes, plane i holding the zeta_9**i coordinate
+(power basis mod Phi_9 = x^6 + x^3 + 1) of every entry of the row.  A monomial
+gate (one +-zeta_9**k per column) only permutes rows and adds to e; a dense
+gate sets each row to a sum of rotated source planes and adds its own
+s-exponent to d.  The matrix over Q(zeta_36) is built once, at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, neg, sub
 
 from ..circuit.core import Circuit, Op, gate_facts
+from ..errors import RingError
 from ..rings.cyclo import Cyclo36, ONE, ZERO, OMEGA, OMEGA2
 from .matrix import UnitaryMatrix
 
@@ -20,10 +32,13 @@ __all__ = ["gate_matrix", "circuit_matrix", "gate_local", "MAX_QUTRITS"]
 MAX_QUTRITS = 3
 
 _Rows = tuple[tuple[Cyclo36, ...], ...]
+# (coefficient, zeta_9 exponent) terms of one integral entry
+_Terms = tuple[tuple[int, int], ...]
 
+_S = OMEGA - OMEGA2
 # H = (omega - omega^2)/3 * [[1,1,1],[1,w,w^2],[1,w^2,w]]; the prefactor is
 # 1/(omega^2 - omega) since (omega - omega^2)^2 = -3.
-_H_PRE = (OMEGA - OMEGA2) * Fraction(1, 3)
+_H_PRE = _S * Fraction(1, 3)
 _H = UnitaryMatrix(
     tuple(tuple(_H_PRE * Cyclo36.omega_pow(r * c) for c in range(3)) for r in range(3))
 )
@@ -83,64 +98,213 @@ def gate_local(op: Op) -> tuple[_Rows, tuple[int, ...]]:
     return _named_rows(op.kind, op.params), op.wires
 
 
-def _apply_local(acc: tuple, local: _Rows, wires: tuple[int, ...], n: int) -> tuple:
-    """Rows of (gate @ acc) where the gate is ``local`` embedded on ``wires``."""
-    dim = 3**n
+# -- gates as integer data ------------------------------------------------
+
+
+def _monomial(op: Op) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(images, zeta_18 exponents) of the local columns of a monomial gate, else None.
+
+    Local column c goes to zeta_18**exps[c] times local basis state images[c].
+    """
+    if op.kind == "CX":
+        return tuple(3 * i + (i + j) % 3 for i in range(3) for j in range(3)), (0,) * 9
+    if op.kind in ("C2", "LAMBDA"):
+        inner = _monomial(op.inner)
+        if inner is None:
+            return None
+        g_images, g_exps = inner
+        s, e = op.phase or (1, 0)
+        phase = 2 * e + (9 if s < 0 else 0)
+        # control c applies g**powers[c], and C2 adds its phase when c == 2
+        # (LAMBDA has no phase)
+        powers = (0, 0, 1) if op.kind == "C2" else (0, 1, 2)
+        images, exps = [], []
+        for c, power in enumerate(powers):
+            for t in range(3):
+                x = phase if c == 2 else 0
+                for _ in range(power):
+                    x += g_exps[t]
+                    t = g_images[t]
+                images.append(3 * c + t)
+                exps.append(x)
+        return tuple(images), tuple(exps)
+    facts = gate_facts(op.kind, op.params)
+    if facts.images is None:
+        return None
+    return facts.images, facts.zeta18
+
+
+# coordinates of zeta_9**j; zeta_9**(6+m) = -zeta_9**(3+m) - zeta_9**m
+_UNITS = tuple(
+    tuple(int(i == j) - int(j >= 6 and i in (j - 3, j - 6)) for i in range(6))
+    for j in range(9)
+)
+
+
+def _terms(coords: tuple[int, ...]) -> _Terms:
+    """One term for +-zeta_9**j, else one term per nonzero coordinate."""
+    for j, unit in enumerate(_UNITS):
+        if coords == unit:
+            return ((1, j),)
+        if coords == tuple(-u for u in unit):
+            return ((-1, j),)
+    return tuple((c, i) for i, c in enumerate(coords) if c)
+
+
+def _dense(rows: _Rows) -> tuple[int, tuple[tuple[_Terms, ...], ...]]:
+    """The least k with s**k * rows integral, and the terms of s**k * rows."""
+    entries = [e for row in rows for e in row]
+    den = math.lcm(*(e.denominator for e in entries))
+    a = 0
+    while den % 3 == 0:
+        den //= 3
+        a += 1
+    if den != 1 or any(e.zeta9_coords() is None for e in entries):
+        raise RingError("a gate entry lies outside Z[zeta_9][1/s]")
+    # s**(2a) = (-3)**a clears every denominator
+    k = next(
+        k for k in range(2 * a + 1) if all((_S**k * e).denominator == 1 for e in entries)
+    )
+    scale = _S**k
+    return k, tuple(tuple(_terms((scale * e).zeta9_coords()) for e in row) for row in rows)
+
+
+@lru_cache(maxsize=256)
+def _compiled(
+    kind: str,
+    params: tuple,
+    phase: tuple[int, int] | None,
+    inner_kind: str | None,
+    inner_params: tuple,
+):
+    """(monomial data, None) or (None, dense data) of a gate, keyed without wires."""
+    if inner_kind is None:
+        op = Op(kind, (0, 1) if kind == "CX" else (0,), params)
+    else:
+        op = Op(kind, (0,), inner=Op(inner_kind, (1,), inner_params), phase=phase)
+    mono = _monomial(op)
+    if mono is not None:
+        return mono, None
+    return None, _dense(gate_local(op)[0])
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int, wires: tuple[int, ...]):
+    """Per basis row: its local index on ``wires`` and the row with those digits
+    cleared; per local index: the row with that index and every other digit 0."""
     places = tuple(3 ** (n - 1 - w) for w in wires)
-    m = len(local)
-    result: list = [None] * dim
-    for r in range(dim):
-        lrow = 0
-        base = r
+    local, base, offsets = [], [], [0] * 3 ** len(wires)
+    for r in range(3**n):
+        idx, b = 0, r
         for p in places:
-            d = (r // p) % 3
-            lrow = 3 * lrow + d
-            base -= d * p
-        terms = []
-        for lcol, coef in enumerate(local[lrow]):
-            if coef.is_zero():
-                continue
-            k = base
-            v = lcol
-            for p in reversed(places):
-                k += (v % 3) * p
-                v //= 3
-            terms.append((coef, acc[k]))
-        if len(terms) == 1:
-            coef, src = terms[0]
-            if coef == ONE:
-                result[r] = src
-            else:
-                result[r] = tuple(coef * e if not e.is_zero() else e for e in src)
-        else:
-            out_row = []
-            for c in range(dim):
-                s = ZERO
-                for coef, src in terms:
-                    e = src[c]
-                    if not e.is_zero():
-                        s = s + coef * e
-                out_row.append(s)
-            result[r] = tuple(out_row)
-    return tuple(result)
+            digit = (r // p) % 3
+            idx = 3 * idx + digit
+            b -= digit * p
+        local.append(idx)
+        base.append(b)
+        if b == 0:
+            offsets[idx] = r
+    return tuple(local), tuple(base), tuple(offsets)
+
+
+# -- integer rows ---------------------------------------------------------
+
+
+def _combine(sources, zero: tuple) -> tuple:
+    """Planes of sum(coef * zeta_9**j * zeta_18**e * planes) over
+    (terms, e, planes) sources; all-zero planes are ``zero``.
+
+    Planes are never changed in place, so a result may share a source plane.
+    """
+    acc: list = [None] * 9
+    for terms, e, planes in sources:
+        e %= 18
+        # zeta_18**e = zeta_9**(e/2), or -zeta_9**((e+9)/2) for odd e
+        sign, rot = (1, e // 2) if e % 2 == 0 else (-1, (e + 9) // 2)
+        for coef, j in terms:
+            c = sign * coef
+            for i, p in enumerate(planes):
+                if p is zero:
+                    continue
+                t = (i + j + rot) % 9
+                a = acc[t]
+                if c == 1:
+                    acc[t] = p if a is None else list(map(add, a, p))
+                elif c == -1:
+                    acc[t] = list(map(neg, p)) if a is None else list(map(sub, a, p))
+                else:
+                    q = [c * x for x in p]
+                    acc[t] = q if a is None else list(map(add, a, q))
+    # x^(6+m) = -x^(3+m) - x^m mod Phi_9
+    for m in range(3):
+        high = acc[6 + m]
+        if high is not None:
+            for t in (3 + m, m):
+                a = acc[t]
+                acc[t] = list(map(neg, high)) if a is None else list(map(sub, a, high))
+    return tuple(zero if a is None or not any(a) else a for a in acc[:6])
+
+
+def _permute(rows: list, images: tuple, exps: tuple, layout) -> list:
+    """Rows after a monomial gate: moved, with the gate's exponents added."""
+    local, base, offsets = layout
+    out: list = [None] * len(rows)
+    for r, (e, planes) in enumerate(rows):
+        idx = local[r]
+        out[base[r] + offsets[images[idx]]] = (e + exps[idx], planes)
+    return out
+
+
+def _mix(rows: list, terms: tuple, layout, zero: tuple) -> list:
+    """Rows after a dense gate, before its s-exponent is added to d."""
+    local, base, offsets = layout
+    out = []
+    for r in range(len(rows)):
+        b = base[r]
+        sources = [
+            (t, *rows[b + off]) for off, t in zip(offsets, terms[local[r]]) if t
+        ]
+        out.append((0, _combine(sources, zero)))
+    return out
+
+
+def _to_matrix(rows: list, d: int, zero: tuple) -> UnitaryMatrix:
+    # rows / s**d = rows * s**(d % 2) / (-3)**ceil(d / 2), and s = zeta_9^3 - zeta_9^6
+    scale = ((1, 3), (-1, 6)) if d % 2 else ((1, 0),)
+    den = (-3) ** ((d + 1) // 2)
+    out = []
+    for e, planes in rows:
+        planes = _combine(((scale, e, planes),), zero)
+        out.append([Cyclo36.from_zeta9_coords(c, den) if any(c) else ZERO
+                    for c in zip(*planes)])
+    return UnitaryMatrix(out)
 
 
 def gate_matrix(op: Op, n: int) -> UnitaryMatrix:
     """The 3**n-dimensional matrix of one gate."""
-    _check_width(n)
-    ident = UnitaryMatrix.identity(3**n).rows
-    local, wires = gate_local(op)
-    return UnitaryMatrix(_apply_local(ident, local, wires, n))
+    return circuit_matrix(Circuit(n, (op,)))
 
 
 def circuit_matrix(circ: Circuit) -> UnitaryMatrix:
     """The exact unitary of a circuit (earlier gates act first)."""
     _check_width(circ.n)
-    acc = UnitaryMatrix.identity(3**circ.n).rows
+    n, dim = circ.n, 3**circ.n
+    zero = (0,) * dim
+    rows = [
+        (0, (tuple(int(c == r) for c in range(dim)),) + (zero,) * 5) for r in range(dim)
+    ]
+    d = 0
     for op in circ.ops:
-        local, wires = gate_local(op)
-        acc = _apply_local(acc, local, wires, circ.n)
-    return UnitaryMatrix(acc)
+        inner = (op.inner.kind, op.inner.params) if op.inner else (None, ())
+        mono, dense = _compiled(op.kind, op.params, op.phase, *inner)
+        layout = _layout(n, op.all_wires())
+        if mono is not None:
+            rows = _permute(rows, *mono, layout)
+        else:
+            k, terms = dense
+            rows = _mix(rows, terms, layout, zero)
+            d += k
+    return _to_matrix(rows, d, zero)
 
 
 def _check_width(n: int) -> None:

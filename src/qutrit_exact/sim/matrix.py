@@ -26,6 +26,11 @@ def _coerce(entry) -> Cyclo36:
     raise TypeError(f"cannot use {type(entry).__name__} as a matrix entry")
 
 
+def _times(a: Cyclo36, b: Cyclo36) -> Cyclo36:
+    """a * b, or the shared ZERO without a multiplication when a factor is zero."""
+    return ZERO if a.is_zero() or b.is_zero() else a * b
+
+
 class UnitaryMatrix:
     """A square matrix with entries in Q(zeta_36); equality is exact."""
 
@@ -83,12 +88,12 @@ class UnitaryMatrix:
         out = []
         for arow in self._rows:
             for brow in other._rows:
-                out.append(tuple(a * b for a in arow for b in brow))
+                out.append(tuple(_times(a, b) for a in arow for b in brow))
         return UnitaryMatrix(out)
 
     def scale(self, c) -> UnitaryMatrix:
         c = _coerce(c)
-        return UnitaryMatrix(tuple(tuple(c * e for e in row) for row in self._rows))
+        return UnitaryMatrix(tuple(tuple(_times(c, e) for e in row) for row in self._rows))
 
     def trace(self) -> Cyclo36:
         acc = ZERO

@@ -1,14 +1,20 @@
 """Command-line interface: target expressions, subcommands, exit codes."""
 
+import contextlib
+import io
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qutrit_exact.circuit.core import Op
 from qutrit_exact.circuit.macros import DATA_ENV, circuits_dir
 from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.cli import main, parse_phase_value, parse_target
-from qutrit_exact.errors import ParseError
+from qutrit_exact.errors import DimMismatchError, ParseError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 from qutrit_exact.sim.matrix import controlled_target, equal_exact
@@ -23,6 +29,11 @@ class TestTargetExpressions:
         assert equal_exact(parse_target("H"), _gate("H"))
         assert equal_exact(parse_target("TAU(021)"), _gate("TAU", ("021",)))
         assert equal_exact(parse_target("R"), _gate("R"))
+
+    def test_target_wider_than_a_circuit_is_refused(self):
+        assert parse_target("CX x I").dim == 27
+        with pytest.raises(DimMismatchError):
+            parse_target("I x CX x C2[H]")
 
     def test_identity_and_tensor(self):
         r_i = parse_target("R x I")
@@ -262,3 +273,72 @@ class TestCatalog:
         assert any("ctrl-x-tcount-3" in line for line in failed)
         # intact claims still verify
         assert "r-construction-tcount-39                   VERIFIED" in out
+
+
+# -- fuzzing the exit contract ----------------------------------------------
+
+_INNERS = ("X", "Z", "S", "SDG", "T", "TDG", "H", "HDG", "R", "TAU(12)",
+           "TAU(021)", "ZPHASE 1/3 2", "XPHASE 1 2/3", "XPHASE 0 1/3")
+_PHASES = ("", " phase=-1", " phase=zeta^4", " phase=-omega^2", " phase=zeta^-1")
+_TARGET_ATOMS = ("I", "CX", "H", "-HDG", "R", "T", "TAU(12)", "ZPHASE(1/3,2/3)",
+                 "XPHASE(1,2)", "C2[H]", "C2[-TAU(12)] phase=zeta^2",
+                 "C2[XPHASE(1/3,0)]", "C2[SDG] phase=omega")
+
+
+@st.composite
+def _gate_line(draw, n: int) -> str:
+    w = draw(st.integers(0, n - 1))
+    if n > 1 and draw(st.booleans()):
+        t = draw(st.sampled_from([v for v in range(n) if v != w]))
+        head = draw(st.sampled_from(("CX", "C2", "C1", "C0", "LAMBDA")))
+        if head == "CX":
+            return f"CX {w} {t}"
+        inner = draw(st.sampled_from(_INNERS))
+        phase = "" if head == "LAMBDA" else draw(st.sampled_from(_PHASES))
+        return f"{head}[{inner} {t}] {w}{phase}"
+    return f"{draw(st.sampled_from(_INNERS))} {w}"
+
+
+@st.composite
+def _circuit_text(draw) -> str:
+    n = draw(st.integers(1, 3))
+    lines = draw(st.lists(_gate_line(n), max_size=6 if n < 3 else 3))
+    return "\n".join([f"qutrits {n}"] + lines) + "\n"
+
+
+@st.composite
+def _mutated(draw, text: str) -> str:
+    """``text`` with a few characters deleted, replaced or inserted."""
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2, 3)))):
+        # counted from the end: small draws, which hypothesis favours, then
+        # land in the gates rather than in the header
+        i = len(text) - draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(("", "-", "[", "]", " ", "\n", "9", "x", "^", "/", "(", "=")))
+        text = text[:i] + piece + text[i + draw(st.integers(0, 1)):]
+    return text
+
+
+class TestExitContractFuzz:
+    """Any circuit text and target: exit 0, 1 or 2, and never a traceback."""
+
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_matrix_and_verify(self, data):
+        text = data.draw(_circuit_text().flatmap(_mutated), label="circuit")
+        atoms = data.draw(st.lists(st.sampled_from(_TARGET_ATOMS), min_size=1, max_size=3))
+        target = data.draw(_mutated(" x ".join(atoms)), label="target")
+        mode = data.draw(st.sampled_from(("exact", "phase", "cphase")))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "fuzz.qc")
+            Path(path).write_text(text, encoding="utf-8")
+            for argv in (["matrix", path],
+                         ["verify", path, f"--target={target}", f"--mode={mode}",
+                          "--phase=-zeta^2"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in err.getvalue()
+                if code == 2:
+                    assert "error:" in err.getvalue(), argv

@@ -55,6 +55,18 @@ class TestCycloArithmetic:
         assert omega**3 == ONE
         assert embed("i") ** 2 == MINUS_ONE
 
+    def test_zeta9_coordinates_round_trip(self, rng):
+        for k in range(9):
+            z = Cyclo36.zeta9_pow(k)
+            assert Cyclo36.from_zeta9_coords(z.zeta9_coords()) == z
+        for _ in range(20):
+            coords = [rng.randint(-9, 9) for _ in range(6)]
+            x = Cyclo36.from_zeta9_coords(coords, 9)
+            want = sum((c * Cyclo36.zeta9_pow(i) for i, c in enumerate(coords)), ZERO)
+            assert x == want * Fraction(1, 9)
+            assert Cyclo36.from_zeta9_coords(x.zeta9_coords(), x.denominator) == x
+        assert Cyclo36.zeta_pow(1).zeta9_coords() is None
+
     def test_ring_ops_against_numeric_oracle(self, rng):
         for _ in range(200):
             a, b = random_cyclo(rng), random_cyclo(rng)

@@ -1,16 +1,28 @@
 """Exact simulation engine checked against independent numeric oracles."""
 
 import cmath
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import CT_KINDS, TOL, mat_complex, random_word
-from qutrit_exact.circuit.core import Circuit, Op, adjoint, compose, tensor
-from qutrit_exact.errors import DimMismatchError
-from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
-from qutrit_exact.sim.gates import MAX_QUTRITS, circuit_matrix, gate_matrix
+from qutrit_exact.circuit.core import (
+    SINGLE_QUTRIT_KINDS,
+    Circuit,
+    Op,
+    adjoint,
+    compose,
+    tensor,
+)
+from qutrit_exact.circuit.macros import circuits_dir, expand_macros
+from qutrit_exact.circuit.parse import parse_circuit
+from qutrit_exact.circuit.perm import TAU_LABELS
+from qutrit_exact.errors import DimMismatchError, RingError
+from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE, ZERO
+from qutrit_exact.sim import gates
+from qutrit_exact.sim.gates import MAX_QUTRITS, circuit_matrix, gate_local, gate_matrix
 from qutrit_exact.sim.matrix import (
     UnitaryMatrix,
     controlled_target,
@@ -193,6 +205,14 @@ class TestCircuitMatrix:
             np.kron(np.array(mat_complex(ma)), np.array(mat_complex(mb))),
         )
 
+    def test_tensor_and_scale_keep_the_shared_zero(self):
+        t = gate_matrix(Op("T", (0,)), 1)
+        x = gate_matrix(Op("X", (0,)), 1)
+        for m in (t.tensor(x), x.tensor(t), t.scale(MINUS_ONE), t.scale(0)):
+            zeros = [e for row in m.rows for e in row if e.is_zero()]
+            assert zeros and all(e is ZERO for e in zeros)
+        assert t.tensor(x) == gate_matrix(Op("T", (0,)), 2) @ gate_matrix(Op("X", (1,)), 2)
+
 
 class TestComparisons:
     def test_equal_exact_requires_same_shape(self):
@@ -243,3 +263,111 @@ class TestControlledTarget:
         inner = gate_matrix(Op("X", (0,)), 1)
         via_op = gate_matrix(Op("C2", (0,), inner=Op("X", (1,))), 2)
         assert equal_exact(via_op, controlled_target(inner))
+
+
+def _reference_matrix(circ: Circuit) -> UnitaryMatrix:
+    """The circuit matrix over Cyclo36, applying each op's ``gate_local`` rows
+    to whole matrix rows: the dense path the integer simulator replaced."""
+    n, dim = circ.n, 3**circ.n
+    acc = UnitaryMatrix.identity(dim).rows
+    for op in circ.ops:
+        local, wires = gate_local(op)
+        places = [3 ** (n - 1 - w) for w in wires]
+
+        def offset(idx):  # the rows a local index adds on ``wires``
+            return sum((idx // 3 ** (len(places) - 1 - i)) % 3 * p
+                       for i, p in enumerate(places))
+
+        out = []
+        for r in range(dim):
+            lrow = sum((r // p) % 3 * 3 ** (len(places) - 1 - i)
+                       for i, p in enumerate(places))
+            base = r - offset(lrow)
+            terms = [(c, acc[base + offset(lcol)])
+                     for lcol, c in enumerate(local[lrow]) if not c.is_zero()]
+            if len(terms) == 1 and terms[0][0] == ONE:
+                out.append(terms[0][1])
+                continue
+            row = []
+            for k in range(dim):
+                s = ZERO
+                for c, src in terms:
+                    if not src[k].is_zero():
+                        s = s + c * src[k]
+                row.append(s)
+            out.append(tuple(row))
+        acc = tuple(out)
+    return UnitaryMatrix(acc)
+
+
+def _random_single(rng: random.Random, wire: int) -> Op:
+    kind = rng.choice(sorted(SINGLE_QUTRIT_KINDS))
+    params: tuple = ()
+    if kind == "TAU":
+        params = (rng.choice(TAU_LABELS),)
+    elif kind in ("ZPHASE", "XPHASE"):
+        params = (Fraction(rng.randrange(9), 3), Fraction(rng.randrange(9), 3))
+    return Op(kind, (wire,), params)
+
+
+def _random_op(rng: random.Random, n: int) -> Op:
+    """C2 (with or without a phase), LAMBDA, CX or a single-qutrit gate."""
+    wire = rng.randrange(n)
+    roll = rng.random() if n > 1 else 1.0
+    if roll < 0.45:
+        other = rng.choice([w for w in range(n) if w != wire])
+        if roll < 0.1:
+            return Op("CX", (wire, other))
+        if roll < 0.2:
+            return Op("LAMBDA", (wire,), inner=_random_single(rng, other))
+        if roll < 0.3:  # a dense inner gate
+            kind = rng.choice(("H", "HDG", "XPHASE"))
+            params = (Fraction(rng.randrange(9), 3), Fraction(1, 3)) if kind == "XPHASE" else ()
+            inner = Op(kind, (other,), params)
+        else:
+            inner = _random_single(rng, other)
+        phase = (rng.choice((1, -1)), rng.randrange(9)) if rng.random() < 0.7 else None
+        return Op("C2", (wire,), inner=inner, phase=phase)
+    return _random_single(rng, wire)
+
+
+class TestIntegerSimulator:
+    """The integer simulator against the Cyclo36 reference, entry for entry."""
+
+    def test_bundled_circuits(self):
+        files = sorted(circuits_dir().glob("*.qc"))
+        assert len(files) == 11
+        for path in files:
+            circ = parse_circuit(path.read_text(encoding="utf-8"))
+            assert circuit_matrix(circ) == _reference_matrix(circ), path.name
+
+    def test_expanded_three_qutrit_macro(self):
+        circ = expand_macros(parse_circuit("qutrits 3\nR 0\nC2[TAU(12) 2] 1\n"))
+        assert circ.n == 3 and len(circ.ops) > 300
+        assert circuit_matrix(circ) == _reference_matrix(circ)
+
+    def test_random_words_over_every_gate_form(self):
+        rng = random.Random(0x51AB)
+        for _ in range(240):
+            n = rng.choice((1, 1, 2, 2, 2, 3))
+            length = rng.randint(1, 10 if n < 3 else 4)
+            circ = Circuit(n, tuple(_random_op(rng, n) for _ in range(length)))
+            assert circuit_matrix(circ) == _reference_matrix(circ), circ
+
+    def test_zero_entries_share_one_object(self):
+        m = circuit_matrix(Circuit(2, (Op("H", (0,)), Op("CX", (0, 1)))))
+        zeros = [e for row in m.rows for e in row if e.is_zero()]
+        assert zeros and all(e is ZERO for e in zeros)
+
+    def test_entry_outside_the_ring_is_a_package_error(self):
+        half = Cyclo36.from_fraction(Fraction(1, 2))
+        with pytest.raises(RingError):
+            gates._dense(((half,),))
+        with pytest.raises(RingError):
+            gates._dense(((Cyclo36.zeta_pow(1),),))
+
+    def test_hadamard_is_one_power_of_s_with_unit_terms(self):
+        for kind in ("H", "HDG"):
+            k, terms = gates._dense(gate_local(Op(kind, (0,)))[0])
+            assert k == 1
+            assert all(len(t) == 1 and abs(t[0][0]) == 1 for row in terms for t in row)
