@@ -4,15 +4,16 @@ alpha generates the real subfield of Q(zeta_36); its minimal polynomial is
 64*x^6 - 96*x^4 + 36*x^2 - 3 (Eisenstein at 3 after the substitution used to
 derive it from 8*x^3 - 6*x = -sqrt(3)).  Two element types live here:
 
-* ``DalphaElem`` -- Z[1/2][alpha]: six dyadic-rational coordinates over the
-  power basis 1, alpha, ..., alpha^5.
+* ``DalphaElem`` -- Z[1/2][alpha]: six integer numerators over the power
+  basis 1, alpha, ..., alpha^5, all divided by one least power of two.
 * ``AlphaElem`` -- the localization at alpha: a ``DalphaElem`` divided by a
   power of alpha, stored unnormalized; the least denominator exponent is
   computed on demand.
 
 The key arithmetic fact used throughout: 3 = 4*alpha^2*(4*alpha^2 - 3)^2, so
-dividing by alpha (when possible) is multiplication by 4*alpha*(4*alpha^2-3)^2
-followed by exact division by 3, and 1/3 = (alpha^6/3) / alpha^6 with
+1/alpha = (36*alpha - 96*alpha^3 + 64*alpha^5)/3 and an element divides by
+alpha inside Z[1/2][alpha] exactly when its constant numerator is divisible
+by 3; and 1/3 = (alpha^6/3) / alpha^6 with
 alpha^6/3 = (32*alpha^4 - 12*alpha^2 + 1)/64 a unit times a dyadic element.
 """
 
@@ -35,51 +36,89 @@ __all__ = [
 ]
 
 _DEG = 6
+_ZEROS = (0,) * _DEG
 
 DalphaLike = Union[int, Fraction, "DalphaElem"]
 
-
-def _is_dyadic(q: Fraction) -> bool:
-    d = q.denominator
-    return d & (d - 1) == 0
+# alpha^6 = (3 - 36*alpha^2 + 96*alpha^4) / 2^6
+_SIX = (3, 0, -36, 0, 96, 0)
 
 
-# alpha^6 = (96*alpha^4 - 36*alpha^2 + 3)/64, and upward from there.
-_ALPHA_POWERS: list[tuple[Fraction, ...]] = []
+def _reduction_table() -> tuple[tuple[tuple[int, ...], ...], int]:
+    """alpha^6 .. alpha^10 as integer rows over one common power of two."""
+    rows, shifts = [_SIX], [6]
+    for _ in range(4):
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append(tuple((a << 6) + top * b for a, b in zip((0,) + prev[:-1], _SIX)))
+        shifts.append(shifts[-1] + 6)
+    shift = max(shifts)
+    return tuple(tuple(c << (shift - s) for c in row) for row, s in zip(rows, shifts)), shift
 
 
-def _init_power_table() -> None:
-    six = tuple(Fraction(c, 64) for c in (3, 0, -36, 0, 96, 0))
-    _ALPHA_POWERS.append(six)
-    for _ in range(4):  # alpha^7 .. alpha^10
-        prev = _ALPHA_POWERS[-1]
-        shifted = [Fraction(0)] * _DEG
-        overflow = prev[_DEG - 1]
-        for i in range(_DEG - 1):
-            shifted[i + 1] = prev[i]
-        if overflow:
-            for i in range(_DEG):
-                shifted[i] += overflow * six[i]
-        _ALPHA_POWERS.append(tuple(shifted))
+_TABLE, _SHIFT = _reduction_table()
 
 
-_init_power_table()
+def _canonical(nums, k: int) -> tuple[tuple[int, ...], int]:
+    """(nums, k) with the common factors of two stripped from nums / 2**k."""
+    t = 0
+    for c in nums:
+        t |= c
+    if not t:
+        return _ZEROS, 0
+    s = min(k, (t & -t).bit_length() - 1)
+    if s:
+        return tuple(c >> s for c in nums), k - s
+    return tuple(nums), k
+
+
+def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], int]:
+    """Numerators of a*b reduced to degree < 6, and the power of two they are over."""
+    prod = [0] * (2 * _DEG - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    if not any(prod[_DEG:]):
+        return prod[:_DEG], 0
+    out = [c << _SHIFT for c in prod[:_DEG]]
+    for c, row in zip(prod[_DEG:], _TABLE):
+        if c:
+            for i, t in enumerate(row):
+                out[i] += c * t
+    return out, _SHIFT
+
+
+def _elem(nums, k: int) -> DalphaElem:
+    """A DalphaElem from integer numerators over 2**k, without validation."""
+    e = object.__new__(DalphaElem)
+    e._num, e._k = _canonical(nums, k)
+    return e
 
 
 class DalphaElem:
-    """An element of Z[1/2][alpha] in the power basis 1, alpha, ..., alpha^5."""
+    """An element of Z[1/2][alpha]: numerators over 1, alpha, ..., alpha^5, over 2**k.
 
-    __slots__ = ("_coeffs",)
+    k is least (some numerator is odd when k > 0), so equality and hashing
+    compare the pair directly.
+    """
+
+    __slots__ = ("_num", "_k")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [Fraction(c) for c in coeffs]
-        cs += [Fraction(0)] * (_DEG - len(cs))
-        if len(cs) != _DEG:
+        if len(cs) > _DEG:
             raise ValueError("expected at most 6 coordinates")
+        exps = []
         for c in cs:
-            if not _is_dyadic(c):
+            d = c.denominator
+            if d & (d - 1):
                 raise ValueError(f"coordinate {c} is not dyadic")
-        self._coeffs = tuple(cs)
+            exps.append(d.bit_length() - 1)
+        k = max(exps, default=0)
+        nums = [c.numerator << (k - e) for c, e in zip(cs, exps)]
+        self._num, self._k = _canonical(nums + [0] * (_DEG - len(nums)), k)
 
     @classmethod
     def from_fraction(cls, q: Fraction | int) -> DalphaElem:
@@ -87,10 +126,11 @@ class DalphaElem:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        d = 1 << self._k
+        return tuple(Fraction(c, d) for c in self._num)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
+        return not any(self._num)
 
     def _coerce(self, other: DalphaLike) -> DalphaElem | None:
         if isinstance(other, DalphaElem):
@@ -103,12 +143,17 @@ class DalphaElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return DalphaElem(a + b for a, b in zip(self._coeffs, o._coeffs))
+        a, b, k = self._num, o._num, self._k
+        if k < o._k:
+            a, k = [c << (o._k - k) for c in a], o._k
+        elif k > o._k:
+            b = [c << (k - o._k) for c in b]
+        return _elem([x + y for x, y in zip(a, b)], k)
 
     __radd__ = __add__
 
     def __neg__(self) -> DalphaElem:
-        return DalphaElem(-c for c in self._coeffs)
+        return _elem([-c for c in self._num], self._k)
 
     def __sub__(self, other: DalphaLike) -> DalphaElem:
         o = self._coerce(other)
@@ -126,20 +171,8 @@ class DalphaElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = [Fraction(0)] * (2 * _DEG - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(o._coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        out = prod[:_DEG]
-        for e in range(_DEG, 2 * _DEG - 1):
-            c = prod[e]
-            if c:
-                table = _ALPHA_POWERS[e - _DEG]
-                for i in range(_DEG):
-                    out[i] += c * table[i]
-        return DalphaElem(out)
+        nums, s = _mul(self._num, o._num)
+        return _elem(nums, self._k + o._k + s)
 
     __rmul__ = __mul__
 
@@ -148,55 +181,41 @@ class DalphaElem:
             other = DalphaElem.from_fraction(other)
         if not isinstance(other, DalphaElem):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._num == other._num and self._k == other._k
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._k))
 
     def __repr__(self) -> str:
-        return f"DalphaElem({[str(c) for c in self._coeffs]})"
+        return f"DalphaElem({[str(c) for c in self.coeffs]})"
 
     def times_alpha(self) -> DalphaElem:
-        prod = [Fraction(0)] * _DEG
-        for i in range(_DEG - 1):
-            prod[i + 1] = self._coeffs[i]
-        top = self._coeffs[_DEG - 1]
-        if top:
-            table = _ALPHA_POWERS[0]
-            for i in range(_DEG):
-                prod[i] += top * table[i]
-        return DalphaElem(prod)
+        n = self._num
+        shifted = (0,) + n[:-1]
+        return _elem([(a << 6) + n[-1] * b for a, b in zip(shifted, _SIX)], self._k + 6)
 
     def divide_by_alpha(self) -> DalphaElem | None:
         """Exact quotient self/alpha if it stays in Z[1/2][alpha], else None.
 
-        Since 3 = 4*alpha^2*(4*alpha^2-3)^2, q/alpha = q*(4*alpha*(4*alpha^2-3)^2)/3;
-        the quotient is integral exactly when every numerator of the product is
-        divisible by 3.
+        self/alpha = (n1 + n2*alpha + ... + n5*alpha^4 + n0/alpha) / 2^k with
+        n0/alpha = (n0/3)*(36*alpha - 96*alpha^3 + 64*alpha^5), so the quotient
+        lies in Z[1/2][alpha] exactly when 3 divides n0.
         """
-        p = self * _ALPHA_COFACTOR
-        out = []
-        for c in p._coeffs:
-            if c.numerator % 3:
-                return None
-            out.append(c / 3)
-        return DalphaElem(out)
+        n0, n1, n2, n3, n4, n5 = self._num
+        if n0 % 3:
+            return None
+        m = n0 // 3
+        return _elem((n1, n2 + 36 * m, n3, n4 - 96 * m, n5, 64 * m), self._k)
 
 
-# 4*alpha*(4*alpha^2 - 3)^2 = 64*alpha^5 - 96*alpha^3 + 36*alpha
-_ALPHA_COFACTOR = DalphaElem((0, 36, 0, -96, 0, 64))
 # alpha^6 / 3, the dyadic cofactor of 1/3
-_THIRD_COFACTOR = DalphaElem((Fraction(1, 64), 0, Fraction(-12, 64), 0, Fraction(32, 64), 0))
+_THIRD_COFACTOR = _elem((1, 0, -12, 0, 32, 0), 6)
 
 
 def residue(q: DalphaElem) -> int:
     """Ring map Z[1/2][alpha] -> Z_3: alpha -> 0, 1/2 -> 2."""
-    c = q.coeffs[0]
-    k = c.denominator.bit_length() - 1
-    r = c.numerator % 3
-    if k & 1:
-        r = (-r) % 3
-    return r
+    r = q._num[0] % 3
+    return (-r) % 3 if q._k & 1 else r
 
 
 class AlphaElem:
@@ -245,19 +264,14 @@ class AlphaElem:
         """residue(alpha**k * self); raises K_TOO_SMALL when k < lde(self)."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        if self.value.is_zero():
-            return 0
         m = k - self.denom_exp
+        if m > 0 or self.value.is_zero():
+            return 0  # the residue map sends alpha to 0
         v = self.value
-        if m >= 0:
-            for _ in range(m):
-                v = v.times_alpha()
-        else:
-            for _ in range(-m):
-                w = v.divide_by_alpha()
-                if w is None:
-                    raise KTooSmallError(f"k={k} is below the least denominator exponent")
-                v = w
+        for _ in range(-m):
+            v = v.divide_by_alpha()
+            if v is None:
+                raise KTooSmallError(f"k={k} is below the least denominator exponent")
         return residue(v)
 
     def _align(self, other: AlphaElem) -> tuple[DalphaElem, DalphaElem, int]:
@@ -342,8 +356,12 @@ def k_residue(x: AlphaElem | DalphaElem, k: int) -> int:
 
 # -- conversion from the ambient field --------------------------------------
 
-def _build_alpha_solver() -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[Fraction, ...], ...]]:
-    """Left inverse P (6x12) of the 12x6 matrix M whose columns are alpha^k."""
+def _build_projection() -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+    """Left inverse P (6x12) of the 12x6 matrix M whose columns are alpha^k.
+
+    Returned as integer rows over one common denominator, each row listing
+    its nonzero (column, coefficient) pairs.
+    """
     alpha = embed("alpha")
     cols = []
     acc = Cyclo36.from_int(1)
@@ -369,45 +387,42 @@ def _build_alpha_solver() -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple
         [sum(ginv[i][k] * m[r][k] for k in range(_DEG)) for r in range(12)]
         for i in range(_DEG)
     ]
-    m_t = tuple(tuple(row) for row in m)
-    return tuple(tuple(row) for row in p), m_t
+    den = math.lcm(*(c.denominator for row in p for c in row))
+    rows = tuple(
+        tuple((j, int(c * den)) for j, c in enumerate(row) if c) for row in p
+    )
+    return rows, den
 
 
-_P_SOLVE, _M_COLS = _build_alpha_solver()
-
-
-def _val3(n: int) -> int:
-    v = 0
-    while n % 3 == 0:
-        n //= 3
-        v += 1
-    return v
+_P_ROWS, _P_DEN = _build_projection()
 
 
 def to_alpha(x: Cyclo36) -> AlphaElem:
     """Rewrite a real element of Q(zeta_36) over the alpha power basis.
 
     Raises NOT_REAL for elements with nonzero imaginary part and NOT_IN_A when
-    a coordinate denominator involves a prime other than 2 or 3.
+    a coordinate denominator involves a prime other than 2 or 3.  alpha
+    generates the whole real subfield, so the projection is exact on every
+    real input.
     """
     if not x.is_real():
         raise NotRealError("value has nonzero imaginary part")
-    c = x.as_fractions()
-    r = [sum(prow[i] * c[i] for i in range(12)) for prow in _P_SOLVE]
-    for i in range(12):
-        recon = sum(_M_COLS[i][j] * r[j] for j in range(_DEG))
-        if recon != c[i]:
-            raise NotRealError("value lies outside the real subfield")
-    b_max = 0
-    for q in r:
-        den = q.denominator
-        v3 = _val3(den)
-        rest = den // 3**v3
-        if rest & (rest - 1):
-            raise NotInAError("coordinate denominator has a prime factor other than 2 or 3")
-        b_max = max(b_max, v3)
-    cleared = [q * 3**b_max for q in r]
-    elem = DalphaElem(cleared)
-    for _ in range(b_max):
+    n = x.numerators
+    s = [sum(c * n[j] for j, c in row) for row in _P_ROWS]
+    den = _P_DEN * x.denominator
+    g = math.gcd(den, *s)
+    if g > 1:
+        s = [c // g for c in s]
+        den //= g
+    a = (den & -den).bit_length() - 1
+    den >>= a
+    b = 0
+    while den % 3 == 0:
+        den //= 3
+        b += 1
+    if den != 1:
+        raise NotInAError("coordinate denominator has a prime factor other than 2 or 3")
+    elem = _elem(s, a)
+    for _ in range(b):
         elem = elem * _THIRD_COFACTOR
-    return AlphaElem(elem, 6 * b_max)
+    return AlphaElem(elem, 6 * b)

@@ -43,10 +43,22 @@ def _reduced_power(e: int) -> tuple[int, ...]:
 
 
 _POWER_TABLE: tuple[tuple[int, ...], ...] = tuple(_reduced_power(e) for e in range(36))
-# conj(zeta^k) = zeta^(36-k)
-_CONJ_TABLE: tuple[tuple[int, ...], ...] = tuple(
-    _reduced_power((36 - k) % 36) for k in range(_DEGREE)
-)
+# sigma_k: zeta -> zeta^k as the images of the basis powers zeta^j -> zeta^(j*k),
+# for the Galois group (Z/36)* = {1, 35} x {1, 17} x {1, 13, 25}; sigma_35 is
+# complex conjugation.
+_SIGMA = {
+    k: tuple(_POWER_TABLE[j * k % 36] for j in range(_DEGREE)) for k in (35, 17, 13, 25)
+}
+
+
+def _galois_image(nums: tuple[int, ...], sigma: tuple[tuple[int, ...], ...]) -> list[int]:
+    acc = [0] * _DEGREE
+    for c, image in zip(nums, sigma):
+        if c:
+            for idx, t in enumerate(image):
+                if t:
+                    acc[idx] += c * t
+    return acc
 
 
 def _mul_vectors(a: Iterable[int], b: tuple[int, ...]) -> list[int]:
@@ -162,13 +174,7 @@ class Cyclo36:
         return Fraction(self._num[0], self._den)
 
     def conjugate(self) -> Cyclo36:
-        acc = [0] * _DEGREE
-        for k, c in enumerate(self._num):
-            if c:
-                tab = _CONJ_TABLE[k]
-                for idx in range(_DEGREE):
-                    acc[idx] += c * tab[idx]
-        return Cyclo36(acc, self._den)
+        return Cyclo36(_galois_image(self._num, _SIGMA[35]), self._den)
 
     def is_real(self) -> bool:
         return self.conjugate() == self
@@ -242,14 +248,28 @@ class Cyclo36:
         return acc
 
     def inverse(self) -> Cyclo36:
-        """Multiplicative inverse via extended Euclid in Q[x] mod Phi_36."""
+        """Multiplicative inverse via the Galois norm.
+
+        With x = n/d, the product c of the 11 conjugates sigma_k(n), k != 1,
+        satisfies n*c = N(n), a nonzero integer, so x^-1 = d*c/N(n).  c is
+        built up the subgroup tower: n1 = n*sigma_35(n) is fixed by {1, 35},
+        n2 = n1*sigma_17(n1) by {1, 17, 19, 35}, and N(n) = n2*t with
+        t = sigma_13(n2)*sigma_25(n2).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             q = self.as_fraction()
             return Cyclo36.from_fraction(1 / q)
-        inv_coeffs = _poly_invert(self.as_fractions())
-        return Cyclo36.from_fraction_vector(inv_coeffs)
+        n = self._num
+        c1 = _galois_image(n, _SIGMA[35])
+        n1 = _mul_vectors(n, c1)
+        c2 = _galois_image(n1, _SIGMA[17])
+        n2 = _mul_vectors(n1, c2)
+        t = _mul_vectors(_galois_image(n2, _SIGMA[13]), _galois_image(n2, _SIGMA[25]))
+        norm = _mul_vectors(n2, t)[0]
+        cof = _mul_vectors(_mul_vectors(c1, c2), t)
+        return Cyclo36([c * self._den for c in cof], norm)
 
     # -- comparisons, rendering -------------------------------------------
 
@@ -334,58 +354,6 @@ class Cyclo36:
             if c:
                 z += c * cmath.exp(2j * cmath.pi * k / 36)
         return z / self._den
-
-
-# -- polynomial helpers for inversion --------------------------------------
-
-_PHI36: tuple[Fraction, ...] = tuple(
-    Fraction(c) for c in (1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1)
-)
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = a[:]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            a[shift + i] -= coef * bc
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_invert(coeffs: tuple[Fraction, ...]) -> list[Fraction]:
-    """s with s*a == 1 mod Phi_36, for a nonzero (Phi_36 is irreducible)."""
-    a = _poly_trim(list(coeffs))
-    r0, r1 = list(_PHI36), a
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while True:
-        q, r = _poly_divmod(r0, r1)
-        if not r:
-            break
-        # s = s0 - q*s1
-        s = s0[:] + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    s[i + j] -= qc * sc
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim(s)
-    # r1 is a nonzero constant gcd
-    g = r1[0]
-    inv = [c / g for c in s1]
-    _, inv = _poly_divmod(inv, list(_PHI36))
-    inv += [Fraction(0)] * (_DEGREE - len(inv))
-    return inv[:_DEGREE]
 
 
 ZERO = Cyclo36()

@@ -46,37 +46,18 @@ class RingTag(enum.Enum):
         raise ValueError(f"unknown ring tag: {text!r}")
 
 
-def _is_triadic(q: Fraction) -> bool:
-    d = q.denominator
-    while d % 3 == 0:
-        d //= 3
-    return d == 1
-
-
-def _is_dyadic(q: Fraction) -> bool:
-    d = q.denominator
-    return d & (d - 1) == 0
+def _is_power_of_3(n: int) -> bool:
+    while n % 3 == 0:
+        n //= 3
+    return n == 1
 
 
 def zeta9_coordinates(x: Cyclo36) -> tuple[Fraction, ...] | None:
-    """Coordinates of x over 1, zeta_9, ..., zeta_9^5, or None if x is not in Q(zeta_9).
-
-    x is in Q(zeta_9) exactly when the odd-index coordinates over the zeta_36
-    power basis vanish; the even powers convert by zeta^2 = -zeta_9^5,
-    zeta^4 = zeta_9, zeta^6 = 1 + zeta_9^3, zeta^8 = zeta_9^2,
-    zeta^10 = zeta_9 + zeta_9^4.
-    """
-    c = x.as_fractions()
-    if any(c[i] for i in range(1, 12, 2)):
+    """Coordinates of x over 1, zeta_9, ..., zeta_9^5, or None if x is not in Q(zeta_9)."""
+    coords = x.zeta9_coords()
+    if coords is None:
         return None
-    return (
-        c[0] + c[6],
-        c[4] + c[10],
-        c[8],
-        c[6],
-        c[10],
-        -c[2],
-    )
+    return tuple(Fraction(c, x.denominator) for c in coords)
 
 
 def in_ring(x: Cyclo36, tag: RingTag) -> bool:
@@ -87,27 +68,22 @@ def in_ring(x: Cyclo36, tag: RingTag) -> bool:
     """
     if tag is RingTag.Q36:
         return True
+    # The zeta_9 coordinates are an integer change of basis of the numerators,
+    # so in Q(zeta_9) they share the reduced denominator of x.
+    den = x.denominator
     if tag is RingTag.T:
-        return x.is_rational() and _is_triadic(x.as_fraction())
+        return x.is_rational() and _is_power_of_3(den)
     if tag is RingTag.D:
         if not x.is_real():
             raise NotRealError("dyadic test on a value with nonzero imaginary part")
-        return x.is_rational() and _is_dyadic(x.as_fraction())
-    if tag in (RingTag.ZOMEGA, RingTag.TOMEGA):
-        coords = zeta9_coordinates(x)
+        return x.is_rational() and den & (den - 1) == 0
+    if tag in (RingTag.ZOMEGA, RingTag.TOMEGA, RingTag.TZETA):
+        coords = x.zeta9_coords()
         if coords is None:
             return False
-        if any(coords[i] for i in (1, 2, 4, 5)):
+        if tag is not RingTag.TZETA and any(coords[i] for i in (1, 2, 4, 5)):
             return False
-        a, b = coords[0], coords[3]
-        if tag is RingTag.ZOMEGA:
-            return a.denominator == 1 and b.denominator == 1
-        return _is_triadic(a) and _is_triadic(b)
-    if tag is RingTag.TZETA:
-        coords = zeta9_coordinates(x)
-        if coords is None:
-            return False
-        return all(_is_triadic(q) for q in coords)
+        return den == 1 if tag is RingTag.ZOMEGA else _is_power_of_3(den)
     if tag in (RingTag.DALPHA, RingTag.A):
         try:
             elem = to_alpha(x)

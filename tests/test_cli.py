@@ -2,7 +2,10 @@
 
 import contextlib
 import io
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qutrit_exact
 from qutrit_exact.circuit.core import Op
 from qutrit_exact.circuit.macros import DATA_ENV, circuits_dir
 from qutrit_exact.circuit.parse import parse_circuit
@@ -244,6 +248,19 @@ class TestCommands:
     def test_bad_target_expression_is_an_error(self, t_file, capsys):
         assert main(["verify", t_file, "--target", "T k I"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["qutrit_exact", "qutrit_exact.cli.main"])
+    def test_python_dash_m_runs_the_command(self, module):
+        env = dict(os.environ, PYTHONPATH=str(Path(qutrit_exact.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "verify", "circuits/c2x.qc",
+             "--target", "C2[TAU(12)]"],
+            cwd=circuits_dir().parent, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "result: refuted" in proc.stdout
 
 
 class TestCatalog:

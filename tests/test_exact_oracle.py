@@ -2,6 +2,7 @@
 
 x stands for zeta_36.  Ring operations and circuit matrices are recomputed
 with sympy's own polynomial code and must agree with the package exactly.
+The alpha ring is checked the same way in QQ[a]/(64a^6 - 96a^4 + 36a^2 - 3).
 """
 
 from fractions import Fraction
@@ -11,6 +12,7 @@ from sympy.polys.rings import ring
 
 from conftest import CT_KINDS, random_cyclo, random_word
 from qutrit_exact.circuit.core import Circuit, Op
+from qutrit_exact.rings.alpha import DalphaElem, residue
 from qutrit_exact.rings.cyclo import ONE, Cyclo36
 from qutrit_exact.sim.gates import circuit_matrix
 
@@ -51,6 +53,54 @@ class TestRingOracle:
             inv = from_poly(s.quo_ground(h.LC))
             assert a.inverse() == inv
             assert a * inv == ONE
+
+
+QA, a = ring("a", QQ)
+ALPHA_MIN = 64 * a**6 - 96 * a**4 + 36 * a**2 - 3
+_s, _, _h = a.gcdex(ALPHA_MIN)  # s*a + t*min = h, a nonzero constant
+ALPHA_INV = _s.quo_ground(_h.LC)
+
+
+def to_alpha_poly(e: DalphaElem):
+    return sum((QQ(c.numerator, c.denominator) * a**k for k, c in enumerate(e.coeffs)), QA.zero)
+
+
+def from_alpha_poly(p) -> DalphaElem | None:
+    """The DalphaElem of p mod the minimal polynomial; None if a coefficient is not dyadic."""
+    p = p.rem(ALPHA_MIN)
+    coeffs = [p.coeff(a**k) for k in range(6)]
+    coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in coeffs]
+    if any(c.denominator & (c.denominator - 1) for c in coeffs):
+        return None
+    return DalphaElem(coeffs)
+
+
+def random_dalpha(rng) -> DalphaElem:
+    return DalphaElem([Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 3)) for _ in range(6)])
+
+
+class TestAlphaOracle:
+    def test_mul_and_times_alpha(self, rng):
+        for _ in range(40):
+            u, v = random_dalpha(rng), random_dalpha(rng)
+            assert u * v == from_alpha_poly(to_alpha_poly(u) * to_alpha_poly(v))
+            assert u.times_alpha() == from_alpha_poly(to_alpha_poly(u) * a)
+
+    def test_divide_by_alpha(self, rng):
+        outcomes = set()
+        for _ in range(40):
+            u = random_dalpha(rng)
+            for w in (u, u.times_alpha(), u * 3, u * u.times_alpha()):
+                want = from_alpha_poly(to_alpha_poly(w) * ALPHA_INV)
+                assert w.divide_by_alpha() == want
+                outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_residue(self, rng):
+        for _ in range(60):
+            u = random_dalpha(rng) * random_dalpha(rng)
+            c = to_alpha_poly(u).rem(ALPHA_MIN).coeff(1)
+            assert residue(u) == int(c.numerator) * pow(int(c.denominator), -1, 3) % 3
 
 
 # gate matrices written out from their definitions, over x = zeta_36:

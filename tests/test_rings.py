@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import approx_equal, random_cyclo, to_complex
+from conftest import CT_KINDS, approx_equal, random_cyclo, random_word, to_complex
+from qutrit_exact.adjoint import adjoint_of
+from qutrit_exact.circuit.core import Op
 from qutrit_exact.rings import (
     KTooSmallError,
     NotInAError,
@@ -30,6 +32,7 @@ from qutrit_exact.rings.cyclo import (
 )
 from qutrit_exact.rings.membership import RingTag, in_ring, zeta9_coordinates
 from qutrit_exact.rings.polynomials import has_rational_root
+from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 
 
 class TestCycloArithmetic:
@@ -274,3 +277,87 @@ class TestAlphaRing:
             to_alpha(embed("i"))
         with pytest.raises(NotInAError):
             to_alpha(Cyclo36.from_fraction(Fraction(1, 5)))
+
+
+# adjoint_of(H).describe() and adjoint_of(T).describe(), pinned cell by cell
+_Z = "(0,0,0,0,0,0)/alpha^0"
+_ONE, _NEG = "(1,0,0,0,0,0)/alpha^0", "(-1,0,0,0,0,0)/alpha^0"
+_HALF = "(-1/2,0,0,0,0,0)/alpha^0"
+_H_ADJOINT = (
+    (_Z, _ONE, _Z, _Z, _Z, _Z, _Z, _Z),
+    (_ONE, _Z, _Z, _Z, _Z, _Z, _Z, _Z),
+    (_Z, _Z, _Z, _HALF, _Z, _Z, _Z, "(0,-3,0,4,0,0)/alpha^0"),
+    (_Z, _Z, _ONE, _Z, _Z, _Z, _Z, _Z),
+    (_Z, _Z, _Z, _Z, _Z, _ONE, _Z, _Z),
+    (_Z, _Z, _Z, _Z, _NEG, _Z, _Z, _Z),
+    (_Z, _Z, _Z, "(0,3,0,-4,0,0)/alpha^0", _Z, _Z, _Z, _HALF),
+    (_Z, _Z, _Z, _Z, _Z, _Z, _NEG, _Z),
+)
+_P, _Q = "(-3/64,0,15/32,0,-5/8,0)/alpha^6", "(9/128,0,-3/4,0,5/4,0)/alpha^6"
+_U, _UN = "(0,-3/64,0,1/2,0,-1)/alpha^6", "(0,3/64,0,-1/2,0,1)/alpha^6"
+_V, _VN = "(0,3/64,0,-7/16,0,1/2)/alpha^6", "(0,-3/64,0,7/16,0,-1/2)/alpha^6"
+_T_ADJOINT = (
+    (_ONE, _Z, _Z, _Z, _Z, _Z, _Z, _Z),
+    (_Z, _P, _P, _Q, _Z, _U, _U, _V),
+    (_Z, _Q, _P, _P, _Z, _V, _U, _U),
+    (_Z, _P, _Q, _P, _Z, _U, _V, _U),
+    (_Z, _Z, _Z, _Z, _ONE, _Z, _Z, _Z),
+    (_Z, _UN, _UN, _VN, _Z, _P, _P, _Q),
+    (_Z, _VN, _UN, _UN, _Z, _Q, _P, _P),
+    (_Z, _UN, _VN, _UN, _Z, _P, _Q, _P),
+)
+
+
+def _alpha_value(elem: AlphaElem) -> Cyclo36:
+    """sum(coeffs[i] * alpha**i) / alpha**denom_exp, rebuilt in Q(zeta_36)."""
+    alpha = embed("alpha")
+    num = sum((alpha**i * c for i, c in enumerate(elem.value.coeffs)), ZERO)
+    return num * alpha ** -elem.denom_exp
+
+
+class TestIntegerAlphaRing:
+    def test_to_alpha_is_exact_on_adjoint_entries(self, rng):
+        seen = set()
+        for _ in range(40):
+            adj = adjoint_of(circuit_matrix(random_word(rng, CT_KINDS + ("R",), 1, 12)))
+            for row in adj.entries:
+                for x in row:
+                    if x not in seen:
+                        seen.add(x)
+                        assert _alpha_value(to_alpha(x)) == x
+        assert len(seen) > 100
+
+    def test_to_alpha_is_exact_with_powers_of_three(self, rng):
+        alpha = embed("alpha")
+        for _ in range(30):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 9, 27)))
+                      for _ in range(6)]
+            x = sum((alpha**i * c for i, c in enumerate(coeffs)), ZERO)
+            elem = to_alpha(x)
+            assert elem.denom_exp % 6 == 0
+            assert _alpha_value(elem) == x
+        assert to_alpha(Cyclo36.from_fraction(Fraction(5, 27))).denom_exp == 18
+
+    def test_normal_form(self, rng):
+        half = DalphaElem((Fraction(1, 2),))
+        for a, b in ((half * 2, DalphaElem((1,))), (half + half, DalphaElem((1,))),
+                     (DalphaElem((Fraction(2, 4), 6)), DalphaElem((half.coeffs[0], 6))),
+                     (DalphaElem((Fraction(3, 8),)) * 8 - 3, DalphaElem())):
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        for _ in range(50):
+            x = DalphaElem([Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 4))
+                            for _ in range(6)])
+            y = DalphaElem([Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 4))
+                            for _ in range(6)])
+            for z in ((x + y) - y, x.times_alpha().divide_by_alpha(), (x * 4) * half * half):
+                assert z == x and hash(z) == hash(x)
+        coeffs = DalphaElem((Fraction(6, 4), Fraction(-2, 8), 4)).coeffs
+        assert coeffs == (Fraction(3, 2), Fraction(-1, 4), 4, 0, 0, 0)
+        assert all(isinstance(c, Fraction) for c in coeffs)
+        assert [c.denominator for c in coeffs] == [2, 4, 1, 1, 1, 1]
+        assert DalphaElem((3,)) == 3 and DalphaElem((half.coeffs[0],)) == Fraction(1, 2)
+
+    def test_describe_pinned(self):
+        for kind, cells in (("H", _H_ADJOINT), ("T", _T_ADJOINT)):
+            want = "\n".join("  ".join(row) for row in cells)
+            assert adjoint_of(gate_matrix(Op(kind, (0,)), 1)).describe() == want
