@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from qutrit_exact.circuit.core import Op
 from qutrit_exact.rings.cyclo import Cyclo36, embed
+from qutrit_exact.sim.gates import gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 #: Tr(m^2) shared by all eight basis elements.
@@ -42,18 +44,7 @@ class AdjointBasis:
 
 
 def _pauli_words() -> tuple[UnitaryMatrix, ...]:
-    zero = Cyclo36.from_int(0)
-    one = Cyclo36.from_int(1)
-    z = UnitaryMatrix(
-        [[one, zero, zero],
-         [zero, Cyclo36.omega_pow(1), zero],
-         [zero, zero, Cyclo36.omega_pow(2)]]
-    )
-    x = UnitaryMatrix(
-        [[zero, zero, one],
-         [one, zero, zero],
-         [zero, one, zero]]
-    )
+    z, x = (gate_matrix(Op(kind, (0,)), 1) for kind in ("Z", "X"))
     return z, x, x @ z, x @ z @ z
 
 

@@ -86,9 +86,10 @@ def hierarchy_level(m: UnitaryMatrix, cap: int = 4) -> HierarchyReport:
     witness = is_pauli(m)
     if witness:
         return HierarchyReport(1, cap, (witness.text(),))
-    cert = is_clifford(m)
-    if cap >= 2 and cert:
-        return HierarchyReport(2, cap, tuple(cert.text().splitlines()))
+    if cap >= 2:
+        cert = is_clifford(m)
+        if cert:
+            return HierarchyReport(2, cap, tuple(cert.text().splitlines()))
 
     memo: dict = {}
     md = m.dag()

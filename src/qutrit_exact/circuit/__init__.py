@@ -20,14 +20,13 @@ from qutrit_exact.circuit.macros import (
     t_count,
 )
 from qutrit_exact.circuit.parse import parse_circuit
-from qutrit_exact.circuit.perm import TAU_LABELS, Permutation, perm_compose
+from qutrit_exact.circuit.perm import TAU_LABELS
 
 __all__ = [
     "BASE_KINDS",
     "Circuit",
     "DATA_ENV",
     "Op",
-    "Permutation",
     "SINGLE_QUTRIT_KINDS",
     "TAU_LABELS",
     "adjoint",
@@ -38,7 +37,6 @@ __all__ = [
     "macro_names",
     "op_text",
     "parse_circuit",
-    "perm_compose",
     "print_circuit",
     "t_count",
     "tensor",

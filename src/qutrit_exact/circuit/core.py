@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from ..errors import DimMismatchError
-from .perm import TAU_LABELS, Permutation
+from .perm import TAU_IMAGES, TAU_LABELS
 
 __all__ = [
     "Op",
@@ -73,11 +73,12 @@ _ALL_KINDS = SINGLE_QUTRIT_KINDS | {"CX", "C2", "LAMBDA"}
 def gate_facts(kind: str, params: tuple) -> GateFacts:
     """The facts of a single-qutrit gate: a table row, or computed for a family."""
     if kind == "TAU":
-        perm = Permutation.from_label(params[0])
-        label = perm.inverse().label
+        images = TAU_IMAGES[params[0]]
+        inverse = tuple(images.index(k) for k in range(3))
+        label = next(lab for lab, img in TAU_IMAGES.items() if img == inverse)
         # a transposition squares to I; a 3-cycle squares to its inverse
         square = None if label == params[0] else ("TAU", (label,), None)
-        return GateFacts(perm.images, (0, 0, 0), ("TAU", (label,)), square, True)
+        return GateFacts(images, (0, 0, 0), ("TAU", (label,)), square, True)
     if kind in ("ZPHASE", "XPHASE"):
         a, b = params
         sq = ((2 * a) % 3, (2 * b) % 3)

@@ -28,7 +28,7 @@ from ..errors import ParseError
 from .core import GATES, Circuit, Op, SINGLE_QUTRIT_KINDS
 from .perm import TAU_LABELS
 
-__all__ = ["Tokens", "parse_circuit", "parse_phase"]
+__all__ = ["Tokens", "parse_circuit", "parse_phase", "parse_third"]
 
 _TOKEN = re.compile(r"\[|\]|[^\s\[\]]+")
 _TAU = re.compile(r"TAU\((01|02|12|012|021)\)\Z", re.IGNORECASE)
@@ -106,16 +106,19 @@ def _parse_wire(toks: Tokens, n: int) -> int:
     return w
 
 
-def _parse_third(toks: Tokens) -> Fraction:
-    tok, col = toks.take("a phase exponent")
+def parse_third(tok: str, line_no: int, col: int) -> Fraction:
+    """A phase exponent: an integer or ``k/3``; ParseError at (line_no, col) otherwise."""
     if _INT.match(tok):
         return Fraction(int(tok))
     m = _THIRD.match(tok)
     if m:
         return Fraction(int(m.group(1)), 3)
-    raise ParseError(
-        f"expected an integer or a multiple of 1/3, got {tok!r}", toks.line_no, col
-    )
+    raise ParseError(f"expected an integer or a multiple of 1/3, got {tok!r}", line_no, col)
+
+
+def _parse_third(toks: Tokens) -> Fraction:
+    tok, col = toks.take("a phase exponent")
+    return parse_third(tok, toks.line_no, col)
 
 
 def _parse_simple_gate(toks: Tokens, n: int) -> Op:

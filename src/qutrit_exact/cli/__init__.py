@@ -1,13 +1,10 @@
 """Command-line interface: parsing of target expressions and subcommands."""
 
 from qutrit_exact.cli.catalog import CLAIMS, run_catalog
-from qutrit_exact.cli.main import entrypoint, main
 from qutrit_exact.cli.target import parse_phase_value, parse_target
 
 __all__ = [
     "CLAIMS",
-    "entrypoint",
-    "main",
     "parse_phase_value",
     "parse_target",
     "run_catalog",

@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clifford", action="store_true",
                    help="test for Clifford with a conjugation certificate")
     p.add_argument("--hierarchy", type=int, metavar="N", default=None,
-                   help="search hierarchy levels up to N (single qutrit)")
+                   help="search hierarchy levels up to N (one or two qutrits)")
     p.add_argument("--ring", metavar="TAG", default=None,
                    help="entry-ring membership up to a unit phase "
                         "(Zomega, T, Tomega, Tzeta, D, Dalpha, A, Q36)")

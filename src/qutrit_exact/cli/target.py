@@ -19,13 +19,12 @@ Tokens and phases are read exactly as in circuit files
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from qutrit_exact.circuit.core import Op, SINGLE_QUTRIT_KINDS
-from qutrit_exact.circuit.parse import Tokens, parse_phase
+from qutrit_exact.circuit.parse import Tokens, parse_phase, parse_third
 from qutrit_exact.errors import DimMismatchError, ParseError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE
-from qutrit_exact.sim.gates import MAX_QUTRITS, gate_matrix
+from qutrit_exact.sim.gates import MAX_QUTRITS, gate_matrix, phase_unit
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 _GATE = re.compile(r"^([A-Z][A-Z0-9]*)(?:\(([^()]*)\))?$")
@@ -34,10 +33,10 @@ _GATE = re.compile(r"^([A-Z][A-Z0-9]*)(?:\(([^()]*)\))?$")
 def parse_phase_value(text: str) -> Cyclo36:
     """'-zeta^2', 'omega', '1', ... as an exact unit."""
     try:
-        sign, e = parse_phase(text)
+        phase = parse_phase(text)
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1) from None
-    return Cyclo36.zeta9_pow(e) * sign
+    return phase_unit(phase)
 
 
 def _parse_gate_token(tok: str, col: int) -> Op:
@@ -53,10 +52,7 @@ def _parse_gate_token(tok: str, col: int) -> Op:
         if kind == "TAU":
             params = (parts[0],) if len(parts) == 1 else tuple(parts)
         else:
-            try:
-                params = tuple(Fraction(p) for p in parts)
-            except (ValueError, ZeroDivisionError) as e:
-                raise ParseError(f"bad parameters in {tok!r}: {e}", 1, col) from None
+            params = tuple(parse_third(p, 1, col) for p in parts)
     try:
         return Op(kind, (0,), params=params)
     except ValueError as e:

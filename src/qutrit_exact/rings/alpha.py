@@ -229,20 +229,6 @@ class AlphaElem:
         self.value = value
         self.denom_exp = denom_exp
 
-    @classmethod
-    def from_fraction(cls, q: Fraction | int) -> AlphaElem:
-        q = Fraction(q)
-        den = q.denominator
-        b = 0
-        while den % 3 == 0:
-            den //= 3
-            b += 1
-        dyadic = q * 3**b
-        elem = DalphaElem.from_fraction(dyadic)
-        for _ in range(b):
-            elem = elem * _THIRD_COFACTOR
-        return cls(elem, 6 * b)
-
     def is_zero(self) -> bool:
         return self.value.is_zero()
 
@@ -273,68 +259,6 @@ class AlphaElem:
             if v is None:
                 raise KTooSmallError(f"k={k} is below the least denominator exponent")
         return residue(v)
-
-    def _align(self, other: AlphaElem) -> tuple[DalphaElem, DalphaElem, int]:
-        k = max(self.denom_exp, other.denom_exp)
-        a, b = self.value, other.value
-        for _ in range(k - self.denom_exp):
-            a = a.times_alpha()
-        for _ in range(k - other.denom_exp):
-            b = b.times_alpha()
-        return a, b, k
-
-    def _coerce(self, other: object) -> AlphaElem | None:
-        if isinstance(other, AlphaElem):
-            return other
-        if isinstance(other, DalphaElem):
-            return AlphaElem(other, 0)
-        if isinstance(other, (int, Fraction)):
-            return AlphaElem.from_fraction(other)
-        return None
-
-    def __add__(self, other) -> AlphaElem:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b, k = self._align(o)
-        return AlphaElem(a + b, k)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> AlphaElem:
-        return AlphaElem(-self.value, self.denom_exp)
-
-    def __sub__(self, other) -> AlphaElem:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other) -> AlphaElem:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return AlphaElem(self.value * o.value, self.denom_exp + o.denom_exp)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b, _ = self._align(o)
-        return a == b
-
-    def __hash__(self) -> int:
-        # hash via the normalized pair (lde, value with denominator cleared)
-        d = self.lde()
-        v = self.value
-        steps = self.denom_exp - d
-        for _ in range(steps):
-            w = v.divide_by_alpha()
-            assert w is not None
-            v = w
-        return hash((d, v))
 
     def __repr__(self) -> str:
         return f"AlphaElem({self.value!r}, denom_exp={self.denom_exp})"

@@ -25,9 +25,9 @@ from operator import add, neg, sub
 from ..circuit.core import Circuit, Op, gate_facts
 from ..errors import RingError
 from ..rings.cyclo import Cyclo36, ONE, ZERO, OMEGA, OMEGA2
-from .matrix import UnitaryMatrix
+from .matrix import UnitaryMatrix, controlled_target
 
-__all__ = ["gate_matrix", "circuit_matrix", "gate_local", "MAX_QUTRITS"]
+__all__ = ["gate_matrix", "circuit_matrix", "gate_local", "phase_unit", "MAX_QUTRITS"]
 
 MAX_QUTRITS = 3
 
@@ -59,12 +59,12 @@ def _named_rows(kind: str, params: tuple) -> _Rows:
     return tuple(tuple(r) for r in rows)
 
 
-def _phase_value(phase: tuple[int, int] | None) -> Cyclo36:
+def phase_unit(phase: tuple[int, int] | None) -> Cyclo36:
+    """The unit sign * zeta_9**e of a (sign, e) phase; None is 1."""
     if phase is None:
         return ONE
-    s, e = phase
-    val = Cyclo36.zeta9_pow(e)
-    return val if s > 0 else -val
+    sign, e = phase
+    return Cyclo36.zeta9_pow(e) * sign
 
 
 def gate_local(op: Op) -> tuple[_Rows, tuple[int, ...]]:
@@ -76,15 +76,9 @@ def gate_local(op: Op) -> tuple[_Rows, tuple[int, ...]]:
                 rows[3 * i + (i + j) % 3][3 * i + j] = ONE
         return tuple(tuple(r) for r in rows), op.wires
     if op.kind == "C2":
-        inner, _ = gate_local(op.inner)
-        phase = _phase_value(op.phase)
-        rows = [[ZERO] * 9 for _ in range(9)]
-        for k in range(6):
-            rows[k][k] = ONE
-        for r in range(3):
-            for c in range(3):
-                rows[6 + r][6 + c] = phase * inner[r][c]
-        return tuple(tuple(r) for r in rows), (op.wires[0], op.inner.wires[0])
+        inner = UnitaryMatrix(gate_local(op.inner)[0])
+        block = controlled_target(inner, phase_unit(op.phase))
+        return block.rows, (op.wires[0], op.inner.wires[0])
     if op.kind == "LAMBDA":
         inner, _ = gate_local(op.inner)
         sq = (UnitaryMatrix(inner) @ UnitaryMatrix(inner)).rows
@@ -99,39 +93,6 @@ def gate_local(op: Op) -> tuple[_Rows, tuple[int, ...]]:
 
 
 # -- gates as integer data ------------------------------------------------
-
-
-def _monomial(op: Op) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """(images, zeta_18 exponents) of the local columns of a monomial gate, else None.
-
-    Local column c goes to zeta_18**exps[c] times local basis state images[c].
-    """
-    if op.kind == "CX":
-        return tuple(3 * i + (i + j) % 3 for i in range(3) for j in range(3)), (0,) * 9
-    if op.kind in ("C2", "LAMBDA"):
-        inner = _monomial(op.inner)
-        if inner is None:
-            return None
-        g_images, g_exps = inner
-        s, e = op.phase or (1, 0)
-        phase = 2 * e + (9 if s < 0 else 0)
-        # control c applies g**powers[c], and C2 adds its phase when c == 2
-        # (LAMBDA has no phase)
-        powers = (0, 0, 1) if op.kind == "C2" else (0, 1, 2)
-        images, exps = [], []
-        for c, power in enumerate(powers):
-            for t in range(3):
-                x = phase if c == 2 else 0
-                for _ in range(power):
-                    x += g_exps[t]
-                    t = g_images[t]
-                images.append(3 * c + t)
-                exps.append(x)
-        return tuple(images), tuple(exps)
-    facts = gate_facts(op.kind, op.params)
-    if facts.images is None:
-        return None
-    return facts.images, facts.zeta18
 
 
 # coordinates of zeta_9**j; zeta_9**(6+m) = -zeta_9**(3+m) - zeta_9**m
@@ -177,15 +138,28 @@ def _compiled(
     inner_kind: str | None,
     inner_params: tuple,
 ):
-    """(monomial data, None) or (None, dense data) of a gate, keyed without wires."""
+    """(monomial data, None) or (None, dense data) of a gate, keyed without wires.
+
+    Both forms come from the gate's ``gate_local`` rows.  The gate is monomial
+    when the rows need no power of s and each column holds one +-zeta_9**j:
+    local column c then goes to zeta_18**exps[c] times local basis state
+    images[c], with exps[c] = 2j, plus 9 for a minus sign.  The rows are
+    unitary, so the one term of a lone entry is such a unit.
+    """
     if inner_kind is None:
         op = Op(kind, (0, 1) if kind == "CX" else (0,), params)
     else:
         op = Op(kind, (0,), inner=Op(inner_kind, (1,), inner_params), phase=phase)
-    mono = _monomial(op)
-    if mono is not None:
-        return mono, None
-    return None, _dense(gate_local(op)[0])
+    k, terms = _dense(gate_local(op)[0])
+    images, exps = [], []
+    for col in zip(*terms):
+        entries = [(r, t) for r, t in enumerate(col) if t]
+        if k or len(entries) != 1 or len(entries[0][1]) != 1:
+            return None, (k, terms)
+        row, ((coef, j),) = entries[0]
+        images.append(row)
+        exps.append(2 * j + (9 if coef < 0 else 0))
+    return (tuple(images), tuple(exps)), None
 
 
 @lru_cache(maxsize=None)

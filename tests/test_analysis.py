@@ -185,3 +185,11 @@ class TestRingVerdicts:
 
     def test_string_tags_accepted(self):
         assert matrix_ring_certificate(_gate("T"), "Tzeta").found
+
+    def test_cap_one_skips_the_clifford_test(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("is_clifford ran with cap 1")
+
+        monkeypatch.setattr("qutrit_exact.analysis.hierarchy.is_clifford", refuse)
+        assert hierarchy_level(_gate("H"), 1).level is None
+        assert hierarchy_level(_gate("Z"), 1).level == 1

@@ -17,7 +17,8 @@ import qutrit_exact
 from qutrit_exact.circuit.core import Op
 from qutrit_exact.circuit.macros import DATA_ENV, circuits_dir
 from qutrit_exact.circuit.parse import parse_circuit
-from qutrit_exact.cli import main, parse_phase_value, parse_target
+from qutrit_exact.cli import parse_phase_value, parse_target
+from qutrit_exact.cli.main import main
 from qutrit_exact.errors import DimMismatchError, ParseError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
@@ -86,7 +87,8 @@ class TestTargetExpressions:
     @pytest.mark.parametrize(
         "bad",
         ["", "H y H", "C2[H", "C2 H]", "C2[]", "Q", "TAU(9)", "H x",
-         "C2[H] phase=seven", "ZPHASE(1/2,0)", "-", "H H"],
+         "C2[H] phase=seven", "ZPHASE(1/2,0)", "-", "H H",
+         "ZPHASE(2/6,0)", "ZPHASE(1e0,0)"],
     )
     def test_malformed_expressions(self, bad):
         with pytest.raises(ParseError):
@@ -261,6 +263,7 @@ class TestModuleEntryPoints:
         )
         assert proc.returncode == 1, proc.stderr
         assert "result: refuted" in proc.stdout
+        assert proc.stderr == ""
 
 
 class TestCatalog:

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import CT_KINDS, TOL, mat_complex, random_word
 from qutrit_exact.circuit.core import (
+    GATES,
     SINGLE_QUTRIT_KINDS,
     Circuit,
     Op,
@@ -74,15 +75,40 @@ def _numeric_gate(kind: str, params=()) -> np.ndarray:
     raise AssertionError(kind)
 
 
+def _digits(idx: int, n: int) -> list[int]:
+    return [(idx // 3 ** (n - 1 - w)) % 3 for w in range(n)]
+
+
+def _index(digits: list[int], n: int) -> int:
+    return sum(d * 3 ** (n - 1 - w) for w, d in enumerate(digits))
+
+
 def _numeric_op(op: Op, n: int) -> np.ndarray:
     if op.kind == "CX":
         c, t = op.wires
         m = np.zeros((3**n, 3**n), dtype=complex)
         for idx in range(3**n):
-            digits = [(idx // 3 ** (n - 1 - w)) % 3 for w in range(n)]
+            digits = _digits(idx, n)
             digits[t] = (digits[t] + digits[c]) % 3
-            out = sum(d * 3 ** (n - 1 - w) for w, d in enumerate(digits))
-            m[out][idx] = 1
+            m[_index(digits, n)][idx] = 1
+        return m
+    if op.kind in ("C2", "LAMBDA"):
+        # C2[g] applies phase * g when the control holds 2; LAMBDA[g] applies
+        # g**j when it holds j
+        c, t = op.wires[0], op.inner.wires[0]
+        g = _numeric_gate(op.inner.kind, op.inner.params)
+        if op.kind == "C2":
+            sign, e = op.phase or (1, 0)
+            blocks = (np.eye(3), np.eye(3), sign * Z9**e * g)
+        else:
+            blocks = (np.eye(3), g, g @ g)
+        m = np.zeros((3**n, 3**n), dtype=complex)
+        for idx in range(3**n):
+            digits = _digits(idx, n)
+            block, col = blocks[digits[c]], digits[t]
+            for row in range(3):
+                digits[t] = row
+                m[_index(digits, n)][idx] = block[row][col]
         return m
     local = _numeric_gate(op.kind, op.params)
     acc = np.eye(1, dtype=complex)
@@ -160,6 +186,18 @@ class TestCircuitMatrix:
         for n in (1, 2):
             for _ in range(20):
                 circ = random_word(rng, CT_KINDS, n, 12)
+                numeric = np.eye(3**n, dtype=complex)
+                for op in circ.ops:
+                    numeric = _numeric_op(op, n) @ numeric
+                assert_close(circuit_matrix(circ), numeric)
+
+    def test_controlled_words_against_numeric_oracle(self):
+        rng = random.Random(0xC2)
+        for n in (2, 2, 2, 3):
+            for _ in range(15):
+                ops = [_random_op(rng, n) for _ in range(8 if n == 2 else 4)]
+                ops.append(Op("LAMBDA", (0,), inner=_random_single(rng, n - 1)))
+                circ = Circuit(n, tuple(ops))
                 numeric = np.eye(3**n, dtype=complex)
                 for op in circ.ops:
                     numeric = _numeric_op(op, n) @ numeric
@@ -365,6 +403,33 @@ class TestIntegerSimulator:
             gates._dense(((half,),))
         with pytest.raises(RingError):
             gates._dense(((Cyclo36.zeta_pow(1),),))
+
+    def test_which_forms_compile_to_monomial_data(self):
+        def monomial(op: Op) -> bool:
+            inner = (op.inner.kind, op.inner.params) if op.inner else (None, ())
+            return gates._compiled(op.kind, op.params, op.phase, *inner)[0] is not None
+
+        def controlled(g: Op) -> list[Op]:
+            return [Op("LAMBDA", (0,), inner=g)] + [
+                Op("C2", (0,), inner=g, phase=phase) for phase in (None, (-1, 0), (1, 4))
+            ]
+
+        pairs = [(Fraction(a, 3), Fraction(b)) for a in range(9)
+                 for b in (0, Fraction(1, 3), 1, 2)]
+        mono = [Op(kind, (1,)) for kind, facts in GATES.items() if facts.images]
+        mono += [Op("TAU", (1,), (label,)) for label in TAU_LABELS]
+        mono += [Op("ZPHASE", (1,), ab) for ab in pairs]
+        # H * diag(1, omega^a, omega^b) * H^dag is I or a cyclic shift exactly
+        # when the diagonal is a power of Z
+        shifts = ((0, 0), (1, 2), (2, 1))
+        mono += [Op("XPHASE", (1,), ab) for ab in shifts]
+        dense = [Op("H", (1,)), Op("HDG", (1,))]
+        dense += [Op("XPHASE", (1,), ab) for ab in pairs if ab not in shifts]
+        assert monomial(Op("CX", (0, 1)))
+        for g in mono:
+            assert all(monomial(op) for op in [g] + controlled(g)), g
+        for g in dense:
+            assert not any(monomial(op) for op in [g] + controlled(g)), g
 
     def test_hadamard_is_one_power_of_s_with_unit_terms(self):
         for kind in ("H", "HDG"):
