@@ -1,8 +1,9 @@
 """Expansion of circuits over the base gate set {X, Z, S, S†, H, H†, T, T†, CX, τ}.
 
-Controlled gates expand by splicing in pre-derived two-qutrit circuits stored
-as data files (see the ``circuits/`` directory; ``QUTRIT_EXACT_CIRCUITS``
-overrides the location).  Phase gates expand algebraically:
+Controlled gates and R expand by splicing in pre-derived two-qutrit circuits
+stored as data files (see the ``circuits/`` directory; ``QUTRIT_EXACT_CIRCUITS``
+overrides the location), listed with the op each implements and its T-count in
+``CONSTRUCTIONS``.  Phase gates expand algebraically:
 ZPHASE a b = Z^a S^(b-2a) for integer exponents, with one T or T† peeled off
 first when the exponents are proper thirds; XPHASE conjugates that by H.
 
@@ -18,13 +19,15 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from ..errors import UnexpandableError, UnknownMacroError
-from .core import BASE_KINDS, Circuit, Op, gate_facts
+from .core import BASE_KINDS, Circuit, Op, gate_facts, op_text
 from .parse import parse_circuit
 
 __all__ = [
+    "CONSTRUCTIONS",
     "DATA_ENV",
     "circuits_dir",
     "load_named",
@@ -35,29 +38,44 @@ __all__ = [
 
 DATA_ENV = "QUTRIT_EXACT_CIRCUITS"
 
-# C2 expansions: (inner kind, inner params, phase) -> data file stem
-_C2_FILES: dict[tuple, str] = {
-    ("X", (), None): "c2x",
-    ("TAU", ("012",), None): "c2x",
-    ("TAU", ("021",), None): "c2xdg",
-    ("TAU", ("12",), None): "c2tau12",
-    ("TAU", ("01",), None): "c2tau01",
-    ("TAU", ("02",), None): "c2tau02",
-    ("SDG", (), (1, 1)): "c2sdg_phase",
-    ("ZPHASE", (Fraction(1), Fraction(1)), (1, 7)): "c2z11_phase",
-    ("HDG", (), (-1, 0)): "c2neg_hdg",
-    ("TAU", ("12",), (-1, 0)): "c2neg_tau12",
-}
-
-# named kinds outside the base set -> data file implementing the gate on
-# wire 0 of two, with wire 1 borrowed and returned unchanged
-_BORROWED_FILES = {"R": "r_construction"}
-_STANDALONE = ("r_construction", "r_construction_naive")
+# The bundled constructions: (file stem, the op the file implements on two
+# qutrits as one circuit line, pinned T-count).  A one-wire op borrows wire 1,
+# which the file returns unchanged.
+CONSTRUCTIONS: tuple[tuple[str, str, int], ...] = (
+    ("c2x", "C2[X 1] 0", 3),
+    ("c2xdg", "C2[TAU(021) 1] 0", 3),
+    ("c2tau12", "C2[TAU(12) 1] 0", 15),
+    ("c2tau01", "C2[TAU(01) 1] 0", 15),
+    ("c2tau02", "C2[TAU(02) 1] 0", 15),
+    ("c2sdg_phase", "C2[SDG 1] 0 phase=zeta", 8),
+    ("c2z11_phase", "C2[ZPHASE 1 1 1] 0 phase=zeta^7", 8),
+    ("c2neg_hdg", "C2[HDG 1] 0 phase=-1", 24),
+    ("c2neg_tau12", "C2[TAU(12) 1] 0 phase=-1", 24),
+    ("r_construction", "R 0", 39),
+    ("r_construction_naive", "R 0", 63),
+)
 
 
 def macro_names() -> tuple[str, ...]:
     """Stems of every circuit data file the package relies on."""
-    return tuple(sorted(set(_C2_FILES.values()))) + _STANDALONE
+    return tuple(stem for stem, _, _ in CONSTRUCTIONS)
+
+
+def _canonical(op: Op) -> Op:
+    """The op with its wires renumbered 0, 1, ... in ``all_wires`` order."""
+    where = {w: i for i, w in enumerate(op.all_wires())}
+    return op.remap(where.__getitem__)
+
+
+@lru_cache(maxsize=None)
+def _stems() -> dict[Op, str]:
+    """Canonical op -> stem of its cheapest construction."""
+    stems = {}
+    # most T gates first, so the cheapest row of an op is written last and wins
+    for stem, line, _ in sorted(CONSTRUCTIONS, key=lambda row: -row[2]):
+        stems[parse_circuit(f"qutrits 2\n{line}\n").ops[0]] = stem
+    stems[Op("C2", (0,), inner=Op("TAU", (1,), ("012",)))] = "c2x"  # X = TAU(012)
+    return stems
 
 
 def circuits_dir() -> Path:
@@ -161,18 +179,6 @@ def _expand_op(op: Op, n: int, out: list[Op]) -> None:
         out.extend(_zphase_ops(w, *op.params))
         out.append(Op("H", (w,)))
         return
-    if k == "C2":
-        reason = _c2_obstruction(op)
-        if reason is not None:
-            raise UnexpandableError(reason)
-        key = (op.inner.kind, op.inner.params, op.phase)
-        stem = _C2_FILES.get(key)
-        if stem is None:
-            raise UnknownMacroError(
-                f"no registered expansion for C2[{op.inner.kind}] with phase {op.phase}"
-            )
-        _splice(stem, op.wires[0], op.inner.wires[0], out)
-        return
     if k == "LAMBDA":
         c, t = op.wires[0], op.inner.wires[0]
         facts = gate_facts(op.inner.kind, op.inner.params)
@@ -189,12 +195,22 @@ def _expand_op(op: Op, n: int, out: list[Op]) -> None:
         if square is not None:
             _expand_op(square, n, out)
         return
-    # what is left is a named kind outside the base set
-    if n < 2:
+    if k == "C2":
+        reason = _c2_obstruction(op)
+        if reason is not None:
+            raise UnexpandableError(reason)
+    elif n < 2:  # a named kind outside the base set
         raise UnexpandableError(
             f"{k} on a lone qutrit: the construction borrows a second qutrit"
         )
-    _splice(_BORROWED_FILES[k], w, min(x for x in range(n) if x != w), out)
+    key = _canonical(op)
+    stem = _stems().get(key)
+    if stem is None:
+        raise UnknownMacroError(f"no registered expansion for {op_text(key)}")
+    wires = op.all_wires()
+    if len(wires) == 1:
+        wires += (min(x for x in range(n) if x != w),)
+    _splice(stem, *wires, out)
 
 
 def expand_macros(circ: Circuit) -> Circuit:

@@ -23,15 +23,17 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from ..errors import ParseError
-from .core import GATES, Circuit, Op, SINGLE_QUTRIT_KINDS
+from .core import Circuit, Op, SINGLE_QUTRIT_KINDS
 from .perm import TAU_LABELS
 
-__all__ = ["Tokens", "parse_circuit", "parse_phase", "parse_third"]
+__all__ = ["Tokens", "parse_circuit", "parse_gate_name", "parse_phase", "parse_third"]
 
 _TOKEN = re.compile(r"\[|\]|[^\s\[\]]+")
-_TAU = re.compile(r"TAU\((01|02|12|012|021)\)\Z", re.IGNORECASE)
+_GATE_NAME = re.compile(r"([A-Z][A-Z0-9]*)(?:\(([^()]*)\))?\Z", re.IGNORECASE)
+_TAU_ARGS = [(label,) for label in TAU_LABELS]
 _PHASE = re.compile(r"(-?)(1|omega|zeta)(?:\^(-?\d+))?\Z", re.IGNORECASE)
 _PHASE_KEY = "phase="
 _INT = re.compile(r"[+-]?\d+\Z")
@@ -121,29 +123,43 @@ def _parse_third(toks: Tokens) -> Fraction:
     return parse_third(tok, toks.line_no, col)
 
 
+def parse_gate_name(tok: str, line_no: int, col: int) -> tuple[str, tuple[str, ...] | None]:
+    """A single-qutrit gate token, such as ``t``, ``TAU(12)`` or ``zphase(1/3,-1/3)``,
+    as its upper-cased kind and its parenthesised arguments (None without).
+
+    Names are case-insensitive; TAU takes exactly one known cycle label.
+    """
+    gate = _gate_name(tok)
+    if gate is None:
+        raise ParseError(f"unknown gate {tok!r}", line_no, col)
+    return gate
+
+
+@lru_cache(maxsize=1024)  # a circuit file repeats a few gate tokens many times
+def _gate_name(tok: str) -> tuple[str, tuple[str, ...] | None] | None:
+    m = _GATE_NAME.match(tok)
+    if m is None:
+        return None
+    kind, raw = m.group(1).upper(), m.group(2)
+    args = None if raw is None else tuple(p.strip() for p in raw.split(","))
+    if kind not in SINGLE_QUTRIT_KINDS or (kind == "TAU" and args not in _TAU_ARGS):
+        return None
+    return kind, args
+
+
 def _parse_simple_gate(toks: Tokens, n: int) -> Op:
     tok, col = toks.take("a gate name")
-    name = tok.upper()
-    if name in GATES:
-        return Op(name, (_parse_wire(toks, n),))
-    m = _TAU.match(tok)
-    if m:
-        label = m.group(1)
-        if label not in TAU_LABELS:
-            raise ParseError(f"unknown cycle label {label!r}", toks.line_no, col)
-        return Op("TAU", (_parse_wire(toks, n),), (label,))
-    if name in ("ZPHASE", "XPHASE"):
-        a = _parse_third(toks)
-        b = _parse_third(toks)
-        return Op(name, (_parse_wire(toks, n),), (a, b))
-    raise ParseError(f"unknown gate {tok!r}", toks.line_no, col)
+    kind, args = parse_gate_name(tok, toks.line_no, col)
+    if kind in ("ZPHASE", "XPHASE"):
+        if args is not None:  # the exponents follow the name in a file
+            raise ParseError(f"unknown gate {tok!r}", toks.line_no, col)
+        args = (_parse_third(toks), _parse_third(toks))
+    return Op(kind, (_parse_wire(toks, n),), args or ())
 
 
 def _parse_controlled(toks: Tokens, n: int, head: str, col: int) -> list[Op]:
     toks.expect("[")
     inner = _parse_simple_gate(toks, n)
-    if inner.kind not in SINGLE_QUTRIT_KINDS:
-        raise ParseError("controlled target must be a single-qutrit gate", toks.line_no, col)
     toks.expect("]")
     control = _parse_wire(toks, n)
     if control == inner.wires[0]:

@@ -1,38 +1,36 @@
 """One-shot verification catalog: every shipped identity and obstruction.
 
-Each claim is a named, self-contained check that either verifies exactly
-or fails; the runner prints one line per claim and succeeds only if every
-claim verifies.  File-backed claims read macro circuits through the data
-directory (QUTRIT_EXACT_CIRCUITS overrides it), so a tampered or missing
-data file turns exactly those claims into FAILED lines.
+Most claims are ``Equation`` rows, lhs = phase * rhs as circuit matrices,
+and one function, ``check_equation``, checks them all.  The single-qutrit
+relations are written below; the rows for the bundled data files are read
+from ``qutrit_exact.circuit.macros.CONSTRUCTIONS``, with their pinned T-counts.
+The other claims (ring membership, the cubic, refutations, hierarchy level and
+the adjoint obstruction of R) are functions.  The runner prints one line per
+claim and succeeds only if every claim verifies.  File-backed claims read macro
+circuits through the data directory (QUTRIT_EXACT_CIRCUITS overrides it), so a
+tampered or missing data file turns exactly those claims into FAILED lines.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from qutrit_exact.adjoint import adjoint_of, single_qutrit_ct_obstruction
 from qutrit_exact.analysis import hierarchy_level, refute_phase_membership
 from qutrit_exact.circuit.core import Circuit, Op
-from qutrit_exact.circuit.macros import load_named, t_count
-from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
+from qutrit_exact.circuit.macros import CONSTRUCTIONS, load_named, macro_names, t_count
+from qutrit_exact.circuit.parse import parse_circuit, parse_phase
+from qutrit_exact.rings.cyclo import Cyclo36
 from qutrit_exact.rings.membership import RingTag, in_ring
 from qutrit_exact.rings.polynomials import has_rational_root
-from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
-from qutrit_exact.sim.matrix import UnitaryMatrix, controlled_target, equal_exact
+from qutrit_exact.sim.gates import circuit_matrix, gate_matrix, phase_unit
+from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
-def _g(kind: str, params: tuple = ()) -> UnitaryMatrix:
-    return gate_matrix(Op(kind, (0,), params=params), 1)
-
-
-def _zz(a, b) -> UnitaryMatrix:
-    return _g("ZPHASE", (Fraction(a), Fraction(b)))
-
-
-def _xx(a, b) -> UnitaryMatrix:
-    return _g("XPHASE", (Fraction(a), Fraction(b)))
+def _g(kind: str) -> UnitaryMatrix:
+    return gate_matrix(Op(kind, (0,)), 1)
 
 
 def _require(cond: bool, detail: str) -> str:
@@ -41,94 +39,97 @@ def _require(cond: bool, detail: str) -> str:
     return detail
 
 
-def _file_claim(name: str, block: UnitaryMatrix,
-                phase: Cyclo36, t_expected: int) -> str:
-    circ = load_named(name)
-    target = controlled_target(block, phase)
-    got = circuit_matrix(circ)
-    _require(equal_exact(got, target), "matrix mismatch")
-    t = t_count(circ)
-    _require(t == t_expected, f"T-count {t} != {t_expected}")
-    return f"exact match, T-count {t}"
+def _lines(text: str, n: int) -> Circuit:
+    """Circuit lines joined by ';' on ``n`` qutrits."""
+    return parse_circuit(f"qutrits {n}\n" + text.replace(";", "\n"))
 
 
-def _claim_h_fourth() -> str:
-    h = _g("H")
-    return _require(
-        equal_exact(h @ h @ h @ h, UnitaryMatrix.identity(3)),
-        "H^4 = identity",
-    )
+def check_equation(lhs: Circuit, rhs: str, phase: str = "1", tcount: int | None = None) -> None:
+    """Raise AssertionError unless lhs = phase * rhs and, when ``tcount`` is
+    given, lhs has that T-count; ``rhs`` is circuit lines joined by ';' on as
+    many qutrits as lhs, and ``phase`` a unit read by ``parse_phase``."""
+    want = circuit_matrix(_lines(rhs, lhs.n)).scale(phase_unit(parse_phase(phase)))
+    _require(circuit_matrix(lhs) == want, "matrix mismatch")
+    if tcount is not None:
+        t = t_count(lhs)
+        _require(t == tcount, f"T-count {t} != {tcount}")
 
 
-def _claim_h_square() -> str:
-    h = _g("H")
-    tau = _g("TAU", ("12",)).scale(MINUS_ONE)
-    return _require(equal_exact(h @ h, tau), "H^2 = -TAU(12)")
+@dataclass(frozen=True)
+class Equation:
+    """The claim lhs = phase * rhs; earlier gates act first.
+
+    ``lhs`` is a bundled data file's stem or one-qutrit circuit lines joined
+    by ';', ``rhs`` circuit lines in the same grammar.
+    """
+
+    slug: str
+    lhs: str
+    rhs: str
+    detail: str
+    phase: str = "1"
+    tcount: int | None = None
+
+    def __call__(self) -> str:
+        lhs = load_named(self.lhs) if self.lhs in macro_names() else _lines(self.lhs, 1)
+        check_equation(lhs, self.rhs, self.phase, self.tcount)
+        if self.tcount is None:
+            return self.detail
+        return f"{self.detail}, T-count {self.tcount}"
 
 
-def _claim_sh_cubed() -> str:
-    sh = _g("S") @ _g("H")
-    target = UnitaryMatrix.identity(3).scale(MINUS_ONE * Cyclo36.omega_pow(1))
-    return _require(equal_exact(sh @ sh @ sh, target), "(SH)^3 = -omega * identity")
+_RELATIONS = (
+    Equation("hadamard-fourth-power-identity", "H 0; H 0; H 0; H 0", "",
+             "H^4 = identity"),
+    Equation("hadamard-square-is-minus-swap", "H 0; H 0", "TAU(12) 0",
+             "H^2 = -TAU(12)", phase="-1"),
+    Equation("s-hadamard-cubed-global-phase", "H 0; S 0; H 0; S 0; H 0; S 0", "",
+             "(SH)^3 = -omega * identity", phase="-omega"),
+    Equation("hadamard-euler-zxz", "H 0", "ZPHASE 2 2 0; XPHASE 2 2 0; ZPHASE 2 2 0",
+             "H = -ZXZ with phase exponents (2,2)", phase="-1"),
+    Equation("hadamard-euler-xzx", "H 0", "XPHASE 2 2 0; ZPHASE 2 2 0; XPHASE 2 2 0",
+             "H = -XZX with phase exponents (2,2)", phase="-1"),
+    Equation("hadamard-adjoint-euler-zxz", "HDG 0", "ZPHASE 1 1 0; XPHASE 1 1 0; ZPHASE 1 1 0",
+             "HDG = -ZXZ with phase exponents (1,1)", phase="-1"),
+    Equation("hadamard-adjoint-euler-xzx", "HDG 0", "XPHASE 1 1 0; ZPHASE 1 1 0; XPHASE 1 1 0",
+             "HDG = -XZX with phase exponents (1,1)", phase="-1"),
+    Equation("hadamard-conjugates-x-to-z", "HDG 0; X 0; H 0", "Z 0", "H X H^dag = Z"),
+    Equation("hadamard-conjugates-z-to-xx", "HDG 0; Z 0; H 0", "X 0; X 0",
+             "H Z H^dag = X^2"),
+    Equation("t-conjugates-x-with-zeta-phase", "TDG 0; X 0; T 0", "X 0; SDG 0",
+             "T X T^dag = zeta * SDG X", phase="zeta"),
+    Equation("zphase-ones-by-x-conjugation", "ZPHASE 1 1 0", "TAU(021) 0; SDG 0; X 0",
+             "ZPHASE(1,1) = omega * X SDG X^dag", phase="omega"),
+)
+
+# the claim name of each bundled data file, before its "-tcount-N" suffix
+_FILE_CLAIMS = {
+    "c2x": "ctrl-x",
+    "c2xdg": "ctrl-x-inverse",
+    "c2tau12": "ctrl-swap12",
+    "c2tau01": "ctrl-swap01",
+    "c2tau02": "ctrl-swap02",
+    "c2sdg_phase": "ctrl-sdg-zeta-phase",
+    "c2z11_phase": "ctrl-zphase-ones",
+    "c2neg_hdg": "ctrl-neg-hdg",
+    "c2neg_tau12": "ctrl-neg-swap12",
+    "r_construction": "r-construction",
+    "r_construction_naive": "r-construction-naive",
+}
 
 
-def _claim_euler(kind: str, order: str) -> Callable[[], str]:
-    def run() -> str:
-        if kind == "H":
-            gate, a = _g("H"), 2
-        else:
-            gate, a = _g("HDG"), 1
-        z, x = _zz(a, a), _xx(a, a)
-        prod = (z @ x @ z) if order == "zxz" else (x @ z @ x)
-        return _require(
-            equal_exact(gate, prod.scale(MINUS_ONE)),
-            f"{kind} = -{order.upper()} with phase exponents ({a},{a})",
-        )
-
-    return run
+def _file_detail(line: str) -> str:
+    if line.startswith("C2"):
+        return "exact match"
+    kind, wire = line.split()
+    return f"{kind} on qutrit {wire} of 2, exact"
 
 
-def _claim_hxh() -> str:
-    h = _g("H")
-    return _require(
-        equal_exact(h @ _g("X") @ h.dag(), _g("Z")), "H X H^dag = Z"
-    )
-
-
-def _claim_hzh() -> str:
-    h = _g("H")
-    return _require(
-        equal_exact(h @ _g("Z") @ h.dag(), _g("X") @ _g("X")),
-        "H Z H^dag = X^2",
-    )
-
-
-def _claim_txt() -> str:
-    t = _g("T")
-    rhs = (_g("SDG") @ _g("X")).scale(Cyclo36.zeta9_pow(1))
-    return _require(
-        equal_exact(t @ _g("X") @ t.dag(), rhs), "T X T^dag = zeta * SDG X"
-    )
-
-
-def _claim_z11() -> str:
-    x = _g("X")
-    rhs = (x @ _g("SDG") @ x.dag()).scale(Cyclo36.omega_pow(1))
-    return _require(
-        equal_exact(_zz(1, 1), rhs), "ZPHASE(1,1) = omega * X SDG X^dag"
-    )
-
-
-def _claim_r_construction(name: str, t_expected: int) -> Callable[[], str]:
-    def run() -> str:
-        circ = load_named(name)
-        target = gate_matrix(Op("R", (0,)), 2)
-        _require(equal_exact(circuit_matrix(circ), target), "matrix mismatch")
-        t = t_count(circ)
-        _require(t == t_expected, f"T-count {t} != {t_expected}")
-        return f"R on qutrit 0 of 2, exact, T-count {t}"
-
-    return run
+_FILE_EQUATIONS = tuple(
+    Equation(f"{_FILE_CLAIMS[stem]}-tcount-{tcount}", stem, line, _file_detail(line),
+             tcount=tcount)
+    for stem, line, tcount in CONSTRUCTIONS
+)
 
 
 def _claim_zeta_ring() -> str:
@@ -183,42 +184,9 @@ def _claim_r_obstructed() -> str:
     return verdict.text()
 
 
-_ZETA = Cyclo36.zeta9_pow(1)
-_ZETA7 = Cyclo36.zeta9_pow(7)
-
-CLAIMS: tuple[tuple[str, Callable[[], str]], ...] = (
-    ("hadamard-fourth-power-identity", _claim_h_fourth),
-    ("hadamard-square-is-minus-swap", _claim_h_square),
-    ("s-hadamard-cubed-global-phase", _claim_sh_cubed),
-    ("hadamard-euler-zxz", _claim_euler("H", "zxz")),
-    ("hadamard-euler-xzx", _claim_euler("H", "xzx")),
-    ("hadamard-adjoint-euler-zxz", _claim_euler("HDG", "zxz")),
-    ("hadamard-adjoint-euler-xzx", _claim_euler("HDG", "xzx")),
-    ("hadamard-conjugates-x-to-z", _claim_hxh),
-    ("hadamard-conjugates-z-to-xx", _claim_hzh),
-    ("t-conjugates-x-with-zeta-phase", _claim_txt),
-    ("zphase-ones-by-x-conjugation", _claim_z11),
-    ("ctrl-x-tcount-3",
-     lambda: _file_claim("c2x", _g("X"), ONE, 3)),
-    ("ctrl-x-inverse-tcount-3",
-     lambda: _file_claim("c2xdg", _g("X").dag(), ONE, 3)),
-    ("ctrl-swap12-tcount-15",
-     lambda: _file_claim("c2tau12", _g("TAU", ("12",)), ONE, 15)),
-    ("ctrl-swap01-tcount-15",
-     lambda: _file_claim("c2tau01", _g("TAU", ("01",)), ONE, 15)),
-    ("ctrl-swap02-tcount-15",
-     lambda: _file_claim("c2tau02", _g("TAU", ("02",)), ONE, 15)),
-    ("ctrl-sdg-zeta-phase-tcount-8",
-     lambda: _file_claim("c2sdg_phase", _g("SDG"), _ZETA, 8)),
-    ("ctrl-zphase-ones-tcount-8",
-     lambda: _file_claim("c2z11_phase", _zz(1, 1), _ZETA7, 8)),
-    ("ctrl-neg-hdg-tcount-24",
-     lambda: _file_claim("c2neg_hdg", _g("HDG"), MINUS_ONE, 24)),
-    ("ctrl-neg-swap12-tcount-24",
-     lambda: _file_claim("c2neg_tau12", _g("TAU", ("12",)), MINUS_ONE, 24)),
-    ("r-construction-tcount-39", _claim_r_construction("r_construction", 39)),
-    ("r-construction-naive-tcount-63",
-     _claim_r_construction("r_construction_naive", 63)),
+CLAIMS: tuple[tuple[str, Callable[[], str]], ...] = tuple(
+    (eq.slug, eq) for eq in _RELATIONS + _FILE_EQUATIONS
+) + (
     ("zeta-outside-triadic-omega-ring", _claim_zeta_ring),
     ("cubic-no-rational-root", _claim_cubic),
     ("t-gate-refuted-in-triadic-omega-ring", _claim_t_refuted(False)),

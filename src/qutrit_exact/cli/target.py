@@ -12,22 +12,19 @@ Grammar (tokens separated by whitespace; brackets may hug):
 'omega' the primitive cube root; k may be negative.  C2[g] is the two-qutrit
 gate applying g (times the optional phase) when the control qutrit is in
 state 2.  A target acts on at most ``MAX_QUTRITS`` qutrits, as circuits do.
-Tokens and phases are read exactly as in circuit files
-(``qutrit_exact.circuit.parse``).
+Tokens, gate names and phases are read exactly as in circuit files
+(``qutrit_exact.circuit.parse``), so names are case-insensitive; a lone 'x'
+between two terms is the tensor separator, and the gate X anywhere else.
 """
 
 from __future__ import annotations
 
-import re
-
-from qutrit_exact.circuit.core import Op, SINGLE_QUTRIT_KINDS
-from qutrit_exact.circuit.parse import Tokens, parse_phase, parse_third
+from qutrit_exact.circuit.core import Op
+from qutrit_exact.circuit.parse import Tokens, parse_gate_name, parse_phase, parse_third
 from qutrit_exact.errors import DimMismatchError, ParseError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE
 from qutrit_exact.sim.gates import MAX_QUTRITS, gate_matrix, phase_unit
 from qutrit_exact.sim.matrix import UnitaryMatrix
-
-_GATE = re.compile(r"^([A-Z][A-Z0-9]*)(?:\(([^()]*)\))?$")
 
 
 def parse_phase_value(text: str) -> Cyclo36:
@@ -39,22 +36,12 @@ def parse_phase_value(text: str) -> Cyclo36:
     return phase_unit(phase)
 
 
-def _parse_gate_token(tok: str, col: int) -> Op:
-    m = _GATE.match(tok)
-    if m is None:
-        raise ParseError(f"bad gate name {tok!r}", 1, col)
-    kind, raw = m.group(1), m.group(2)
-    if kind not in SINGLE_QUTRIT_KINDS:
-        raise ParseError(f"unknown single-qutrit gate {kind!r}", 1, col)
-    params: tuple = ()
-    if raw is not None:
-        parts = [p.strip() for p in raw.split(",")]
-        if kind == "TAU":
-            params = (parts[0],) if len(parts) == 1 else tuple(parts)
-        else:
-            params = tuple(parse_third(p, 1, col) for p in parts)
+def _gate(tok: str, col: int) -> Op:
+    kind, args = parse_gate_name(tok, 1, col)
+    if kind in ("ZPHASE", "XPHASE") and args is not None:
+        args = tuple(parse_third(a, 1, col) for a in args)
     try:
-        return Op(kind, (0,), params=params)
+        return Op(kind, (0,), args or ())
     except ValueError as e:
         raise ParseError(str(e), 1, col) from None
 
@@ -74,20 +61,21 @@ def _negated(s: Tokens) -> bool:
 
 def _parse_atom(s: Tokens) -> UnitaryMatrix:
     tok, col = s.take("a gate")
-    if tok == "I":
+    name = tok.upper()
+    if name == "I":
         return UnitaryMatrix.identity(3)
-    if tok == "CX":
+    if name == "CX":
         return gate_matrix(Op("CX", (0, 1)), 2)
-    if tok == "C2":
+    if name == "C2":
         s.expect("[")
         sign = -1 if _negated(s) else 1
         inner_tok, inner_col = s.take("a target gate")
-        inner = _parse_gate_token(inner_tok, inner_col)
+        inner = _gate(inner_tok, inner_col)
         s.expect("]")
         psign, e = s.take_phase() or (1, 0)
         op = Op("C2", (0,), inner=inner.remap(lambda _: 1), phase=(sign * psign, e))
         return gate_matrix(op, 2)
-    return gate_matrix(_parse_gate_token(tok, col), 1)
+    return gate_matrix(_gate(tok, col), 1)
 
 
 def _parse_term(s: Tokens) -> UnitaryMatrix:

@@ -114,7 +114,7 @@ def _terms(coords: tuple[int, ...]) -> _Terms:
 
 def _dense(rows: _Rows) -> tuple[int, tuple[tuple[_Terms, ...], ...]]:
     """The least k with s**k * rows integral, and the terms of s**k * rows."""
-    entries = [e for row in rows for e in row]
+    entries = [e for row in rows for e in row if not e.is_zero()]
     den = math.lcm(*(e.denominator for e in entries))
     a = 0
     while den % 3 == 0:
@@ -127,7 +127,10 @@ def _dense(rows: _Rows) -> tuple[int, tuple[tuple[_Terms, ...], ...]]:
         k for k in range(2 * a + 1) if all((_S**k * e).denominator == 1 for e in entries)
     )
     scale = _S**k
-    return k, tuple(tuple(_terms((scale * e).zeta9_coords()) for e in row) for row in rows)
+    return k, tuple(
+        tuple(() if e.is_zero() else _terms((scale * e).zeta9_coords()) for e in row)
+        for row in rows
+    )
 
 
 @lru_cache(maxsize=256)

@@ -1,12 +1,15 @@
-"""Acceptance suite: every headline result, one test per criterion.
+"""Acceptance suite: every headline result, one test per catalog claim.
 
-Each test verifies its claim with exact arithmetic only — tolerance zero,
-no floating point anywhere in a verdict.  Run with ``pytest -v`` to get
-one pass/fail line per criterion.
+Each catalog claim (``qutrit_exact.cli.catalog.CLAIMS``) runs as one test,
+with its slug as the id; the criteria below check what the catalog does not.
+Every verdict uses exact arithmetic only: tolerance zero, no floating point.
+Run with ``pytest -v`` to get one pass/fail line per claim and criterion.
 """
 
 import random
 from fractions import Fraction
+
+import pytest
 
 from conftest import CLIFFORD_KINDS, CT_KINDS, random_word
 from qutrit_exact.adjoint import (
@@ -23,142 +26,42 @@ from qutrit_exact.analysis import (
     is_clifford,
     matrix_ring_certificate,
     pauli_elements,
-    refute_phase_membership,
 )
-from qutrit_exact.circuit.core import Circuit, Op, adjoint
+from qutrit_exact.circuit.core import Op, adjoint
 from qutrit_exact.circuit.macros import load_named
+from qutrit_exact.cli.catalog import CLAIMS, check_equation
 from qutrit_exact.rings.alpha import DalphaElem, residue
-from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE, embed
-from qutrit_exact.rings.membership import RingTag, in_ring
-from qutrit_exact.rings.polynomials import has_rational_root
+from qutrit_exact.rings.membership import RingTag
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
-from qutrit_exact.sim.matrix import UnitaryMatrix, controlled_target, equal_exact
+from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
 def _g(kind: str, params: tuple = ()) -> UnitaryMatrix:
     return gate_matrix(Op(kind, (0,), params=params), 1)
 
 
-def _zz(a, b) -> UnitaryMatrix:
-    return _g("ZPHASE", (Fraction(a), Fraction(b)))
-
-
-def _xx(a, b) -> UnitaryMatrix:
-    return _g("XPHASE", (Fraction(a), Fraction(b)))
-
-
-def _file_t_count(circ: Circuit) -> int:
-    return sum(op.kind in ("T", "TDG") for op in circ.ops)
+@pytest.mark.parametrize("slug,claim", CLAIMS, ids=[slug for slug, _ in CLAIMS])
+def test_catalog_claim(slug, claim):
+    claim()
 
 
 def test_criterion_01_clifford_relations():
-    """Hadamard powers, the S-Hadamard cube, and the Euler decompositions."""
-    h = _g("H")
-    ident = UnitaryMatrix.identity(3)
-    assert equal_exact(h @ h @ h @ h, ident)
-    assert equal_exact(h @ h, _g("TAU", ("12",)).scale(MINUS_ONE))
-
-    sh = _g("S") @ h
-    assert equal_exact(
-        sh @ sh @ sh, ident.scale(MINUS_ONE * Cyclo36.omega_pow(1))
-    )
-
-    assert equal_exact(_g("X"), _xx(2, 1))
-
-    assert equal_exact(h, (_zz(2, 2) @ _xx(2, 2) @ _zz(2, 2)).scale(MINUS_ONE))
-    assert equal_exact(h, (_xx(2, 2) @ _zz(2, 2) @ _xx(2, 2)).scale(MINUS_ONE))
-    hdg = h.dag()
-    assert equal_exact(hdg, (_zz(1, 1) @ _xx(1, 1) @ _zz(1, 1)).scale(MINUS_ONE))
-    assert equal_exact(hdg, (_xx(1, 1) @ _zz(1, 1) @ _xx(1, 1)).scale(MINUS_ONE))
+    """X is the phase gate XPHASE(2,1); the other relations are catalog claims."""
+    assert _g("X") == _g("XPHASE", (2, 1))
 
 
 def test_criterion_02_controlled_x_three_t():
-    """The 3-T circuit applies X on the |2> control level, exactly."""
-    circ = load_named("c2x")
-    assert equal_exact(circuit_matrix(circ), controlled_target(_g("X")))
-    assert _file_t_count(circ) == 3
-    assert equal_exact(
-        circuit_matrix(adjoint(circ)), controlled_target(_g("X").dag())
-    )
-
-
-def test_criterion_03_controlled_swap12_fifteen_t():
-    """The 15-T circuit applies the 1<->2 swap on the |2> control level."""
-    circ = load_named("c2tau12")
-    assert equal_exact(
-        circuit_matrix(circ), controlled_target(_g("TAU", ("12",)))
-    )
-    assert _file_t_count(circ) == 15
-
-
-def test_criterion_04_eight_t_phase_blocks():
-    """Both 8-T diagonal-block constructions are exact."""
-    sdg = load_named("c2sdg_phase")
-    assert equal_exact(
-        circuit_matrix(sdg),
-        controlled_target(_g("SDG"), Cyclo36.zeta9_pow(1)),
-    )
-    assert _file_t_count(sdg) == 8
-
-    z11 = load_named("c2z11_phase")
-    assert equal_exact(
-        circuit_matrix(z11),
-        controlled_target(_zz(1, 1), Cyclo36.zeta9_pow(7)),
-    )
-    assert _file_t_count(z11) == 8
-
-
-def test_criterion_05_controlled_neg_hdg_twenty_four_t():
-    """The 24-T circuit applies -H^dag on the |2> control level."""
-    circ = load_named("c2neg_hdg")
-    assert equal_exact(
-        circuit_matrix(circ), controlled_target(_g("HDG"), MINUS_ONE)
-    )
-    assert _file_t_count(circ) == 24
-
-
-def test_criterion_06_r_construction_t_counts():
-    """R (x) identity in 39 T gates; the naive variant costs 63."""
-    target = gate_matrix(Op("R", (0,)), 2)
-
-    main = load_named("r_construction")
-    assert equal_exact(circuit_matrix(main), target)
-    assert _file_t_count(main) == 39
-
-    naive = load_named("r_construction_naive")
-    assert equal_exact(circuit_matrix(naive), target)
-    assert _file_t_count(naive) == 63
+    """The adjoint of the 3-T two-controlled X applies X^dag = TAU(021)."""
+    check_equation(adjoint(load_named("c2x")), "C2[TAU(021) 1] 0", tcount=3)
 
 
 def test_criterion_07_r_adjoint_obstruction():
-    """The adjoint image of R pins its blocks and fails the residue test."""
+    """The adjoint image of R has the least denominator exponent and the
+    residue patterns that the obstruction reads."""
     adj = adjoint_of(_g("R"))
-    third = Cyclo36.from_fraction(Fraction(1, 3))
-    want = ((3, 0, 0, 0), (0, -1, 2, 2), (0, 2, -1, 2), (0, 2, 2, -1))
-    for i in range(4):
-        for j in range(4):
-            v = third * Cyclo36.from_int(want[i][j])
-            assert adj.entry(i, j) == v
-            assert adj.entry(i + 4, j + 4) == v
-            assert adj.entry(i, j + 4).is_zero()
-            assert adj.entry(i + 4, j).is_zero()
-
     assert block_lde(adj, "A") == 6
     assert pattern_equiv(residue_pattern(adj, "A", 6), BORDERED_TWOS)
     assert not pattern_equiv(residue_pattern(adj, "C", 7), BORDERED_ONES)
-    assert single_qutrit_ct_obstruction(_g("R")).is_obstructed()
-
-
-def test_criterion_08_ring_non_membership():
-    """zeta avoids the triadic omega ring; the witness cubic has no rational
-    root; no global phase puts the T gate's entries inside that ring."""
-    assert not in_ring(embed("zeta9"), RingTag.TOMEGA)
-    assert not has_rational_root(1, 0, -3, 1)
-    for n_ancilla in (0, 1):
-        m = _g("T")
-        if n_ancilla:
-            m = m.tensor(UnitaryMatrix.identity(3))
-        assert refute_phase_membership(m, RingTag.TOMEGA).refuted
 
 
 def test_criterion_09_property_suites():
@@ -211,9 +114,8 @@ def test_criterion_09_property_suites():
 
 
 def test_criterion_10_hierarchy_levels():
-    """T sits at level 3, R is absent through level 4, Paulis sit at
-    level 1, and H, S, and CX sit at level 2."""
-    assert hierarchy_level(_g("T"), 3).level == 3
+    """R is absent through level 4, Paulis sit at level 1, and H, S, and CX
+    sit at level 2; T at level 3 is a catalog claim."""
     assert hierarchy_level(_g("R"), 4).level is None
     for element in pauli_elements(1):
         assert hierarchy_level(element.matrix(), 2).level == 1

@@ -14,6 +14,7 @@ from qutrit_exact.circuit.core import (
     print_circuit,
 )
 from qutrit_exact.circuit.macros import (
+    CONSTRUCTIONS,
     DATA_ENV,
     circuits_dir,
     expand_macros,
@@ -23,51 +24,41 @@ from qutrit_exact.circuit.macros import (
 )
 from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.circuit.perm import TAU_LABELS
+from qutrit_exact.cli.catalog import check_equation
 from qutrit_exact.errors import UnexpandableError, UnknownMacroError
-from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
+from qutrit_exact.rings.cyclo import Cyclo36
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
-from qutrit_exact.sim.matrix import UnitaryMatrix, controlled_target, equal_exact
+from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact
 
 
 def _single(kind: str, params: tuple = ()) -> UnitaryMatrix:
     return gate_matrix(Op(kind, (0,), params=params), 1)
 
 
-# (file stem, controlled block, controlled phase, pinned T-count)
-FILE_CASES = [
-    ("c2x", _single("X"), ONE, 3),
-    ("c2xdg", _single("X").dag(), ONE, 3),
-    ("c2tau12", _single("TAU", ("12",)), ONE, 15),
-    ("c2tau01", _single("TAU", ("01",)), ONE, 15),
-    ("c2tau02", _single("TAU", ("02",)), ONE, 15),
-    ("c2sdg_phase", _single("SDG"), Cyclo36.zeta9_pow(1), 8),
-    ("c2z11_phase", _single("ZPHASE", (Fraction(1), Fraction(1))),
-     Cyclo36.zeta9_pow(7), 8),
-    ("c2neg_hdg", _single("HDG"), MINUS_ONE, 24),
-    ("c2neg_tau12", _single("TAU", ("12",)), MINUS_ONE, 24),
-]
+_CONTROLLED = [row for row in CONSTRUCTIONS if row[1].startswith("C2")]
+_BORROWED = [(stem, tcount) for stem, line, tcount in CONSTRUCTIONS if line == "R 0"]
+_ALIAS = "C2[TAU(012) 1] 0"  # the one op outside the table; it splices c2x, as X = TAU(012)
 
 
 class TestDataFiles:
-    @pytest.mark.parametrize(
-        "stem,block,phase,tcount",
-        FILE_CASES,
-        ids=[case[0] for case in FILE_CASES],
-    )
-    def test_controlled_construction(self, stem, block, phase, tcount):
-        circ = load_named(stem)
-        assert circ.n == 2
-        assert all(op.kind in BASE_KINDS for op in circ.ops)
-        assert equal_exact(circuit_matrix(circ), controlled_target(block, phase))
-        assert sum(op.kind in ("T", "TDG") for op in circ.ops) == tcount
+    @pytest.mark.parametrize("stem,line,tcount", _CONTROLLED, ids=[r[0] for r in _CONTROLLED])
+    def test_controlled_construction(self, stem, line, tcount):
+        check_equation(load_named(stem), line, tcount=tcount)
 
-    @pytest.mark.parametrize("stem,tcount", [("r_construction", 39),
-                                             ("r_construction_naive", 63)])
+    @pytest.mark.parametrize("stem,tcount", _BORROWED)
     def test_r_constructions(self, stem, tcount):
-        circ = load_named(stem)
-        target = gate_matrix(Op("R", (0,)), 2)  # R on qutrit 0, identity on 1
-        assert equal_exact(circuit_matrix(circ), target)
-        assert sum(op.kind in ("T", "TDG") for op in circ.ops) == tcount
+        check_equation(load_named(stem), "R 0", tcount=tcount)  # R on qutrit 0, 1 borrowed
+
+    def test_table_and_expander_agree(self):
+        # an op expands to the file of its cheapest row
+        cheapest = {}
+        for stem, line, tcount in sorted(CONSTRUCTIONS, key=lambda row: -row[2]):
+            cheapest[line] = stem
+        assert cheapest["R 0"] == "r_construction"
+        for line, stem in [*cheapest.items(), (_ALIAS, "c2x")]:
+            flat = expand_macros(parse_circuit(f"qutrits 2\n{line}\n"))
+            assert flat.ops == load_named(stem).ops, line
+        assert macro_names() == tuple(stem for stem, _, _ in CONSTRUCTIONS)
 
     def test_every_registered_name_loads(self):
         for stem in macro_names():
@@ -89,26 +80,11 @@ class TestDataFiles:
 
 class TestExpansion:
     def test_expansion_is_exact_for_every_registry_entry(self):
-        cases = [
-            ("C2[X 1] 0", controlled_target(_single("X"))),
-            ("C2[TAU(012) 1] 0", controlled_target(_single("X"))),
-            ("C2[TAU(021) 1] 0", controlled_target(_single("X").dag())),
-            ("C2[TAU(12) 1] 0", controlled_target(_single("TAU", ("12",)))),
-            ("C2[SDG 1] 0 phase=zeta",
-             controlled_target(_single("SDG"), Cyclo36.zeta9_pow(1))),
-            ("C2[ZPHASE 1 1 1] 0 phase=zeta^7",
-             controlled_target(_single("ZPHASE", (Fraction(1), Fraction(1))),
-                               Cyclo36.zeta9_pow(7))),
-            ("C2[HDG 1] 0 phase=-1",
-             controlled_target(_single("HDG"), MINUS_ONE)),
-            ("C2[TAU(12) 1] 0 phase=-1",
-             controlled_target(_single("TAU", ("12",)), MINUS_ONE)),
-        ]
-        for text, target in cases:
-            circ = parse_circuit(f"qutrits 2\n{text}\n")
+        for line in [line for _, line, _ in CONSTRUCTIONS] + [_ALIAS]:
+            circ = parse_circuit(f"qutrits 2\n{line}\n")
             flat = expand_macros(circ)
-            assert all(op.kind in BASE_KINDS for op in flat.ops), text
-            assert equal_exact(circuit_matrix(flat), target), text
+            assert all(op.kind in BASE_KINDS for op in flat.ops), line
+            assert circuit_matrix(flat) == circuit_matrix(circ), line
 
     def test_control_wire_can_be_either_qutrit(self):
         circ = parse_circuit("qutrits 2\nC2[X 0] 1\n")
@@ -199,10 +175,8 @@ class TestExpansion:
 
 class TestAdjointsOfMacros:
     def test_c2x_adjoint_is_c2xdg(self):
-        c2x = load_named("c2x")
-        target = controlled_target(_single("X").dag())
-        assert equal_exact(circuit_matrix(adjoint(c2x)), target)
-        assert equal_exact(circuit_matrix(load_named("c2xdg")), target)
+        c2xdg = circuit_matrix(load_named("c2xdg"))
+        assert circuit_matrix(adjoint(load_named("c2x"))) == c2xdg
 
     def test_adjoint_preserves_t_count(self):
         for stem in macro_names():

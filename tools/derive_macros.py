@@ -26,8 +26,10 @@ Every circuit under circuits/ is reconstructed here from scratch:
   39 T gates.  ``r_construction_naive`` uses two c2neg_hdg blocks instead of
   c2neg_tau12 (Hdg^2 = -tau12): 63 T gates.
 
-Every file is written only after its matrix equals the closed-form target
-exactly and its T count equals the pinned value.
+The targets and T-counts come from the table of bundled constructions,
+``qutrit_exact.circuit.macros.CONSTRUCTIONS``: every file is written only after
+``qutrit_exact.cli.catalog.check_equation`` finds that its matrix equals the
+op of its row exactly and that its T count equals the row's pinned value.
 """
 
 from __future__ import annotations
@@ -35,23 +37,20 @@ from __future__ import annotations
 import sys
 import time
 from collections import deque
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qutrit_exact.circuit.core import Circuit, Op, adjoint, print_circuit
-from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, OMEGA2, ONE
-from qutrit_exact.sim import (
-    UnitaryMatrix,
-    circuit_matrix,
-    controlled_target,
-    gate_matrix,
-)
+from qutrit_exact.circuit.macros import CONSTRUCTIONS
+from qutrit_exact.cli.catalog import check_equation
+from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
+from qutrit_exact.sim import UnitaryMatrix, gate_matrix
 
 OUT_DIR = Path(__file__).resolve().parents[1] / "circuits"
 
-ZETA = Cyclo36.zeta9_pow(1)
+# file stem -> (the op the file implements, pinned T-count)
+TABLE = {stem: (line, tcount) for stem, line, tcount in CONSTRUCTIONS}
 
 
 def say(msg: str) -> None:
@@ -109,20 +108,15 @@ def simplify(ops: list[Op]) -> list[Op]:
     return ops
 
 
-def count_t(ops) -> int:
-    return sum(1 for op in ops if op.kind in ("T", "TDG"))
-
-
-def verified(name: str, ops: list[Op], target: UnitaryMatrix, t_expected: int) -> Circuit:
-    circ = Circuit(2, tuple(ops))
-    got = circuit_matrix(circ)
-    if got != target:
-        raise SystemExit(f"{name}: matrix mismatch")
-    actual_t = count_t(ops)
-    if actual_t != t_expected:
-        raise SystemExit(f"{name}: T count {actual_t}, expected {t_expected}")
-    say(f"{name}: exact match, {len(ops)} gates, {actual_t} T")
-    return circ
+def verified(name: str, ops: list[Op]) -> list[Op]:
+    """``ops``, once they implement the op of their table row with its T-count."""
+    line, tcount = TABLE[name]
+    try:
+        check_equation(Circuit(2, tuple(ops)), line, tcount=tcount)
+    except AssertionError as exc:
+        raise SystemExit(f"{name}: {exc}") from None
+    say(f"{name}: exact match, {len(ops)} gates, {tcount} T")
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +438,8 @@ def main() -> None:
     OUT_DIR.mkdir(exist_ok=True)
     check_affine_generators()
 
-    x3 = gate1("X")
-    xdg3 = gate1("TAU", params=("021",))
-    sdg3 = gate1("SDG")
-    z11 = gate1("ZPHASE", params=(Fraction(1), Fraction(1)))
-    hdg3 = gate1("HDG")
-    tau12 = gate1("TAU", params=("12",))
-    tau01 = gate1("TAU", params=("01",))
-    tau02 = gate1("TAU", params=("02",))
-
-    c2x_ops = build_c2x()
-    c2x = verified("c2x", c2x_ops, controlled_target(x3), 3)
-    c2xdg_ops = list(adjoint(c2x).ops)
-    verified("c2xdg", c2xdg_ops, controlled_target(xdg3), 3)
+    c2x_ops = verified("c2x", build_c2x())
+    c2xdg_ops = verified("c2xdg", list(adjoint(Circuit(2, tuple(c2x_ops))).ops))
 
     # phase kickback: T_t . tau01_t . C2Xdg . tau01_t . Tdg_t . C2Xdg
     kick = (
@@ -465,75 +448,55 @@ def main() -> None:
         + c2xdg_ops
         + [Op("TAU", (1,), ("01",)), Op("T", (1,))]
     )
-    c2sdg_ops = simplify(kick)
-    verified("c2sdg_phase", c2sdg_ops, controlled_target(sdg3, ZETA), 8)
+    c2sdg_ops = verified("c2sdg_phase", simplify(kick))
 
-    z11_ops = simplify(
+    z11_ops = verified("c2z11_phase", simplify(
         [Op("TAU", (1,), ("02",))] + c2sdg_ops + [Op("TAU", (1,), ("02",))]
-    )
-    verified("c2z11_phase", z11_ops, controlled_target(z11, Cyclo36.zeta9_pow(7)), 8)
+    ))
 
-    neg_hdg_ops = simplify(
+    neg_hdg_ops = verified("c2neg_hdg", simplify(
         [Op("SDG", (0,))]
         + z11_ops
         + [Op("HDG", (1,))]
         + z11_ops
         + [Op("H", (1,))]
         + z11_ops
-    )
-    verified("c2neg_hdg", neg_hdg_ops, controlled_target(hdg3, MINUS_ONE), 24)
+    ))
 
     affine_words = bfs_affine_words()
     say(f"affine group words: {len(affine_words)}")
-    tau12_ops = build_c2tau12(c2x_ops, affine_words)
-    verified("c2tau12", tau12_ops, controlled_target(tau12), 15)
+    tau12_ops = verified("c2tau12", build_c2tau12(c2x_ops, affine_words))
 
-    tau01_ops = simplify(
+    tau01_ops = verified("c2tau01", simplify(
         [Op("TAU", (1,), ("02",))] + tau12_ops + [Op("TAU", (1,), ("02",))]
-    )
-    verified("c2tau01", tau01_ops, controlled_target(tau01), 15)
-    tau02_ops = simplify(
+    ))
+    tau02_ops = verified("c2tau02", simplify(
         [Op("TAU", (1,), ("01",))] + tau12_ops + [Op("TAU", (1,), ("01",))]
-    )
-    verified("c2tau02", tau02_ops, controlled_target(tau02), 15)
+    ))
 
-    neg_tau12_ops = build_c2neg_tau12(c2sdg_ops)
-    verified("c2neg_tau12", neg_tau12_ops, controlled_target(tau12, MINUS_ONE), 24)
+    neg_tau12_ops = verified("c2neg_tau12", build_c2neg_tau12(c2sdg_ops))
 
     # R on the control, second qutrit borrowed and exactly restored
-    r_target = UnitaryMatrix(
-        [
-            [
-                (MINUS_ONE if r == c and r >= 6 else (ONE if r == c else Cyclo36.from_int(0)))
-                for c in range(9)
-            ]
-            for r in range(9)
-        ]
-    )
-    r_ops = tau12_ops + neg_tau12_ops
-    verified("r_construction", r_ops, r_target, 39)
-    r_naive_ops = tau12_ops + neg_hdg_ops + neg_hdg_ops
-    verified("r_construction_naive", r_naive_ops, r_target, 63)
+    r_ops = verified("r_construction", tau12_ops + neg_tau12_ops)
+    r_naive_ops = verified("r_construction_naive", tau12_ops + neg_hdg_ops + neg_hdg_ops)
 
     files = {
-        "c2x": (c2x_ops, "two-controlled X on (control 0, target 1); 3 T gates"),
-        "c2xdg": (c2xdg_ops, "two-controlled X inverse on (control 0, target 1); 3 T gates"),
-        "c2tau12": (tau12_ops, "two-controlled swap of levels 1,2; 15 T gates"),
-        "c2tau01": (tau01_ops, "two-controlled swap of levels 0,1; 15 T gates"),
-        "c2tau02": (tau02_ops, "two-controlled swap of levels 0,2; 15 T gates"),
-        "c2sdg_phase": (c2sdg_ops, "blockdiag(I, I, zeta * Sdg); 8 T gates"),
-        "c2z11_phase": (z11_ops, "blockdiag(I, I, zeta^7 * Z(1,1)); 8 T gates"),
-        "c2neg_hdg": (neg_hdg_ops, "blockdiag(I, I, -Hdg); 24 T gates"),
-        "c2neg_tau12": (neg_tau12_ops, "blockdiag(I, I, -tau12); 24 T gates"),
-        "r_construction": (r_ops, "R on qutrit 0, qutrit 1 borrowed; 39 T gates"),
-        "r_construction_naive": (
-            r_naive_ops,
-            "R on qutrit 0 via two -Hdg blocks; 63 T gates",
-        ),
+        "c2x": (c2x_ops, "two-controlled X on (control 0, target 1)"),
+        "c2xdg": (c2xdg_ops, "two-controlled X inverse on (control 0, target 1)"),
+        "c2tau12": (tau12_ops, "two-controlled swap of levels 1,2"),
+        "c2tau01": (tau01_ops, "two-controlled swap of levels 0,1"),
+        "c2tau02": (tau02_ops, "two-controlled swap of levels 0,2"),
+        "c2sdg_phase": (c2sdg_ops, "blockdiag(I, I, zeta * Sdg)"),
+        "c2z11_phase": (z11_ops, "blockdiag(I, I, zeta^7 * Z(1,1))"),
+        "c2neg_hdg": (neg_hdg_ops, "blockdiag(I, I, -Hdg)"),
+        "c2neg_tau12": (neg_tau12_ops, "blockdiag(I, I, -tau12)"),
+        "r_construction": (r_ops, "R on qutrit 0, qutrit 1 borrowed"),
+        "r_construction_naive": (r_naive_ops, "R on qutrit 0 via two -Hdg blocks"),
     }
     for stem, (ops, desc) in files.items():
         path = OUT_DIR / f"{stem}.qc"
-        path.write_text(print_circuit(Circuit(2, tuple(ops)), header=[desc]))
+        header = f"{desc}; {TABLE[stem][1]} T gates"
+        path.write_text(print_circuit(Circuit(2, tuple(ops)), header=[header]))
         say(f"wrote {path.name} ({len(ops)} gates)")
 
 
