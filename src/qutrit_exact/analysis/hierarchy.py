@@ -2,19 +2,23 @@
 
 Level 1 is the Pauli group and level 2 the Clifford group; for k >= 3 a
 unitary U lies in level k iff U P U^dag lies in level k-1 for every
-nontrivial Pauli P.  Level k-1 is not a group once k-1 >= 3, so the test
-conjugates every nontrivial Pauli rather than just the generators.  The
-search is capped: absence up to the cap is certified, absence beyond it
-is not decided.
+nontrivial Pauli P.  Level 2 is a group, the Clifford test ignores global
+phase and U A B U^dag = (U A U^dag)(U B U^dag), so at k = 3 the generators
+X_w and Z_w suffice.  Level k-1 is not a group once k-1 >= 3, so at k >= 4
+every nontrivial Pauli is conjugated.  The search is capped: absence up to
+the cap is certified, absence beyond it is not decided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from qutrit_exact.analysis.clifford import is_clifford
+from qutrit_exact.analysis.clifford import CliffordCertificate, is_clifford
 from qutrit_exact.analysis.pauli import is_pauli, pauli_elements
+from qutrit_exact.circuit.core import Op
 from qutrit_exact.errors import DimMismatchError
+from qutrit_exact.sim.gates import gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 MAX_CAP = 5
@@ -27,6 +31,7 @@ class HierarchyReport:
     level: int | None
     cap: int
     lines: tuple[str, ...]
+    clifford: CliffordCertificate | None = None  # is_clifford(m), if the search ran it
 
     def __bool__(self) -> bool:
         return self.level is not None
@@ -39,35 +44,26 @@ class HierarchyReport:
         return "\n".join((head,) + self.lines)
 
 
-_PAULI_CACHE: dict[int, tuple] = {}
+@lru_cache(maxsize=None)
+def _paulis(n: int, generators: bool) -> tuple[tuple[str, UnitaryMatrix], ...]:
+    """(label, matrix) of X_w and Z_w on each wire, or of every nontrivial Pauli."""
+    if generators:
+        return tuple((f"{g}_{w}", gate_matrix(Op(g, (w,)), n)) for w in range(n) for g in "XZ")
+    return tuple((p.label(), p.matrix()) for p in pauli_elements(n))
 
 
-def _paulis(n: int) -> tuple:
-    cached = _PAULI_CACHE.get(n)
-    if cached is None:
-        elems = tuple(pauli_elements(n))
-        cached = (elems, tuple(p.matrix() for p in elems))
-        _PAULI_CACHE[n] = cached
-    return cached
-
-
-def _level_at_most(m: UnitaryMatrix, k: int, n: int, memo: dict) -> bool:
+def _level_at_most(m: UnitaryMatrix, k: int, n: int, memo: dict):
+    """Truthy iff ``m`` lies in level k >= 2; at k = 2, its Clifford certificate."""
     key = (m.rows, k)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if k == 1:
-        result = bool(is_pauli(m))
-    elif k == 2:
-        result = bool(is_clifford(m))
-    else:
-        md = m.dag()
-        result = all(
-            _level_at_most(m @ p @ md, k - 1, n, memo)
-            for p in _paulis(n)[1]
-        )
-    memo[key] = result
-    return result
+    if key not in memo:
+        if k == 2:
+            memo[key] = is_clifford(m)
+        else:
+            md = m.dag()
+            memo[key] = all(
+                _level_at_most(m @ p @ md, k - 1, n, memo) for _, p in _paulis(n, k == 3)
+            )
+    return memo[key]
 
 
 def hierarchy_level(m: UnitaryMatrix, cap: int = 4) -> HierarchyReport:
@@ -86,23 +82,23 @@ def hierarchy_level(m: UnitaryMatrix, cap: int = 4) -> HierarchyReport:
     witness = is_pauli(m)
     if witness:
         return HierarchyReport(1, cap, (witness.text(),))
-    if cap >= 2:
-        cert = is_clifford(m)
-        if cert:
-            return HierarchyReport(2, cap, tuple(cert.text().splitlines()))
+    cert = is_clifford(m) if cap >= 2 else None
+    if cert:
+        return HierarchyReport(2, cap, tuple(cert.text().splitlines()), cert)
 
     memo: dict = {}
     md = m.dag()
-    paulis, pauli_mats = _paulis(n)
     for k in range(3, cap + 1):
         lines = []
-        ok = True
-        for p, pm in zip(paulis, pauli_mats):
-            if _level_at_most(m @ pm @ md, k - 1, n, memo):
-                lines.append(f"{p.label()} conjugate lies in level {k - 1}")
-            else:
-                ok = False
+        for label, p in _paulis(n, k == 3):
+            below = _level_at_most(m @ p @ md, k - 1, n, memo)
+            if not below:
                 break
-        if ok:
-            return HierarchyReport(k, cap, tuple(lines))
-    return HierarchyReport(None, cap, (f"all levels 1..{cap} fail",))
+            if k == 3:
+                images = ", ".join(f"{g} -> {image}" for g, image in below.images)
+                lines.append(f"{label} conjugate is Clifford: {images}")
+            else:
+                lines.append(f"{label} conjugate lies in level {k - 1}")
+        else:
+            return HierarchyReport(k, cap, tuple(lines), cert)
+    return HierarchyReport(None, cap, (f"all levels 1..{cap} fail",), cert)

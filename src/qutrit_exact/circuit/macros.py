@@ -90,25 +90,28 @@ def circuits_dir() -> Path:
     return Path.cwd() / "circuits"
 
 
-_CACHE: dict[Path, Circuit] = {}
+def _data_path(name: str) -> Path:
+    return (circuits_dir() / f"{name}.qc").resolve()
+
+
+@lru_cache(maxsize=None)
+def _load(path: Path) -> Circuit:
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise UnknownMacroError(f"cannot read circuit file {path}") from exc
+    circ = parse_circuit(text)
+    if circ.n != 2:
+        raise UnknownMacroError(f"{path} must be a two-qutrit circuit")
+    for op in circ.ops:
+        if op.kind not in BASE_KINDS:
+            raise UnknownMacroError(f"{path} contains non-base gate {op.kind}")
+    return circ
 
 
 def load_named(name: str) -> Circuit:
     """Load and cache a circuit data file by stem name."""
-    path = (circuits_dir() / f"{name}.qc").resolve()
-    if path not in _CACHE:
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise UnknownMacroError(f"cannot read circuit file {path}") from exc
-        circ = parse_circuit(text)
-        if circ.n != 2:
-            raise UnknownMacroError(f"{path} must be a two-qutrit circuit")
-        for op in circ.ops:
-            if op.kind not in BASE_KINDS:
-                raise UnknownMacroError(f"{path} contains non-base gate {op.kind}")
-        _CACHE[path] = circ
-    return _CACHE[path]
+    return _load(_data_path(name))
 
 
 def _c2_obstruction(op: Op) -> str | None:
@@ -159,10 +162,11 @@ def _square_c2(op: Op) -> Op | None:
     return Op("C2", op.wires, inner=Op(kind, op.inner.wires, params), phase=phase)
 
 
-def _splice(stem: str, wire0: int, wire1: int, out: list[Op]) -> None:
-    """Append a two-qutrit data file with its wires 0 and 1 mapped as given."""
+@lru_cache(maxsize=None)
+def _spliced(path: Path, wire0: int, wire1: int) -> tuple[Op, ...]:
+    """The ops of a two-qutrit data file with its wires 0 and 1 mapped as given."""
     table = {0: wire0, 1: wire1}
-    out.extend(sub.remap(lambda x: table[x]) for sub in load_named(stem).ops)
+    return tuple(sub.remap(table.__getitem__) for sub in _load(path).ops)
 
 
 def _expand_op(op: Op, n: int, out: list[Op]) -> None:
@@ -210,7 +214,7 @@ def _expand_op(op: Op, n: int, out: list[Op]) -> None:
     wires = op.all_wires()
     if len(wires) == 1:
         wires += (min(x for x in range(n) if x != w),)
-    _splice(stem, *wires, out)
+    out.extend(_spliced(_data_path(stem), *wires))
 
 
 def expand_macros(circ: Circuit) -> Circuit:

@@ -131,14 +131,19 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     # its input leaves stdout empty
     out: list[str] = []
 
+    if args.clifford and m.dim > 9:
+        is_clifford(m)  # raises before the hierarchy search can: --clifford is reported first
+    report = None if args.hierarchy is None else hierarchy_level(m, cap=args.hierarchy)
+
     if args.clifford:
-        cert = is_clifford(m)
+        cert = None if report is None else report.clifford  # the search's own test
+        if cert is None:
+            cert = is_clifford(m)
         out.append(f"clifford: {'true' if cert.found else 'false'}")
         out += [f"  {line}" for line in cert.text().splitlines()]
         all_positive &= cert.found
 
-    if args.hierarchy is not None:
-        report = hierarchy_level(m, cap=args.hierarchy)
+    if report is not None:
         out.append(f"level: {report.level if report.level is not None else 'none'}")
         out += [f"  {line}" for line in report.text().splitlines()]
         all_positive &= report.level is not None

@@ -163,7 +163,7 @@ class Cyclo36:
         return tuple(Fraction(c, d) for c in self._num)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._num)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self._num[1:])

@@ -16,6 +16,7 @@ from qutrit_exact.analysis import (
     refute_phase_membership,
 )
 from qutrit_exact.circuit.core import Op
+from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.errors import DimMismatchError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
 from qutrit_exact.rings.membership import RingTag, in_ring
@@ -30,6 +31,33 @@ def _gate(kind: str, params: tuple = ()) -> UnitaryMatrix:
 def _generator(name: str, n: int) -> UnitaryMatrix:
     kind, wire = name.split("_")
     return gate_matrix(Op(kind, (int(wire),)), n)
+
+
+def _lines(n: int, *lines: str) -> UnitaryMatrix:
+    return circuit_matrix(parse_circuit("\n".join([f"qutrits {n}", *lines]) + "\n"))
+
+
+def _oracle_at_most(m: UnitaryMatrix, k: int, paulis: list, memo: dict) -> bool:
+    """Level <= k by the definition: every nontrivial Pauli conjugate lies in level k-1."""
+    key = (m.rows, k)
+    if key not in memo:
+        if k == 1:
+            memo[key] = bool(is_pauli(m))
+        elif k == 2:
+            memo[key] = bool(is_clifford(m))
+        else:
+            md = m.dag()
+            memo[key] = all(
+                _oracle_at_most(m @ p @ md, k - 1, paulis, memo) for p in paulis
+            )
+    return memo[key]
+
+
+def _oracle_level(m: UnitaryMatrix, cap: int, memo: dict) -> int | None:
+    paulis = [p.matrix() for p in pauli_elements(1 if m.dim == 3 else 2)]
+    return next(
+        (k for k in range(1, cap + 1) if _oracle_at_most(m, k, paulis, memo)), None
+    )
 
 
 class TestPauliRecognition:
@@ -137,6 +165,87 @@ class TestHierarchy:
 
     def test_cap_below_level_reports_absence(self):
         assert hierarchy_level(_gate("T"), 2).level is None
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_level_three_certificate_lists_the_generator_conjugates(self, n):
+        m = _lines(n, "T 0")
+        report = hierarchy_level(m, 3)
+        names = [f"{kind}_{w}" for w in range(n) for kind in "XZ"]
+        assert [line.split()[0] for line in report.lines] == names
+        md = m.dag()
+        for name, line in zip(names, report.lines):
+            assert line.startswith(f"{name} conjugate is Clifford: ")
+            cert = is_clifford(m @ _generator(name, n) @ md)
+            assert line.endswith(", ".join(f"{g} -> {p}" for g, p in cert.images))
+
+    def test_report_carries_the_clifford_test_of_the_matrix(self):
+        h, t = _gate("H"), _gate("T")
+        assert hierarchy_level(h, 3).clifford == is_clifford(h)
+        assert hierarchy_level(t, 3).clifford == is_clifford(t)
+        assert hierarchy_level(t, 1).clifford is None  # cap 1 never runs it
+        assert hierarchy_level(_gate("X"), 3).clifford is None  # a Pauli stops first
+
+    def test_controlled_t_sits_at_level_four(self):
+        report = hierarchy_level(_lines(2, "LAMBDA[T 1] 0"), 4)
+        assert report.level == 4
+        assert len(report.lines) == 80
+        assert all(line.endswith("conjugate lies in level 3") for line in report.lines)
+
+    def test_r_on_two_qutrits_absent_up_to_cap_four(self):
+        report = hierarchy_level(_lines(2, "R 0"), 4)
+        assert report.level is None and "undecided" in report.text()
+
+
+class TestHierarchyOracle:
+    """The generator rule at level 3 against the all-Pauli definition."""
+
+    @staticmethod
+    def _inputs(rng, n: int) -> dict:
+        def conj(core: UnitaryMatrix) -> UnitaryMatrix:
+            c = circuit_matrix(random_word(rng, CLIFFORD_KINDS, n, 8))
+            return c @ core @ c.dag()
+
+        element = rng.choice(list(pauli_elements(n)))
+        inputs = {
+            "pauli": PauliElement(element.x_exps, element.z_exps,
+                                  rng.choice(WITNESS_UNITS)).matrix(),
+            "clifford": conj(circuit_matrix(random_word(rng, CLIFFORD_KINDS, n, 8))),
+            "ctc": conj(_lines(n, f"T {rng.randrange(n)}")),
+            "r": conj(_lines(n, f"R {rng.randrange(n)}")),
+        }
+        if n == 1:
+            inputs["zeta9_phase"] = conj(_lines(1, "ZPHASE 0 1/3 0"))
+        else:
+            inputs["lambda_t"] = _lines(2, "LAMBDA[T 1] 0")
+        return inputs
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_same_level_as_the_all_pauli_rule(self, n, rng):
+        levels = set()
+        for name, m in self._inputs(rng, n).items():
+            memo: dict = {}
+            for cap in (3, 4):
+                if n == 2 and cap == 4 and name in ("r", "lambda_t"):
+                    continue  # seconds in the oracle; see the next test
+                want = _oracle_level(m, cap, memo)
+                assert hierarchy_level(m, cap).level == want, (name, cap)
+                levels.add(want)
+        assert levels == ({1, 2, 3, 4, None} if n == 1 else {1, 2, 3, None})
+
+    def test_same_level_three_verdicts_inside_the_level_four_search(self, rng):
+        # at cap 4 both rules run the same loop over all 80 Pauli conjugates
+        # U P U^dag and differ only in the level-3 test of each one; the full
+        # all-Pauli search takes seconds here, so compare seeded conjugates
+        paulis = [p.matrix() for p in pauli_elements(2)]
+        verdicts = set()
+        for text in ("LAMBDA[T 1] 0", "R 0"):
+            u = _lines(2, text)
+            for p in rng.sample(paulis, 3):
+                c = u @ p @ u.dag()
+                want = _oracle_at_most(c, 3, paulis, {})
+                assert (hierarchy_level(c, 3).level is not None) == want, text
+                verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestRingVerdicts:

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qutrit_exact
+from qutrit_exact.analysis import is_clifford
 from qutrit_exact.circuit.core import Op
 from qutrit_exact.circuit.macros import DATA_ENV, circuits_dir
 from qutrit_exact.circuit.parse import parse_circuit
@@ -27,6 +28,12 @@ from qutrit_exact.sim.matrix import controlled_target, equal_exact
 
 def _gate(kind: str, params: tuple = ()):
     return gate_matrix(Op(kind, (0,), params=params), 1)
+
+
+_WIDE_CLIFFORD = "DIM_MISMATCH: expected between 1 and 2 qutrits, got dimension 27"
+_WIDE_HIERARCHY = (
+    "DIM_MISMATCH: hierarchy search expects one or two qutrits, got dimension 27"
+)
 
 
 class TestTargetExpressions:
@@ -244,6 +251,81 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "qutrits,options,message",
+        [
+            (2, ["--clifford", "--obstruct"],
+             "DIM_MISMATCH: --obstruct applies to single-qutrit circuits only"),
+            (1, ["--clifford", "--ring", "bogus"], "unknown ring tag: 'bogus'"),
+            (1, ["--clifford", "--hierarchy", "0"], "cap must be between 1 and 5"),
+            (1, ["--clifford", "--hierarchy", "99"], "cap must be between 1 and 5"),
+            (2, ["--clifford", "--hierarchy", "9", "--obstruct"],
+             "cap must be between 1 and 5"),
+            (3, ["--clifford"], _WIDE_CLIFFORD),
+            (3, ["--hierarchy", "3"], _WIDE_HIERARCHY),
+            (3, ["--hierarchy", "0"], _WIDE_HIERARCHY),
+            (3, ["--ring", "bogus", "--hierarchy", "3"], _WIDE_HIERARCHY),
+            (3, ["--clifford", "--hierarchy", "3"], _WIDE_CLIFFORD),
+            (3, ["--clifford", "--hierarchy", "0"], _WIDE_CLIFFORD),
+            (3, ["--obstruct", "--clifford"], _WIDE_CLIFFORD),
+        ],
+    )
+    def test_classify_rejection_message(self, tmp_path, capsys, qutrits, options, message):
+        # with several faults, the one named is that of the first check in
+        # the order --clifford, --hierarchy, --ring, --obstruct
+        path = tmp_path / "t.qc"
+        path.write_text(f"qutrits {qutrits}\nT 0\n")
+        assert main(["classify", str(path), *options]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "lines,calls",
+        [("H 0\nCX 0 1\nS 1", 1), ("X 0\nZ 1", 1), ("H 0\nT 1\nCX 1 0", 5)],
+    )
+    def test_classify_runs_one_clifford_test_on_the_matrix(
+        self, tmp_path, capsys, monkeypatch, lines, calls
+    ):
+        path = tmp_path / "c.qc"
+        path.write_text(f"qutrits 2\n{lines}\n")
+        seen = []
+
+        def counted(m, *args):
+            seen.append(m)
+            return is_clifford(m, *args)
+
+        monkeypatch.setattr("qutrit_exact.cli.main.is_clifford", counted)
+        monkeypatch.setattr("qutrit_exact.analysis.hierarchy.is_clifford", counted)
+        main(["classify", str(path), "--clifford", "--hierarchy", "3"])
+        m = circuit_matrix(parse_circuit(path.read_text()))
+        assert sum(seen_m == m for seen_m in seen) == 1
+        assert len(seen) == calls  # plus one per generator conjugate at level 3
+
+    def test_classify_two_qutrit_clifford_output(self, tmp_path, capsys):
+        path = tmp_path / "c.qc"
+        path.write_text("qutrits 2\nH 0\nCX 0 1\nS 1\n")
+        assert main(["classify", str(path), "--clifford", "--hierarchy", "3"]) == 0
+        images = (
+            "  Clifford generator images:\n"
+            "  X_0 -> X^0Z^1 (x) X^0Z^0\n"
+            "  Z_0 -> (omega) * X^2Z^0 (x) X^2Z^2\n"
+            "  X_1 -> X^0Z^0 (x) X^1Z^1\n"
+            "  Z_1 -> X^0Z^2 (x) X^0Z^1\n"
+        )
+        assert capsys.readouterr().out == (
+            "clifford: true\n" + images + "level: 2\n  hierarchy level 2 (cap 3)\n" + images
+        )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_classify_level_three_lists_the_generators(self, tmp_path, capsys, n):
+        path = tmp_path / "t.qc"
+        path.write_text(f"qutrits {n}\nT 0\n")
+        assert main(["classify", str(path), "--hierarchy", "3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["level: 3", "  hierarchy level 3 (cap 3)"]
+        names = [f"{kind}_{w}" for w in range(n) for kind in "XZ"]
+        assert [line.split()[0] for line in out[2:]] == names
+        assert all("conjugate is Clifford: X_0 -> " in line for line in out[2:])
 
     def test_classify_without_flags_errors(self, t_file, capsys):
         assert main(["classify", t_file]) == 2

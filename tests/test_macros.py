@@ -73,6 +73,15 @@ class TestDataFiles:
         with pytest.raises(UnknownMacroError):
             load_named("c2tau12")  # absent from the override directory
 
+    def test_expansion_follows_the_directory_override(self, tmp_path, monkeypatch):
+        circ = parse_circuit("qutrits 3\nC2[X 2] 0\n")
+        bundled = expand_macros(circ)
+        (tmp_path / "c2x.qc").write_text("qutrits 2\nH 0\nCX 1 0\n")
+        monkeypatch.setenv(DATA_ENV, str(tmp_path))
+        assert expand_macros(circ).ops == (Op("H", (0,)), Op("CX", (2, 0)))
+        monkeypatch.delenv(DATA_ENV)
+        assert expand_macros(circ) == bundled
+
     def test_unknown_stem(self):
         with pytest.raises(UnknownMacroError):
             load_named("未registered")
