@@ -1,6 +1,6 @@
 """Adjoint representation, block residue patterns, and T-count obstructions."""
 
-from qutrit_exact.adjoint.basis import AdjointBasis, BASIS_NORM, build_basis
+from qutrit_exact.adjoint.basis import BASIS_NORM, build_basis
 from qutrit_exact.adjoint.patterns import (
     BORDERED_ONES,
     BORDERED_TWOS,
@@ -15,11 +15,9 @@ from qutrit_exact.adjoint.rep import (
     adjoint_of,
     basis,
     block_lde,
-    identity_adjoint,
 )
 
 __all__ = [
-    "AdjointBasis",
     "AdjointMatrix",
     "BASIS_NORM",
     "BORDERED_ONES",
@@ -30,7 +28,6 @@ __all__ = [
     "basis",
     "block_lde",
     "build_basis",
-    "identity_adjoint",
     "pattern_equiv",
     "residue_pattern",
     "single_qutrit_ct_obstruction",

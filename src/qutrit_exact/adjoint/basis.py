@@ -13,10 +13,8 @@ minus-type elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from qutrit_exact.circuit.core import Op
-from qutrit_exact.rings.cyclo import Cyclo36, embed
+from qutrit_exact.rings.cyclo import ZERO, Cyclo36, embed
 from qutrit_exact.sim.gates import gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
@@ -29,29 +27,14 @@ _LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class AdjointBasis:
-    """The eight unnormalized basis elements, in the documented order."""
-
-    mats: tuple[UnitaryMatrix, ...]
-    labels: tuple[str, ...] = _LABELS
-
-    def __len__(self) -> int:
-        return 8
-
-    def __getitem__(self, i: int) -> UnitaryMatrix:
-        return self.mats[i]
-
-
 def _pauli_words() -> tuple[UnitaryMatrix, ...]:
     z, x = (gate_matrix(Op(kind, (0,)), 1) for kind in ("Z", "X"))
     return z, x, x @ z, x @ z @ z
 
 
-def build_basis() -> AdjointBasis:
+def build_basis() -> tuple[UnitaryMatrix, ...]:
     """Construct the basis and verify all its structural invariants."""
     i_unit = embed("i")
-    zero = Cyclo36.from_int(0)
     mats = []
     for p in _pauli_words():
         pd = p.dag()
@@ -68,16 +51,16 @@ def build_basis() -> AdjointBasis:
         mats.append(UnitaryMatrix(minus_rows))
 
     for m in mats:
-        if m.trace() != zero:
+        if m.trace() != ZERO:
             raise AssertionError("basis element is not traceless")
         if m.dag() != m:
             raise AssertionError("basis element is not Hermitian")
     for i, a in enumerate(mats):
         for j, b in enumerate(mats):
             t = (a @ b).trace()
-            want = BASIS_NORM if i == j else zero
+            want = BASIS_NORM if i == j else ZERO
             if t != want:
                 raise AssertionError(
                     f"<{_LABELS[i]}, {_LABELS[j]}> = {t}, expected {want}"
                 )
-    return AdjointBasis(tuple(mats))
+    return tuple(mats)

@@ -3,25 +3,20 @@
 U is Clifford iff conjugation maps every Pauli to a phased Pauli; because
 the Pauli group is closed under multiplication it suffices to check the
 generators X_w and Z_w.  The test solves U G = w * (Q U) for a phase-free
-Pauli Q = X(a)Z(b) and unit w without forming Q U explicitly:
-
-    (Q U)[r][c] = omega^(b.(r - a)) * U[r - a][c]   (digitwise index shifts)
-
-so U G is compared entry-by-entry against a shifted, phase-twisted copy of
-U itself.  Row-support masks prune translation candidates, and all products
-are cross-multiplied so no division happens until a witness is extracted.
+Pauli Q = X(a)Z(b) and unit w without forming Q U: U G is U with its
+columns relabeled or phased, and ``analysis.pauli.match_pauli`` reads a, b
+and w off the rows of U G against the rows of U.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from qutrit_exact.analysis.pauli import PauliElement, digits, undigits
-from qutrit_exact.rings.cyclo import Cyclo36
+from qutrit_exact.analysis.pauli import (
+    PauliElement, _check_n, digits, match_pauli, undigits,
+)
+from qutrit_exact.rings.cyclo import ZERO, Cyclo36
 from qutrit_exact.sim.matrix import UnitaryMatrix
-
-_ZERO = Cyclo36.from_int(0)
 
 
 @dataclass(frozen=True)
@@ -47,7 +42,7 @@ def _right_multiply_generator(
 ) -> list[list[Cyclo36]]:
     """Rows of m @ G for G = X_wire or Z_wire, by column relabeling."""
     dim = m.dim
-    out = [[_ZERO] * dim for _ in range(dim)]
+    out = [[ZERO] * dim for _ in range(dim)]
     for c in range(dim):
         ds = digits(c, n)
         if kind == "X":
@@ -61,57 +56,13 @@ def _right_multiply_generator(
     return out
 
 
-def _match_pauli_image(
-    m: UnitaryMatrix, v: list[list[Cyclo36]], n: int
-) -> PauliElement | None:
-    """Find w * X(a)Z(b) with v == w * (X(a)Z(b) @ m), or None."""
-    dim = m.dim
-    mask_u = [
-        sum(1 << c for c in range(dim) if m.entry(r, c) != _ZERO) for r in range(dim)
-    ]
-    mask_v = [
-        sum(1 << c for c in range(dim) if v[r][c] != _ZERO) for r in range(dim)
-    ]
-    r0 = next(r for r in range(dim) if mask_v[r])
-    c0 = next(c for c in range(dim) if v[r0][c] != _ZERO)
-
-    for a in itertools.product(range(3), repeat=n):
-        shifted = [undigits(tuple(d - x for d, x in zip(digits(r, n), a))) for r in range(dim)]
-        if any(mask_v[r] != mask_u[shifted[r]] for r in range(dim)):
-            continue
-        ref_u = m.entry(shifted[r0], c0)
-        ref_v = v[r0][c0]
-        for b in itertools.product(range(3), repeat=n):
-            pow0 = sum(bb * d for bb, d in zip(b, digits(shifted[r0], n)))
-            lhs_ref = ref_u * Cyclo36.omega_pow(pow0)
-            ok = True
-            for r in range(dim):
-                row_pow = sum(bb * d for bb, d in zip(b, digits(shifted[r], n)))
-                twist = Cyclo36.omega_pow(row_pow)
-                for c in range(dim):
-                    if not mask_v[r] >> c & 1:
-                        continue
-                    if v[r][c] * lhs_ref != ref_v * twist * m.entry(shifted[r], c):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                w = ref_v * Cyclo36.omega_pow(pow0).conjugate() * ref_u.inverse()
-                return PauliElement(a, b, w)
-    return None
-
-
 def is_clifford(m: UnitaryMatrix, limit: int = 2) -> CliffordCertificate:
     """Certify that conjugation by ``m`` preserves the Pauli group."""
-    from qutrit_exact.analysis.pauli import _check_n
-
     n = _check_n(m, limit)
     images = []
     for wire in range(n):
         for kind in ("X", "Z"):
-            v = _right_multiply_generator(m, kind, wire, n)
-            image = _match_pauli_image(m, v, n)
+            image = match_pauli(m, _right_multiply_generator(m, kind, wire, n), n)
             name = f"{kind}_{wire}"
             if image is None:
                 return CliffordCertificate(False, tuple(images), name)

@@ -1,19 +1,32 @@
-"""Pauli-group elements and the exact phase-aware Pauli test.
+"""Pauli-group elements, the one phased-Pauli solver and the Pauli test.
 
 A phase-free Pauli on n qutrits is a tensor product of per-wire factors
 X^a Z^b (a, b in Z_3); its matrix has exactly one nonzero entry per column,
 at the digitwise-translated row, with value a power of omega that is linear
-in the column digits.  The recognizer accepts any unitary equal to such an
-element times a unit from the finite witness set {+-zeta_9^k} (18 units),
-the global phases reachable by circuits over the supported gate set.
+in the column digits.  ``match_pauli`` answers "which w * X(a)Z(b) is this?"
+for both the Pauli test and the Clifford test: left multiplication acts on
+rows as
+
+    (X(a)Z(b) m)[r] = omega^(b.(r - a)) * m[r - a]   (digitwise index shifts)
+
+so for each translation a whose row supports fit, every row of v must be
+proportional to row r - a of m (checked cross-multiplied, with no division)
+with ratio omega^k_r times that of a reference row, and b solves the integer
+conditions b.(d(r - a) - d(r0 - a)) = k_r (mod 3).  The recognizer accepts a
+unitary equal to such an element times a unit from the finite witness set
+{+-zeta_9^k} (18 units), the global phases reachable by circuits over the
+supported gate set.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from operator import mul
+from typing import Sequence
 
 from qutrit_exact.errors import DimMismatchError
-from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
+from qutrit_exact.rings.cyclo import MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO, Cyclo36
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 #: Units w such that w * (phase-free Pauli) is still accepted: +-zeta_9^k.
@@ -62,7 +75,7 @@ class PauliElement:
     def matrix(self) -> UnitaryMatrix:
         n = self.n
         dim = 3**n
-        rows = [[Cyclo36.from_int(0)] * dim for _ in range(dim)]
+        rows = [[ZERO] * dim for _ in range(dim)]
         for col in range(dim):
             ds = digits(col, n)
             row = undigits(tuple(d + a for d, a in zip(ds, self.x_exps)))
@@ -83,8 +96,6 @@ class PauliElement:
 
 def pauli_elements(n: int, include_identity: bool = False):
     """All 9^n phase-free Pauli elements (minus identity unless asked)."""
-    import itertools
-
     for xs in itertools.product(range(3), repeat=n):
         for zs in itertools.product(range(3), repeat=n):
             p = PauliElement(xs, zs)
@@ -124,47 +135,64 @@ def _check_n(m: UnitaryMatrix, limit: int = 2) -> int:
     return n
 
 
+_OMEGA_POWERS = (ONE, OMEGA, OMEGA2)
+
+
+def _row_phases(m_rows, v, src, live, support) -> list[int] | None:
+    """k_r with v[r] = omega^k_r * c * m[src[r]] for r in ``live``, one c for all, or None.
+
+    Proportionality within a row and the ratio to the reference row live[0]
+    are both tested cross-multiplied, so nothing is divided.
+    """
+    r0, c0 = live[0], support[live[0]][0]
+    ref_m, ref_v = m_rows[src[r0]][c0], v[r0][c0]
+    ks = []
+    for r in live:
+        m_row, v_row = m_rows[src[r]], v[r]
+        c, *rest = support[r]
+        if any(v_row[j] * m_row[c] != v_row[c] * m_row[j] for j in rest):
+            return None
+        lhs, rhs = v_row[c] * ref_m, m_row[c] * ref_v
+        k = next((k for k, z in enumerate(_OMEGA_POWERS) if lhs == rhs * z), None)
+        if k is None:
+            return None
+        ks.append(k)
+    return ks
+
+
+def match_pauli(
+    m: UnitaryMatrix, v: Sequence[Sequence[Cyclo36]], n: int
+) -> PauliElement | None:
+    """Find w * X(a)Z(b) with v == w * (X(a)Z(b) @ m), or None."""
+    dim, m_rows = m.dim, m.rows
+    ds = [digits(r, n) for r in range(dim)]
+    support_m = [tuple(c for c, e in enumerate(row) if e) for row in m_rows]
+    support = [tuple(c for c, e in enumerate(row) if e) for row in v]
+    live = [r for r in range(dim) if support[r]]  # rows of v with a nonzero entry
+    if not live:
+        return None
+    for a in itertools.product(range(3), repeat=n):
+        src = [undigits(tuple(d - x for d, x in zip(ds[r], a))) for r in range(dim)]
+        if any(support[r] != support_m[src[r]] for r in range(dim)):
+            continue
+        ks = _row_phases(m_rows, v, src, live, support)
+        if ks is None:
+            continue
+        r0 = live[0]
+        d0 = ds[src[r0]]
+        diffs = [tuple(x - y for x, y in zip(ds[src[r]], d0)) for r in live]
+        for b in itertools.product(range(3), repeat=n):
+            if all(sum(map(mul, b, d)) % 3 == k for d, k in zip(diffs, ks)):
+                c0 = support[r0][0]
+                w = v[r0][c0] * m_rows[src[r0]][c0].inverse()
+                return PauliElement(a, b, w * Cyclo36.omega_pow(-sum(map(mul, b, d0))))
+    return None
+
+
 def is_pauli(m: UnitaryMatrix, limit: int = 2) -> PauliWitness:
     """Test whether ``m`` = w * X(a)Z(b) with w in the 18-unit witness set."""
     n = _check_n(m, limit)
-    dim = m.dim
-    zero = Cyclo36.from_int(0)
-
-    # translation part from column 0
-    col0 = [m.entry(r, 0) for r in range(dim)]
-    support = [r for r in range(dim) if col0[r] != zero]
-    if len(support) != 1:
+    element = match_pauli(UnitaryMatrix.identity(m.dim), m.rows, n)
+    if element is None or element.phase not in _WITNESS_SET:
         return PauliWitness(False)
-    a = digits(support[0], n)
-    w = col0[support[0]]
-    if w not in _WITNESS_SET:
-        return PauliWitness(False)
-
-    # phase exponents from the unit-digit columns
-    b = []
-    for wire in range(n):
-        col = undigits(tuple(1 if k == wire else 0 for k in range(n)))
-        row = undigits(tuple(d + x for d, x in zip(digits(col, n), a)))
-        val = m.entry(row, col)
-        for cand in range(3):
-            if val == w * Cyclo36.omega_pow(cand):
-                b.append(cand)
-                break
-        else:
-            return PauliWitness(False)
-    element = PauliElement(a, tuple(b), w)
-
-    # full verification against the candidate element
-    for col in range(dim):
-        ds = digits(col, n)
-        row = undigits(tuple(d + x for d, x in zip(ds, a)))
-        e = sum(bb * d for bb, d in zip(element.z_exps, ds))
-        want = w * Cyclo36.omega_pow(e)
-        for r in range(dim):
-            got = m.entry(r, col)
-            if r == row:
-                if got != want:
-                    return PauliWitness(False)
-            elif got != zero:
-                return PauliWitness(False)
     return PauliWitness(True, element)

@@ -15,12 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qutrit_exact.analysis.pauli import WITNESS_UNITS
-from qutrit_exact.rings.cyclo import Cyclo36
+from qutrit_exact.rings.cyclo import ZERO, Cyclo36
 from qutrit_exact.errors import RingError
 from qutrit_exact.rings.membership import RingTag, in_ring
 from qutrit_exact.sim.matrix import UnitaryMatrix
-
-_ZERO = Cyclo36.from_int(0)
 
 
 def _tag(tag: RingTag | str) -> RingTag:
@@ -82,7 +80,7 @@ class Refutation:
 def matrix_ring_certificate(m: UnitaryMatrix, tag: RingTag | str) -> RingCertificate:
     """Search the 18 witness phases for one placing all entries in the ring."""
     rtag = _tag(tag)
-    entries = [e for row in m.rows for e in row if e != _ZERO]
+    entries = [e for row in m.rows for e in row if e != ZERO]
     for w in WITNESS_UNITS:
         if all(_member(w * e, rtag) for e in entries):
             return RingCertificate(True, rtag, w)
@@ -95,7 +93,7 @@ def refute_phase_membership(m: UnitaryMatrix, tag: RingTag | str) -> Refutation:
     distinct: dict[Cyclo36, None] = {}
     for row in m.rows:
         for e in row:
-            if e != _ZERO:
+            if e != ZERO:
                 distinct.setdefault(e, None)
     entries = list(distinct)
     for a in entries:

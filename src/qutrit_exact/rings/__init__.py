@@ -3,7 +3,7 @@
 from .alpha import AlphaElem, DalphaElem, k_residue, lde, residue, to_alpha
 from .cyclo import MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO, ZETA9, Cyclo36, embed
 from ..errors import KTooSmallError, NotInAError, NotRealError, RingError
-from .membership import RingTag, in_ring, zeta9_coordinates
+from .membership import RingTag, in_ring
 from .polynomials import RootSearch, has_rational_root
 
 __all__ = [
@@ -29,5 +29,4 @@ __all__ = [
     "lde",
     "residue",
     "to_alpha",
-    "zeta9_coordinates",
 ]

@@ -126,13 +126,6 @@ class Cyclo36:
         """zeta_9 ** e with zeta_9 = zeta^4."""
         return cls(_POWER_TABLE[(4 * e) % 36], 1)
 
-    @classmethod
-    def from_fraction_vector(cls, coeffs: Iterable[Fraction]) -> Cyclo36:
-        coeffs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-        nums = [int(c * den) for c in coeffs]
-        return cls(nums, den)
-
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -16,13 +16,12 @@ Tags name the subrings that certify gate-set membership:
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
 from .alpha import to_alpha
 from .cyclo import Cyclo36
 from ..errors import NotInAError, NotRealError
 
-__all__ = ["RingTag", "in_ring", "zeta9_coordinates"]
+__all__ = ["RingTag", "in_ring"]
 
 
 class RingTag(enum.Enum):
@@ -50,14 +49,6 @@ def _is_power_of_3(n: int) -> bool:
     while n % 3 == 0:
         n //= 3
     return n == 1
-
-
-def zeta9_coordinates(x: Cyclo36) -> tuple[Fraction, ...] | None:
-    """Coordinates of x over 1, zeta_9, ..., zeta_9^5, or None if x is not in Q(zeta_9)."""
-    coords = x.zeta9_coords()
-    if coords is None:
-        return None
-    return tuple(Fraction(c, x.denominator) for c in coords)
 
 
 def in_ring(x: Cyclo36, tag: RingTag) -> bool:

@@ -1,6 +1,7 @@
 """Recognition: Pauli/Clifford certificates, hierarchy levels, ring verdicts."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -15,10 +16,11 @@ from qutrit_exact.analysis import (
     pauli_elements,
     refute_phase_membership,
 )
+from qutrit_exact.analysis.pauli import match_pauli
 from qutrit_exact.circuit.core import Op
 from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.errors import DimMismatchError
-from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
+from qutrit_exact.rings.cyclo import OMEGA, Cyclo36, MINUS_ONE, ONE
 from qutrit_exact.rings.membership import RingTag, in_ring
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact
@@ -95,6 +97,85 @@ class TestPauliRecognition:
             is_pauli(UnitaryMatrix.identity(27))
         with pytest.raises(DimMismatchError):
             is_pauli(UnitaryMatrix.identity(4))
+
+
+@lru_cache(maxsize=None)
+def _phased_paulis(n: int) -> dict:
+    """All 9^n * 18 products w * P of a Pauli P and a witness unit w, keyed by matrix."""
+    return {
+        q.matrix().rows: q
+        for p in pauli_elements(n, include_identity=True)
+        for q in (PauliElement(p.x_exps, p.z_exps, w) for w in WITNESS_UNITS)
+    }
+
+
+def _brute_match(m: UnitaryMatrix, v: UnitaryMatrix) -> PauliElement | None:
+    """The w * P above with v == w * P @ m (m unitary), or None."""
+    return _phased_paulis(1 if m.dim == 3 else 2).get((v @ m.dag()).rows)
+
+
+def _ct_matrices(rng, n: int, count: int) -> list[UnitaryMatrix]:
+    return [circuit_matrix(random_word(rng, CT_KINDS, n, 12)) for _ in range(count)]
+
+
+class TestMatchPauli:
+    """The phased-Pauli solver against a search over all phased Paulis."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_phased_pauli_times_m_is_matched_exactly(self, n, rng):
+        paulis = list(pauli_elements(n, include_identity=True))
+        for m in _ct_matrices(rng, n, 4):
+            for p in rng.sample(paulis, 6):
+                q = PauliElement(p.x_exps, p.z_exps, rng.choice(WITNESS_UNITS))
+                v = q.matrix() @ m
+                assert match_pauli(m, v.rows, n) == q == _brute_match(m, v)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_near_misses_are_rejected(self, n, rng):
+        s0 = gate_matrix(Op("S", (0,)), n)
+        paulis = list(pauli_elements(n, include_identity=True))
+        for m in _ct_matrices(rng, n, 4):
+            v = rng.choice(paulis).matrix() @ m
+            rows = [list(row) for row in v.rows]
+            bumped = [row[:] for row in rows]
+            r = rng.randrange(m.dim)
+            bumped[r] = [OMEGA * e for e in rows[r]]  # one row times an extra omega
+            swapped = [row[:] for row in rows]
+            r, i, j = next(
+                (r, i, j)
+                for r, row in enumerate(rows)
+                for i in range(m.dim)
+                for j in range(i)
+                if row[i] not in (row[j], -row[j])
+            )
+            swapped[r][i], swapped[r][j] = rows[r][j], rows[r][i]
+            # one row times -1, which is not a power of omega
+            negated = [
+                UnitaryMatrix(rows[:r] + [[-e for e in rows[r]]] + rows[r + 1:])
+                for r in range(m.dim)
+            ]
+            # s0 @ v: every row proportional to v's, but the phases are not linear
+            for near in (UnitaryMatrix(bumped), s0 @ v, UnitaryMatrix(swapped), *negated):
+                assert match_pauli(m, near.rows, n) is None
+                assert _brute_match(m, near) is None
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_is_pauli_agrees_with_the_search(self, n, rng):
+        ident = UnitaryMatrix.identity(3**n)
+        p = rng.choice(list(pauli_elements(n)))
+        zeta = Cyclo36.zeta_pow(1)  # a 36th root of unity, not a witness unit
+        phased = p.matrix().scale(zeta)
+        assert match_pauli(ident, phased.rows, n) == PauliElement(p.x_exps, p.z_exps, zeta)
+        candidates = [
+            PauliElement(p.x_exps, p.z_exps, rng.choice(WITNESS_UNITS)).matrix(),
+            phased,
+            gate_matrix(Op("S", (0,)), n) @ p.matrix(),
+            *_ct_matrices(rng, n, 4),
+        ]
+        for m in candidates:
+            witness = is_pauli(m)
+            assert witness.element == _brute_match(ident, m)
+            assert bool(witness) == (witness.element is not None)
 
 
 class TestCliffordRecognition:

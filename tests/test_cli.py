@@ -327,6 +327,25 @@ class TestCommands:
         assert [line.split()[0] for line in out[2:]] == names
         assert all("conjugate is Clifford: X_0 -> " in line for line in out[2:])
 
+    def test_classify_level_three_certificate_on_two_qutrits(self, tmp_path, capsys):
+        path = tmp_path / "t.qc"
+        path.write_text("qutrits 2\nT 0\n")
+        assert main(["classify", str(path), "--hierarchy", "3"]) == 0
+        x0, z0 = "X^1Z^0 (x) X^0Z^0", "X^0Z^1 (x) X^0Z^0"
+        x1, z1 = "X^0Z^0 (x) X^1Z^0", "X^0Z^0 (x) X^0Z^1"
+        assert capsys.readouterr().out == (
+            "level: 3\n"
+            "  hierarchy level 3 (cap 3)\n"
+            "  X_0 conjugate is Clifford: X_0 -> X^1Z^2 (x) X^0Z^0, "
+            f"Z_0 -> (omega^2) * {z0}, X_1 -> {x1}, Z_1 -> {z1}\n"
+            "  Z_0 conjugate is Clifford: "
+            f"X_0 -> (omega) * {x0}, Z_0 -> {z0}, X_1 -> {x1}, Z_1 -> {z1}\n"
+            "  X_1 conjugate is Clifford: "
+            f"X_0 -> {x0}, Z_0 -> {z0}, X_1 -> {x1}, Z_1 -> (omega^2) * {z1}\n"
+            "  Z_1 conjugate is Clifford: "
+            f"X_0 -> {x0}, Z_0 -> {z0}, X_1 -> (omega) * {x1}, Z_1 -> {z1}\n"
+        )
+
     def test_classify_without_flags_errors(self, t_file, capsys):
         assert main(["classify", t_file]) == 2
         assert "error:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ with sympy's own polynomial code and must agree with the package exactly.
 The alpha ring is checked the same way in QQ[a]/(64a^6 - 96a^4 + 36a^2 - 3).
 """
 
+import math
 from fractions import Fraction
 
 from sympy import QQ, cyclotomic_poly, symbols
@@ -27,9 +28,9 @@ def to_poly(a: Cyclo36):
 def from_poly(p) -> Cyclo36:
     p = p.rem(PHI36)
     coeffs = [p.coeff(x**k) for k in range(12)]
-    return Cyclo36.from_fraction_vector(
-        Fraction(int(c.numerator), int(c.denominator)) for c in coeffs
-    )
+    fracs = [Fraction(int(c.numerator), int(c.denominator)) for c in coeffs]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return Cyclo36([int(f * den) for f in fracs], den)
 
 
 class TestRingOracle:
