@@ -75,6 +75,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"circuit acts on a {m.dim}-dimensional space "
             f"but the target acts on {target.dim} dimensions"
         )
+    if args.mode == "cphase":  # parsed before anything is printed, like classify's checks
+        if args.phase is None:
+            raise ValueError("--mode cphase requires --phase VALUE")
+        phase = parse_phase_value(args.phase)
     print(f"mode: {args.mode}")
     if args.mode == "exact":
         ok = equal_exact(m, target)
@@ -86,9 +90,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"phase: {match.phase}")
         detail = "circuit matrix equals a unit multiple of the target"
     else:  # cphase
-        if args.phase is None:
-            raise ValueError("--mode cphase requires --phase VALUE")
-        phase = parse_phase_value(args.phase)
         print(f"phase: {phase}")
         ok = equal_exact(m, target.scale(phase))
         detail = "circuit matrix equals phase * target entrywise"

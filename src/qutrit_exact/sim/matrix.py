@@ -63,16 +63,23 @@ class UnitaryMatrix:
     def __matmul__(self, other: UnitaryMatrix) -> UnitaryMatrix:
         if self.dim != other.dim:
             raise DimMismatchError(f"{self.dim} vs {other.dim}")
-        cols = tuple(zip(*other._rows))
+        # each factor's nonzero entries are found once per product, not once
+        # per term, and a sum starts from its first term rather than ZERO
+        rows = [[(k, a) for k, a in enumerate(row) if not a.is_zero()] for row in self._rows]
+        cols = [
+            {k: b for k, b in enumerate(col) if not b.is_zero()}
+            for col in zip(*other._rows)
+        ]
         out = []
-        for row in self._rows:
+        for row in rows:
             out_row = []
             for col in cols:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                out_row.append(acc)
+                acc = None
+                for k, a in row:
+                    if k in col:
+                        term = a * col[k]
+                        acc = term if acc is None else acc + term
+                out_row.append(ZERO if acc is None else acc)
             out.append(tuple(out_row))
         return UnitaryMatrix(out)
 

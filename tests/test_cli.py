@@ -181,10 +181,15 @@ class TestCommands:
         ) == 1
 
     def test_verify_cphase_requires_phase(self, t_file, capsys):
-        assert main(
-            ["verify", t_file, "--target", "T", "--mode", "cphase"]
-        ) == 2
-        assert "error:" in capsys.readouterr().err
+        # a missing or malformed phase is refused before anything is printed
+        for options, error in (
+            ([], "error: --mode cphase requires --phase VALUE\n"),
+            (["--phase", "bogus"], "error: line 1, col 1: bad phase value 'bogus'\n"),
+        ):
+            assert main(
+                ["verify", t_file, "--target", "T", "--mode", "cphase", *options]
+            ) == 2
+            assert capsys.readouterr() == ("", error), options
 
     def test_verify_dimension_mismatch_is_an_error(self, t_file, capsys):
         assert main(["verify", t_file, "--target", "R x I"]) == 2
@@ -503,3 +508,4 @@ class TestExitContractFuzz:
                 assert "Traceback" not in err.getvalue()
                 if code == 2:
                     assert "error:" in err.getvalue(), argv
+                    assert out.getvalue() == "", argv

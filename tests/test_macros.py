@@ -1,7 +1,9 @@
 """Macro expansion: data-file constructions, T-counts, and obstructions."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -35,9 +37,23 @@ def _single(kind: str, params: tuple = ()) -> UnitaryMatrix:
     return gate_matrix(Op(kind, (0,), params=params), 1)
 
 
+_REPO = Path(__file__).resolve().parents[1]
 _CONTROLLED = [row for row in CONSTRUCTIONS if row[1].startswith("C2")]
 _BORROWED = [(stem, tcount) for stem, line, tcount in CONSTRUCTIONS if line == "R 0"]
 _ALIAS = "C2[TAU(012) 1] 0"  # the one op outside the table; it splices c2x, as X = TAU(012)
+
+
+class TestProvenance:
+    def test_derive_macros_regenerates_every_bundled_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(DATA_ENV, str(tmp_path))  # derive() reads no data file
+        spec = importlib.util.spec_from_file_location(
+            "derive_macros", _REPO / "tools" / "derive_macros.py"
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        derived = {stem: text.encode() for stem, text in tool.derive().items()}
+        committed = {path.stem: path.read_bytes() for path in (_REPO / "circuits").glob("*.qc")}
+        assert derived == committed
 
 
 class TestDataFiles:

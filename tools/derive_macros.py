@@ -11,6 +11,7 @@ Every circuit under circuits/ is reconstructed here from scratch:
   permutation gates.  Each line cycle shifts one affine line of the 3x3 digit
   grid along its direction and costs 3 T gates; the two-controlled transposition
   is odd, so it factors as (odd affine permutation) * (even product of cycles).
+  The search stops after the first layer that holds such a factorization.
   15 T gates.
 * ``c2sdg_phase`` -- phase kickback: commuting one T through the controlled X
   leaves blockdiag(I, I, zeta * Sdg).  8 T gates.
@@ -26,10 +27,19 @@ Every circuit under circuits/ is reconstructed here from scratch:
   39 T gates.  ``r_construction_naive`` uses two c2neg_hdg blocks instead of
   c2neg_tau12 (Hdg^2 = -tau12): 63 T gates.
 
+Every basis permutation used in the searches (X, its inverse, the TAUs and both
+CXs, the two-controlled X and tau12) is read off the package's gate matrices by
+``perm_of``; a permutation is a 9-byte ``bytes`` object, composed with
+``bytes.translate``.  The peephole pass cancels a gate followed by its
+``adjoint``.
+
 The targets and T-counts come from the table of bundled constructions,
 ``qutrit_exact.circuit.macros.CONSTRUCTIONS``: every file is written only after
 ``qutrit_exact.cli.catalog.check_equation`` finds that its matrix equals the
 op of its row exactly and that its T count equals the row's pinned value.
+
+Run ``python3 tools/derive_macros.py`` to rewrite circuits/; ``derive()``
+returns the same file texts without writing them.
 """
 
 from __future__ import annotations
@@ -43,8 +53,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qutrit_exact.circuit.core import Circuit, Op, adjoint, print_circuit
 from qutrit_exact.circuit.macros import CONSTRUCTIONS
+from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.cli.catalog import check_equation
-from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
+from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE, ZERO
 from qutrit_exact.sim import UnitaryMatrix, gate_matrix
 
 OUT_DIR = Path(__file__).resolve().parents[1] / "circuits"
@@ -65,17 +76,11 @@ def gate1(kind: str, wire: int = 0, params: tuple = ()) -> UnitaryMatrix:
 # peephole tidy-up (derivation-time only; never touches T gates)
 
 _TRIPLE = {"X", "Z", "S", "CX"}
-_PAIR = {
-    ("H", "HDG"), ("HDG", "H"), ("S", "SDG"), ("SDG", "S"),
-    ("X", "TAU:021"), ("TAU:021", "X"), ("TAU:012", "TAU:021"), ("TAU:021", "TAU:012"),
-    ("TAU:01", "TAU:01"), ("TAU:02", "TAU:02"), ("TAU:12", "TAU:12"),
-}
 
 
-def _tag(op: Op) -> str:
-    if op.kind == "TAU":
-        return f"TAU:{op.params[0]}"
-    return op.kind
+def _cancels(op: Op, nxt: Op) -> bool:
+    """``nxt`` undoes ``op``; T and TDG are kept, since they carry the T-count."""
+    return op.kind not in ("T", "TDG") and (nxt,) == adjoint(Circuit(2, (op,))).ops
 
 
 def simplify(ops: list[Op]) -> list[Op]:
@@ -94,11 +99,7 @@ def simplify(ops: list[Op]) -> list[Op]:
                 i += 3
                 changed = True
                 continue
-            if (
-                i + 1 < len(ops)
-                and ops[i].wires == ops[i + 1].wires
-                and (_tag(ops[i]), _tag(ops[i + 1])) in _PAIR
-            ):
+            if i + 1 < len(ops) and _cancels(ops[i], ops[i + 1]):
                 i += 2
                 changed = True
                 continue
@@ -140,93 +141,65 @@ def build_c2x() -> list[Op]:
 
 
 # ---------------------------------------------------------------------------
-# affine permutation machinery over the 3x3 digit grid
+# basis permutations of the 3x3 digit grid, read off the gate matrices
 
-Aff = tuple[int, int, int, int, int, int]  # (m00, m01, m10, m11, v0, v1), all mod 3
+# a permutation is 9 bytes: basis state 3*i + j goes to state perm[3*i + j]
+Perm = bytes
 
-AFF_ID: Aff = (1, 0, 0, 1, 0, 0)
-
-
-def aff_apply(a: Aff, x0: int, x1: int) -> tuple[int, int]:
-    return ((a[0] * x0 + a[1] * x1 + a[4]) % 3, (a[2] * x0 + a[3] * x1 + a[5]) % 3)
+IDENT: Perm = bytes(range(9))
 
 
-def aff_compose(g: Aff, s: Aff) -> Aff:
-    # g after s
-    m00 = (g[0] * s[0] + g[1] * s[2]) % 3
-    m01 = (g[0] * s[1] + g[1] * s[3]) % 3
-    m10 = (g[2] * s[0] + g[3] * s[2]) % 3
-    m11 = (g[2] * s[1] + g[3] * s[3]) % 3
-    v0 = (g[0] * s[4] + g[1] * s[5] + g[4]) % 3
-    v1 = (g[2] * s[4] + g[3] * s[5] + g[5]) % 3
-    return (m00, m01, m10, m11, v0, v1)
+def perm_of(op: Op) -> Perm:
+    """The basis permutation of a two-qutrit gate; ValueError unless its matrix is 0/1."""
+    mat = gate_matrix(op, 2)
+    img = bytes(row for col in range(9) for row in range(9) if mat.entry(row, col) != ZERO)
+    if sorted(img) != list(IDENT) or any(mat.entry(r, c) != ONE for c, r in enumerate(img)):
+        raise ValueError(f"{op} is not a permutation gate")
+    return img
 
 
-def aff_inverse(a: Aff) -> Aff:
-    det = (a[0] * a[3] - a[1] * a[2]) % 3
-    dinv = det  # 1->1, 2->2 since 2*2=4=1 mod 3
-    n00 = (dinv * a[3]) % 3
-    n01 = (-dinv * a[1]) % 3
-    n10 = (-dinv * a[2]) % 3
-    n11 = (dinv * a[0]) % 3
-    w0 = (-(n00 * a[4] + n01 * a[5])) % 3
-    w1 = (-(n10 * a[4] + n11 * a[5])) % 3
-    return (n00, n01, n10, n11, w0, w1)
+def line_op(stem: str) -> Op:
+    """The op that the table row of ``stem`` names."""
+    (op,) = parse_circuit(f"qutrits 2\n{TABLE[stem][0]}\n").ops
+    return op
 
 
-def aff_to_perm(a: Aff) -> tuple[int, ...]:
-    img = [0] * 9
-    for x0 in range(3):
-        for x1 in range(3):
-            y0, y1 = aff_apply(a, x0, x1)
-            img[3 * x0 + x1] = 3 * y0 + y1
-    return tuple(img)
+def table_of(p: Perm) -> bytes:
+    """The 256-byte table with which ``s.translate`` computes p after s."""
+    return p + bytes(range(9, 256))
 
 
-def perm_parity(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    parity = 0
-    for i in range(len(p)):
-        if not seen[i]:
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            parity ^= (length - 1) & 1
-    return parity
+def compose(g: Perm, s: Perm) -> Perm:
+    """g after s."""
+    return s.translate(table_of(g))
 
 
-# single-op generators: (name, affine map, op)
-def affine_generators() -> list[tuple[Aff, Op]]:
-    gens: list[tuple[Aff, Op]] = []
-    for w in (0, 1):
-        one = (1, 0) if w == 0 else (0, 1)
-        # X: +1 on wire w; Xdg: +2
-        gens.append(((1, 0, 0, 1, one[0], one[1]), Op("X", (w,))))
-        gens.append(((1, 0, 0, 1, 2 * one[0] % 3, 2 * one[1] % 3), Op("TAU", (w,), ("021",))))
-        # tau01: k -> 1-k; tau02: k -> 2-k; tau12: k -> 2k
-        neg = (2, 0, 0, 1, 0, 0) if w == 0 else (1, 0, 0, 2, 0, 0)
-        for label, shift in (("01", 1), ("02", 2)):
-            a = list(neg)
-            a[4 + w] = shift
-            gens.append((tuple(a), Op("TAU", (w,), (label,))))
-        gens.append((neg, Op("TAU", (w,), ("12",))))
-    gens.append(((1, 0, 1, 1, 0, 0), Op("CX", (0, 1))))  # (i,j) -> (i, i+j)
-    gens.append(((1, 1, 0, 1, 0, 0), Op("CX", (1, 0))))  # (i,j) -> (i+j, j)
-    return gens
+def inverse(p: Perm) -> Perm:
+    return bytes(p.index(x) for x in range(9))
 
 
-def bfs_affine_words() -> dict[Aff, list[Op]]:
+def perm_parity(p: Perm) -> int:
+    return sum(p[i] > p[j] for i in range(9) for j in range(i + 1, 9)) & 1
+
+
+# X, its inverse and the three transpositions on each wire, then both CXs; the
+# order picks which of several shortest words the BFS keeps
+AFFINE_GENERATORS = [
+    op
+    for w in (0, 1)
+    for op in [Op("X", (w,))] + [Op("TAU", (w,), (label,)) for label in ("021", "01", "02", "12")]
+] + [Op("CX", (0, 1)), Op("CX", (1, 0))]
+
+
+def bfs_affine_words() -> dict[Perm, list[Op]]:
     """Shortest gate word for every element of the affine group of the grid."""
-    gens = affine_generators()
-    words: dict[Aff, list[Op]] = {AFF_ID: []}
-    queue: deque[Aff] = deque([AFF_ID])
+    gens = [(table_of(perm_of(op)), op) for op in AFFINE_GENERATORS]
+    words: dict[Perm, list[Op]] = {IDENT: []}
+    queue: deque[Perm] = deque([IDENT])
     while queue:
         s = queue.popleft()
-        for a, op in gens:
-            nxt = aff_compose(a, s)
+        for table, op in gens:
+            nxt = s.translate(table)
             if nxt not in words:
                 words[nxt] = words[s] + [op]
                 queue.append(nxt)
@@ -234,88 +207,64 @@ def bfs_affine_words() -> dict[Aff, list[Op]]:
     return words
 
 
-# sanity: affine generator tables match the gate matrices exactly
-def check_affine_generators() -> None:
-    for a, op in affine_generators():
-        mat = gate_matrix(op, 2)
-        perm = aff_to_perm(a)
-        for col in range(9):
-            for row in range(9):
-                want = ONE if perm[col] == row else Cyclo36.from_int(0)
-                if mat.entry(row, col) != want:
-                    raise SystemExit(f"affine table wrong for {op}")
-
-
 # ---------------------------------------------------------------------------
 # two-controlled tau12 via line-cycle search
 
 
-def compose_perm(g: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(g[s[x]] for x in range(9))
-
-
-def build_c2tau12(c2x_ops: list[Op], affine_words: dict[Aff, list[Op]]) -> list[Op]:
-    # point permutation of the two-controlled X: adds 1 to the target digit on
-    # the line i = 2
-    img = list(range(9))
-    for j in range(3):
-        img[3 * 2 + j] = 3 * 2 + (j + 1) % 3
-    base_cycle = tuple(img)
+def build_c2tau12(c2x_ops: list[Op], affine_words: dict[Perm, list[Op]]) -> list[Op]:
+    # the two-controlled X adds 1 to the target digit on the line i = 2
+    base_cycle = perm_of(line_op("c2x"))
 
     # all distinct conjugates sigma . base . sigma^-1, keyed by permutation
-    cycles: dict[tuple[int, ...], tuple[list[Op], list[Op]]] = {}
+    cycles: dict[Perm, tuple[list[Op], list[Op]]] = {}
     for a, word in affine_words.items():
-        perm = compose_perm(
-            aff_to_perm(a), compose_perm(base_cycle, aff_to_perm(aff_inverse(a)))
-        )
+        perm = compose(a, compose(base_cycle, inverse(a)))
         prev = cycles.get(perm)
         if prev is None or len(word) < len(prev[0]):
-            cycles[perm] = (word, affine_words[aff_inverse(a)])
+            cycles[perm] = (word, affine_words[inverse(a)])
     say(f"line cycles: {len(cycles)} distinct conjugates")
     assert len(cycles) == 24
 
     cycle_items = list(cycles.items())
+    tables = [table_of(perm) for perm, _ in cycle_items]
 
-    # breadth-first search over products of line cycles, with parents
-    ident = tuple(range(9))
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {ident: None}
-    dist = {ident: 0}
-    queue: deque[tuple[int, ...]] = deque([ident])
+    # the two-controlled tau12 is the transposition of |2,1> and |2,2>; it is
+    # a * need for each odd affine a, with need the product of cycles to find
+    target = perm_of(line_op("c2tau12"))
+    needs = [
+        (compose(inverse(a), target), word)
+        for a, word in affine_words.items()
+        if perm_parity(a) == 1
+    ]
+
+    # breadth-first search over products of line cycles, with parents, up to
+    # the first layer that holds a needed product
+    parent: dict[Perm, tuple[Perm, int] | None] = {IDENT: None}
+    layer = [IDENT]
+    depth = 0
     t0 = time.time()
-    while queue:
-        s = queue.popleft()
-        d = dist[s] + 1
-        for idx, (perm, _) in enumerate(cycle_items):
-            nxt = compose_perm(perm, s)
-            if nxt not in dist:
-                dist[nxt] = d
-                parent[nxt] = (s, idx)
-                queue.append(nxt)
-    say(f"cycle products reachable: {len(dist)} states in {time.time() - t0:.1f}s")
+    while not any(need in parent for need, _ in needs):
+        if not layer:
+            raise SystemExit("no affine * cycles factorization found")
+        nxt_layer = []
+        for s in layer:
+            for idx, table in enumerate(tables):
+                nxt = s.translate(table)
+                if nxt not in parent:
+                    parent[nxt] = (s, idx)
+                    nxt_layer.append(nxt)
+        layer = nxt_layer
+        depth += 1
+    say(f"cycle products reached: {len(parent)} states in {time.time() - t0:.1f}s")
 
-    # the two-controlled tau12 is the transposition of |2,1> and |2,2>
-    target = list(range(9))
-    target[3 * 2 + 1], target[3 * 2 + 2] = target[3 * 2 + 2], target[3 * 2 + 1]
-    target = tuple(target)
-
-    best: tuple[int, int, Aff, tuple[int, ...]] | None = None
-    for a, word in affine_words.items():
-        perm_a = aff_to_perm(a)
-        if perm_parity(perm_a) != 1:
-            continue
-        need = compose_perm(aff_to_perm(aff_inverse(a)), target)
-        d = dist.get(need)
-        if d is None:
-            continue
-        key = (d, len(word))
-        if best is None or key < (best[0], best[1]):
-            best = (d, len(word), a, need)
-    if best is None:
-        raise SystemExit("no affine * cycles factorization found")
-    d, wlen, a_best, p_best = best
-    say(f"factorization: {d} cycles + affine word of {wlen} gates")
-    if d != 5:
-        say(f"NOTE: minimal cycle count is {d}, not 5")
+    # the shortest affine word among the factorizations at that depth
+    p_best, a_word = min(
+        ((need, word) for need, word in needs if need in parent),
+        key=lambda item: len(item[1]),
+    )
+    say(f"factorization: {depth} cycles + affine word of {len(a_word)} gates")
+    if depth != 5:
+        say(f"NOTE: minimal cycle count is {depth}, not 5")
 
     # reconstruct the cycle word (earliest factor first)
     gen_seq: list[int] = []
@@ -328,9 +277,9 @@ def build_c2tau12(c2x_ops: list[Op], affine_words: dict[Aff, list[Op]]) -> list[
 
     ops: list[Op] = []
     for idx in gen_seq:
-        perm, (word, word_inv) = cycle_items[idx]
+        _, (word, word_inv) = cycle_items[idx]
         ops += word_inv + c2x_ops + word
-    ops += affine_words[a_best]
+    ops += a_word
     return simplify(ops)
 
 
@@ -434,9 +383,8 @@ def build_c2neg_tau12(c2sdg_ops: list[Op]) -> list[Op]:
 # ---------------------------------------------------------------------------
 
 
-def main() -> None:
-    OUT_DIR.mkdir(exist_ok=True)
-    check_affine_generators()
+def derive() -> dict[str, str]:
+    """Every data file's text by stem, each verified; nothing is written."""
 
     c2x_ops = verified("c2x", build_c2x())
     c2xdg_ops = verified("c2xdg", list(adjoint(Circuit(2, tuple(c2x_ops))).ops))
@@ -493,11 +441,18 @@ def main() -> None:
         "r_construction": (r_ops, "R on qutrit 0, qutrit 1 borrowed"),
         "r_construction_naive": (r_naive_ops, "R on qutrit 0 via two -Hdg blocks"),
     }
-    for stem, (ops, desc) in files.items():
+    return {
+        stem: print_circuit(Circuit(2, tuple(ops)), header=[f"{desc}; {TABLE[stem][1]} T gates"])
+        for stem, (ops, desc) in files.items()
+    }
+
+
+def main() -> None:
+    OUT_DIR.mkdir(exist_ok=True)
+    for stem, text in derive().items():
         path = OUT_DIR / f"{stem}.qc"
-        header = f"{desc}; {TABLE[stem][1]} T gates"
-        path.write_text(print_circuit(Circuit(2, tuple(ops)), header=[header]))
-        say(f"wrote {path.name} ({len(ops)} gates)")
+        path.write_text(text)
+        say(f"wrote {path.name}")
 
 
 if __name__ == "__main__":
