@@ -10,12 +10,7 @@ from qutrit_exact.adjoint.patterns import (
     residue_pattern,
     single_qutrit_ct_obstruction,
 )
-from qutrit_exact.adjoint.rep import (
-    AdjointMatrix,
-    adjoint_of,
-    basis,
-    block_lde,
-)
+from qutrit_exact.adjoint.rep import AdjointMatrix, adjoint_of, block_lde
 
 __all__ = [
     "AdjointMatrix",
@@ -25,7 +20,6 @@ __all__ = [
     "ObstructionVerdict",
     "ResiduePattern",
     "adjoint_of",
-    "basis",
     "block_lde",
     "build_basis",
     "pattern_equiv",

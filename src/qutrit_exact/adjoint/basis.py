@@ -13,6 +13,8 @@ minus-type elements.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from qutrit_exact.circuit.core import Op
 from qutrit_exact.rings.cyclo import ZERO, Cyclo36, embed
 from qutrit_exact.sim.gates import gate_matrix
@@ -32,6 +34,7 @@ def _pauli_words() -> tuple[UnitaryMatrix, ...]:
     return z, x, x @ z, x @ z @ z
 
 
+@lru_cache(maxsize=None)
 def build_basis() -> tuple[UnitaryMatrix, ...]:
     """Construct the basis and verify all its structural invariants."""
     i_unit = embed("i")

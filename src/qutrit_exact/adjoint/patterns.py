@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 
 from qutrit_exact.adjoint.rep import AdjointMatrix, adjoint_of, block_lde
-from qutrit_exact.rings.alpha import k_residue
 from qutrit_exact.errors import KTooSmallError, RingError
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
@@ -34,9 +33,6 @@ class ResiduePattern:
         object.__setattr__(
             self, "cells", tuple(tuple(v % 3 for v in row) for row in self.cells)
         )
-
-    def text(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.cells)
 
 
 #: Bordered patterns: zero first row/column framing a constant 3x3 block.
@@ -98,7 +94,7 @@ def residue_pattern(m: AdjointMatrix, block: str, k: int) -> ResiduePattern:
     """Entrywise k-residue of a block; raises K_TOO_SMALL if k is too small."""
     return ResiduePattern(
         tuple(
-            tuple(k_residue(a, k) for a in row) for row in m.alpha_block(block)
+            tuple(a.k_residue(k) for a in row) for row in m.alpha_block(block)
         )
     )
 

@@ -14,10 +14,8 @@ stays available for inspection.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from qutrit_exact.adjoint.basis import BASIS_NORM, build_basis
-from qutrit_exact.errors import DimMismatchError, RingError
+from qutrit_exact.errors import DimMismatchError
 from qutrit_exact.rings.alpha import AlphaElem, to_alpha
 from qutrit_exact.rings.cyclo import ZERO
 from qutrit_exact.sim.matrix import UnitaryMatrix
@@ -28,11 +26,6 @@ _BLOCK_SLICES = {
     "C": (range(4, 8), range(0, 4)),
     "D": (range(4, 8), range(4, 8)),
 }
-
-
-@lru_cache(maxsize=None)
-def basis() -> tuple[UnitaryMatrix, ...]:
-    return build_basis()
 
 
 class AdjointMatrix(UnitaryMatrix):
@@ -62,13 +55,9 @@ class AdjointMatrix(UnitaryMatrix):
         return self.dag() @ self == UnitaryMatrix.identity(8)
 
     def describe(self) -> str:
-        """Entrywise report: alpha-coefficient lists with denominator exponents."""
-        try:
-            alpha = self.alpha_entries()
-        except RingError:
-            return "\n".join("  ".join(str(e) for e in row) for row in self.rows)
+        """Entrywise alpha-coefficient lists and exponents; NOT_IN_A outside the ring."""
         lines = []
-        for row in alpha:
+        for row in self.alpha_entries():
             cells = []
             for a in row:
                 coeffs = ",".join(str(c) for c in a.value.coeffs)
@@ -83,7 +72,7 @@ def adjoint_of(u: UnitaryMatrix) -> AdjointMatrix:
         raise DimMismatchError(
             f"adjoint representation expects a 3 x 3 matrix, got {u.dim} x {u.dim}"
         )
-    b = basis()
+    b = build_basis()
     ud = u.dag()
     conjugated = [u @ m @ ud for m in b]
     norm_inv = BASIS_NORM.inverse()

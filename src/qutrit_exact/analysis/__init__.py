@@ -4,7 +4,6 @@ from qutrit_exact.analysis.clifford import CliffordCertificate, is_clifford
 from qutrit_exact.analysis.hierarchy import MAX_CAP, HierarchyReport, hierarchy_level
 from qutrit_exact.analysis.pauli import (
     PauliElement,
-    PauliWitness,
     WITNESS_UNITS,
     is_pauli,
     pauli_elements,
@@ -21,7 +20,6 @@ __all__ = [
     "HierarchyReport",
     "MAX_CAP",
     "PauliElement",
-    "PauliWitness",
     "Refutation",
     "RingCertificate",
     "WITNESS_UNITS",

@@ -56,9 +56,9 @@ def _right_multiply_generator(
     return out
 
 
-def is_clifford(m: UnitaryMatrix, limit: int = 2) -> CliffordCertificate:
+def is_clifford(m: UnitaryMatrix) -> CliffordCertificate:
     """Certify that conjugation by ``m`` preserves the Pauli group."""
-    n = _check_n(m, limit)
+    n = _check_n(m)
     images = []
     for wire in range(n):
         for kind in ("X", "Z"):

@@ -33,9 +33,6 @@ class HierarchyReport:
     lines: tuple[str, ...]
     clifford: CliffordCertificate | None = None  # is_clifford(m), if the search ran it
 
-    def __bool__(self) -> bool:
-        return self.level is not None
-
     def text(self) -> str:
         if self.level is None:
             head = f"no hierarchy level <= {self.cap} (absence beyond the cap is undecided)"
@@ -79,9 +76,9 @@ def hierarchy_level(m: UnitaryMatrix, cap: int = 4) -> HierarchyReport:
     if not 1 <= cap <= MAX_CAP:
         raise ValueError(f"cap must be between 1 and {MAX_CAP}")
 
-    witness = is_pauli(m)
-    if witness:
-        return HierarchyReport(1, cap, (witness.text(),))
+    element = is_pauli(m)
+    if element is not None:
+        return HierarchyReport(1, cap, (f"Pauli element: {element}",))
     cert = is_clifford(m) if cap >= 2 else None
     if cert:
         return HierarchyReport(2, cap, tuple(cert.text().splitlines()), cert)

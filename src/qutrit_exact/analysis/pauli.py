@@ -104,23 +104,7 @@ def pauli_elements(n: int, include_identity: bool = False):
             yield p
 
 
-@dataclass(frozen=True)
-class PauliWitness:
-    """Result of the Pauli test; truthy iff the matrix is a Pauli element."""
-
-    found: bool
-    element: PauliElement | None = None
-
-    def __bool__(self) -> bool:
-        return self.found
-
-    def text(self) -> str:
-        if not self.found:
-            return "not a Pauli element for any witness phase"
-        return f"Pauli element: {self.element}"
-
-
-def _check_n(m: UnitaryMatrix, limit: int = 2) -> int:
+def _check_n(m: UnitaryMatrix) -> int:
     n = 0
     dim = m.dim
     while dim > 1:
@@ -128,9 +112,9 @@ def _check_n(m: UnitaryMatrix, limit: int = 2) -> int:
             raise DimMismatchError(f"dimension {m.dim} is not a power of 3")
         dim //= 3
         n += 1
-    if not 1 <= n <= limit:
+    if not 1 <= n <= 2:
         raise DimMismatchError(
-            f"expected between 1 and {limit} qutrits, got dimension {m.dim}"
+            f"expected between 1 and 2 qutrits, got dimension {m.dim}"
         )
     return n
 
@@ -189,10 +173,9 @@ def match_pauli(
     return None
 
 
-def is_pauli(m: UnitaryMatrix, limit: int = 2) -> PauliWitness:
-    """Test whether ``m`` = w * X(a)Z(b) with w in the 18-unit witness set."""
-    n = _check_n(m, limit)
-    element = match_pauli(UnitaryMatrix.identity(m.dim), m.rows, n)
+def is_pauli(m: UnitaryMatrix) -> PauliElement | None:
+    """``m`` as w * X(a)Z(b) with w in the 18-unit witness set, or None."""
+    element = match_pauli(UnitaryMatrix.identity(m.dim), m.rows, _check_n(m))
     if element is None or element.phase not in _WITNESS_SET:
-        return PauliWitness(False)
-    return PauliWitness(True, element)
+        return None
+    return element

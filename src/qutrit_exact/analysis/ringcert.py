@@ -21,10 +21,6 @@ from qutrit_exact.rings.membership import RingTag, in_ring
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
-def _tag(tag: RingTag | str) -> RingTag:
-    return tag if isinstance(tag, RingTag) else RingTag.parse(tag)
-
-
 def _member(x: Cyclo36, tag: RingTag) -> bool:
     try:
         return in_ring(x, tag)
@@ -34,14 +30,11 @@ def _member(x: Cyclo36, tag: RingTag) -> bool:
 
 @dataclass(frozen=True)
 class RingCertificate:
-    """Truthy iff some witness phase places all entries in the ring."""
+    """Whether some witness phase places all entries in the ring, and which."""
 
     found: bool
     tag: RingTag
     phase: Cyclo36 | None = None
-
-    def __bool__(self) -> bool:
-        return self.found
 
     def text(self) -> str:
         if self.found:
@@ -54,15 +47,12 @@ class RingCertificate:
 
 @dataclass(frozen=True)
 class Refutation:
-    """Truthy iff membership up to ANY unit phase is impossible."""
+    """Whether membership up to ANY unit phase is impossible, with a witness pair."""
 
     refuted: bool
     tag: RingTag
     pair: tuple[Cyclo36, Cyclo36] | None = None
     product: Cyclo36 | None = None
-
-    def __bool__(self) -> bool:
-        return self.refuted
 
     def text(self) -> str:
         if self.refuted:
@@ -77,19 +67,17 @@ class Refutation:
         )
 
 
-def matrix_ring_certificate(m: UnitaryMatrix, tag: RingTag | str) -> RingCertificate:
+def matrix_ring_certificate(m: UnitaryMatrix, tag: RingTag) -> RingCertificate:
     """Search the 18 witness phases for one placing all entries in the ring."""
-    rtag = _tag(tag)
     entries = [e for row in m.rows for e in row if e != ZERO]
     for w in WITNESS_UNITS:
-        if all(_member(w * e, rtag) for e in entries):
-            return RingCertificate(True, rtag, w)
-    return RingCertificate(False, rtag)
+        if all(_member(w * e, tag) for e in entries):
+            return RingCertificate(True, tag, w)
+    return RingCertificate(False, tag)
 
 
-def refute_phase_membership(m: UnitaryMatrix, tag: RingTag | str) -> Refutation:
+def refute_phase_membership(m: UnitaryMatrix, tag: RingTag) -> Refutation:
     """Decide impossibility of membership up to an arbitrary unit phase."""
-    rtag = _tag(tag)
     distinct: dict[Cyclo36, None] = {}
     for row in m.rows:
         for e in row:
@@ -100,6 +88,6 @@ def refute_phase_membership(m: UnitaryMatrix, tag: RingTag | str) -> Refutation:
         ac = a.conjugate()
         for b in entries:
             p = ac * b
-            if not _member(p, rtag):
-                return Refutation(True, rtag, (a, b), p)
-    return Refutation(False, rtag)
+            if not _member(p, tag):
+                return Refutation(True, tag, (a, b), p)
+    return Refutation(False, tag)

@@ -75,19 +75,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"circuit acts on a {m.dim}-dimensional space "
             f"but the target acts on {target.dim} dimensions"
         )
-    if args.mode == "cphase":  # parsed before anything is printed, like classify's checks
-        if args.phase is None:
-            raise ValueError("--mode cphase requires --phase VALUE")
-        phase = parse_phase_value(args.phase)
+    # parsed in every mode and before anything is printed, like classify's checks
+    phase = None if args.phase is None else parse_phase_value(args.phase)
+    if args.mode == "cphase" and phase is None:
+        raise ValueError("--mode cphase requires --phase VALUE")
     print(f"mode: {args.mode}")
     if args.mode == "exact":
         ok = equal_exact(m, target)
         detail = "circuit matrix equals the target entrywise"
     elif args.mode == "phase":
-        match = equal_up_to_phase(m, target)
-        ok = bool(match)
+        witness = equal_up_to_phase(m, target)
+        ok = witness is not None
         if ok:
-            print(f"phase: {match.phase}")
+            print(f"phase: {witness}")
         detail = "circuit matrix equals a unit multiple of the target"
     else:  # cphase
         print(f"phase: {phase}")
@@ -220,10 +220,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

@@ -1,10 +1,10 @@
 """Exact number rings used by the toolkit."""
 
-from .alpha import AlphaElem, DalphaElem, k_residue, lde, residue, to_alpha
+from .alpha import AlphaElem, DalphaElem, residue, to_alpha
 from .cyclo import MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO, ZETA9, Cyclo36, embed
 from ..errors import KTooSmallError, NotInAError, NotRealError, RingError
 from .membership import RingTag, in_ring
-from .polynomials import RootSearch, has_rational_root
+from .polynomials import has_rational_root
 
 __all__ = [
     "AlphaElem",
@@ -19,14 +19,11 @@ __all__ = [
     "ONE",
     "RingError",
     "RingTag",
-    "RootSearch",
     "ZERO",
     "ZETA9",
     "embed",
     "has_rational_root",
     "in_ring",
-    "k_residue",
-    "lde",
     "residue",
     "to_alpha",
 ]

@@ -30,8 +30,6 @@ __all__ = [
     "DalphaElem",
     "AlphaElem",
     "residue",
-    "lde",
-    "k_residue",
     "to_alpha",
 ]
 
@@ -161,12 +159,6 @@ class DalphaElem:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other: DalphaLike) -> DalphaElem:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other: DalphaLike) -> DalphaElem:
         o = self._coerce(other)
         if o is None:
@@ -229,9 +221,6 @@ class AlphaElem:
         self.value = value
         self.denom_exp = denom_exp
 
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
     def lde(self) -> int:
         """Least k >= 0 with alpha**k * self in Z[1/2][alpha]; lde(0) = 0."""
         if self.value.is_zero():
@@ -262,20 +251,6 @@ class AlphaElem:
 
     def __repr__(self) -> str:
         return f"AlphaElem({self.value!r}, denom_exp={self.denom_exp})"
-
-
-def lde(x: AlphaElem | DalphaElem) -> int:
-    """Least denominator exponent of x with respect to alpha."""
-    if isinstance(x, DalphaElem):
-        return 0
-    return x.lde()
-
-
-def k_residue(x: AlphaElem | DalphaElem, k: int) -> int:
-    """residue of alpha**k * x; K_TOO_SMALL if that product is not in Z[1/2][alpha]."""
-    if isinstance(x, DalphaElem):
-        x = AlphaElem(x, 0)
-    return x.k_residue(k)
 
 
 # -- conversion from the ambient field --------------------------------------

@@ -13,7 +13,6 @@ equality is plain tuple comparison.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -202,12 +201,6 @@ class Cyclo36:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other: Scalar) -> Cyclo36:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other: Scalar) -> Cyclo36:
         o = self._coerce(other)
         if o is None:
@@ -215,18 +208,6 @@ class Cyclo36:
         return Cyclo36(_mul_vectors(self._num, o._num), self._den * o._den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: Scalar) -> Cyclo36:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: Scalar) -> Cyclo36:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, e: int) -> Cyclo36:
         if e < 0:
@@ -339,14 +320,6 @@ class Cyclo36:
         return [
             (Fraction(c, self._den), name) for c, name in pairs if c
         ] or None
-
-    def to_complex(self) -> complex:
-        """Floating approximation; advisory rendering only, never for verdicts."""
-        z = 0j
-        for k, c in enumerate(self._num):
-            if c:
-                z += c * cmath.exp(2j * cmath.pi * k / 36)
-        return z / self._den
 
 
 ZERO = Cyclo36()

@@ -2,21 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["RootSearch", "has_rational_root"]
-
-
-@dataclass(frozen=True)
-class RootSearch:
-    """Outcome of a rational-root search; truthy iff a root was found."""
-
-    found: bool
-    root: Fraction | None = None
-
-    def __bool__(self) -> bool:
-        return self.found
+__all__ = ["has_rational_root"]
 
 
 def _divisors(n: int) -> list[int]:
@@ -32,8 +20,8 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def has_rational_root(c3: int, c2: int, c1: int, c0: int) -> RootSearch:
-    """Search c3*x^3 + c2*x^2 + c1*x + c0 for a rational root.
+def has_rational_root(c3: int, c2: int, c1: int, c0: int) -> bool:
+    """Whether c3*x^3 + c2*x^2 + c1*x + c0 has a rational root.
 
     By the rational root theorem any root p/q in lowest terms has p | c0 and
     q | c3, so the search space is finite and the answer is exact.
@@ -41,7 +29,7 @@ def has_rational_root(c3: int, c2: int, c1: int, c0: int) -> RootSearch:
     if c3 == 0:
         raise ValueError("leading coefficient must be nonzero")
     if c0 == 0:
-        return RootSearch(True, Fraction(0))
+        return True
 
     def value(x: Fraction) -> Fraction:
         return ((Fraction(c3) * x + c2) * x + c1) * x + c0
@@ -49,7 +37,6 @@ def has_rational_root(c3: int, c2: int, c1: int, c0: int) -> RootSearch:
     for p in _divisors(c0):
         for q in _divisors(c3):
             for sign in (1, -1):
-                cand = Fraction(sign * p, q)
-                if value(cand) == 0:
-                    return RootSearch(True, cand)
-    return RootSearch(False, None)
+                if value(Fraction(sign * p, q)) == 0:
+                    return True
+    return False

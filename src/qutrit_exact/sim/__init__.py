@@ -2,7 +2,6 @@
 
 from .gates import circuit_matrix, gate_local, gate_matrix, MAX_QUTRITS
 from .matrix import (
-    PhaseMatch,
     UnitaryMatrix,
     controlled_target,
     equal_exact,
@@ -11,7 +10,6 @@ from .matrix import (
 
 __all__ = [
     "MAX_QUTRITS",
-    "PhaseMatch",
     "UnitaryMatrix",
     "circuit_matrix",
     "controlled_target",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -14,7 +13,6 @@ __all__ = [
     "equal_exact",
     "equal_up_to_phase",
     "controlled_target",
-    "PhaseMatch",
 ]
 
 
@@ -119,10 +117,6 @@ class UnitaryMatrix:
     def __repr__(self) -> str:
         return f"UnitaryMatrix(dim={self.dim})"
 
-    def to_complex(self) -> list[list[complex]]:
-        """Floating approximation; advisory rendering only."""
-        return [[e.to_complex() for e in row] for row in self._rows]
-
 
 def equal_exact(a: UnitaryMatrix, b: UnitaryMatrix) -> bool:
     """Entrywise exact equality; DIM_MISMATCH if shapes differ."""
@@ -131,19 +125,8 @@ def equal_exact(a: UnitaryMatrix, b: UnitaryMatrix) -> bool:
     return a.rows == b.rows
 
 
-@dataclass(frozen=True)
-class PhaseMatch:
-    """Result of a phase-insensitive comparison; truthy iff the match holds."""
-
-    equal: bool
-    phase: Cyclo36 | None = None
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-
-def equal_up_to_phase(a: UnitaryMatrix, b: UnitaryMatrix) -> PhaseMatch:
-    """Test a == c*b for a unit scalar c; the witness c is returned.
+def equal_up_to_phase(a: UnitaryMatrix, b: UnitaryMatrix) -> Cyclo36 | None:
+    """The unit c with a == c*b, or None when there is none.
 
     The candidate is fixed by the first nonzero entry of b and then verified
     against every entry, so a positive answer is a proof.
@@ -157,20 +140,20 @@ def equal_up_to_phase(a: UnitaryMatrix, b: UnitaryMatrix) -> PhaseMatch:
             if not e.is_zero():
                 num = a.entry(r, c)
                 if num.is_zero():
-                    return PhaseMatch(False)
+                    return None
                 witness = num * e.inverse()
                 break
         if witness is not None:
             break
     if witness is None:  # b == 0; only a == 0 matches, with phase 1
-        return PhaseMatch(all(e.is_zero() for row in a.rows for e in row), ONE)
+        return ONE if all(e.is_zero() for row in a.rows for e in row) else None
     if witness * witness.conjugate() != ONE:
-        return PhaseMatch(False)
+        return None
     for arow, brow in zip(a.rows, b.rows):
         for ae, be in zip(arow, brow):
             if ae != witness * be:
-                return PhaseMatch(False)
-    return PhaseMatch(True, witness)
+                return None
+    return witness
 
 
 def controlled_target(inner: UnitaryMatrix, phase: Cyclo36 = ONE) -> UnitaryMatrix:

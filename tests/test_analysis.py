@@ -44,7 +44,7 @@ def _oracle_at_most(m: UnitaryMatrix, k: int, paulis: list, memo: dict) -> bool:
     key = (m.rows, k)
     if key not in memo:
         if k == 1:
-            memo[key] = bool(is_pauli(m))
+            memo[key] = is_pauli(m) is not None
         elif k == 2:
             memo[key] = bool(is_clifford(m))
         else:
@@ -76,21 +76,19 @@ class TestPauliRecognition:
             phased = PauliElement(
                 element.x_exps, element.z_exps, rng.choice(units)
             )
-            witness = is_pauli(phased.matrix())
-            assert witness
-            assert witness.element == phased
+            assert is_pauli(phased.matrix()) == phased
 
     def test_identity_is_pauli(self):
-        assert is_pauli(UnitaryMatrix.identity(3))
-        assert is_pauli(UnitaryMatrix.identity(9))
+        assert is_pauli(UnitaryMatrix.identity(3)) == PauliElement((0,), (0,))
+        assert is_pauli(UnitaryMatrix.identity(9)) == PauliElement((0, 0), (0, 0))
 
     @pytest.mark.parametrize("kind", ["H", "S", "T", "R"])
     def test_non_paulis_rejected(self, kind):
-        assert not is_pauli(_gate(kind))
+        assert is_pauli(_gate(kind)) is None
 
     def test_pauli_with_unlisted_phase_rejected(self):
         x = _gate("X").scale(Cyclo36.zeta_pow(1))  # 36th root phase
-        assert not is_pauli(x)
+        assert is_pauli(x) is None
 
     def test_dimension_guard(self):
         with pytest.raises(DimMismatchError):
@@ -173,9 +171,7 @@ class TestMatchPauli:
             *_ct_matrices(rng, n, 4),
         ]
         for m in candidates:
-            witness = is_pauli(m)
-            assert witness.element == _brute_match(ident, m)
-            assert bool(witness) == (witness.element is not None)
+            assert is_pauli(m) == _brute_match(ident, m)
 
 
 class TestCliffordRecognition:
@@ -213,11 +209,11 @@ class TestCliffordRecognition:
 class TestHierarchy:
     def test_t_sits_at_level_three(self):
         report = hierarchy_level(_gate("T"), 3)
-        assert report.level == 3 and report
+        assert report.level == 3
 
     def test_r_absent_up_to_cap_four(self):
         report = hierarchy_level(_gate("R"), 4)
-        assert report.level is None and not report
+        assert report.level is None
         assert "undecided" in report.text()
 
     def test_paulis_sit_at_level_one(self):
@@ -372,9 +368,6 @@ class TestRingVerdicts:
         for _ in range(10):
             m = circuit_matrix(random_word(rng, CLIFFORD_KINDS, 1, 10))
             assert not refute_phase_membership(m, RingTag.TOMEGA).refuted
-
-    def test_string_tags_accepted(self):
-        assert matrix_ring_certificate(_gate("T"), "Tzeta").found
 
     def test_cap_one_skips_the_clifford_test(self, monkeypatch):
         def refuse(m):

@@ -181,15 +181,19 @@ class TestCommands:
         ) == 1
 
     def test_verify_cphase_requires_phase(self, t_file, capsys):
-        # a missing or malformed phase is refused before anything is printed
-        for options, error in (
-            ([], "error: --mode cphase requires --phase VALUE\n"),
-            (["--phase", "bogus"], "error: line 1, col 1: bad phase value 'bogus'\n"),
+        # a missing or malformed phase is refused before anything is printed;
+        # a malformed one also in the modes that do not use it
+        bad = "error: line 1, col 1: bad phase value 'bogus'\n"
+        for mode, options, error in (
+            ("cphase", [], "error: --mode cphase requires --phase VALUE\n"),
+            ("cphase", ["--phase", "bogus"], bad),
+            ("exact", ["--phase", "bogus"], bad),
+            ("phase", ["--phase", "bogus"], bad),
         ):
             assert main(
-                ["verify", t_file, "--target", "T", "--mode", "cphase", *options]
+                ["verify", t_file, "--target", "T", "--mode", mode, *options]
             ) == 2
-            assert capsys.readouterr() == ("", error), options
+            assert capsys.readouterr() == ("", error), (mode, options)
 
     def test_verify_dimension_mismatch_is_an_error(self, t_file, capsys):
         assert main(["verify", t_file, "--target", "R x I"]) == 2

@@ -2,6 +2,7 @@
 
 import importlib.util
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,7 +51,9 @@ class TestProvenance:
             "derive_macros", _REPO / "tools" / "derive_macros.py"
         )
         tool = importlib.util.module_from_spec(spec)
+        path = list(sys.path)
         spec.loader.exec_module(tool)
+        assert sys.path == path  # loading the tool leaves the import path alone
         derived = {stem: text.encode() for stem, text in tool.derive().items()}
         committed = {path.stem: path.read_bytes() for path in (_REPO / "circuits").glob("*.qc")}
         assert derived == committed

@@ -18,8 +18,6 @@ from qutrit_exact.rings import (
 from qutrit_exact.rings.alpha import (
     AlphaElem,
     DalphaElem,
-    k_residue,
-    lde,
     residue,
     to_alpha,
 )
@@ -244,14 +242,14 @@ class TestAlphaRing:
 
     def test_lde_and_k_residue(self):
         one_over_alpha = AlphaElem(DalphaElem((1,)), 1)
-        assert lde(one_over_alpha) == 1
-        assert k_residue(one_over_alpha, 1) == residue(DalphaElem((1,)))
+        assert one_over_alpha.lde() == 1
+        assert one_over_alpha.k_residue(1) == residue(DalphaElem((1,)))
         with pytest.raises(KTooSmallError):
-            k_residue(one_over_alpha, 0)
-        assert lde(DalphaElem((0, 1))) == 0
+            one_over_alpha.k_residue(0)
+        assert AlphaElem(DalphaElem((0, 1))).lde() == 0
         # 3 = alpha^6 * unit, so 1/3 has alpha-denominator exponent 6
         third = to_alpha(Cyclo36.from_fraction(Fraction(1, 3)))
-        assert lde(third) == 6
+        assert third.lde() == 6
 
     def test_to_alpha_roundtrip_numeric(self, rng):
         alpha = math.sin(2 * math.pi / 9)
@@ -264,7 +262,7 @@ class TestAlphaRing:
                 start=ZERO,
             )
             elem = to_alpha(x)
-            assert lde(elem) == 0
+            assert elem.lde() == 0
             fx = to_complex(x).real
             approx = sum(
                 float(c) * alpha**k

@@ -49,7 +49,8 @@ import time
 from collections import deque
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+if __name__ == "__main__":  # run as a script: import the package from this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qutrit_exact.circuit.core import Circuit, Op, adjoint, print_circuit
 from qutrit_exact.circuit.macros import CONSTRUCTIONS
