@@ -1,6 +1,5 @@
 """Adjoint representation, block residue patterns, and T-count obstructions."""
 
-from qutrit_exact.adjoint.basis import BASIS_NORM, build_basis
 from qutrit_exact.adjoint.patterns import (
     BORDERED_ONES,
     BORDERED_TWOS,
@@ -14,14 +13,12 @@ from qutrit_exact.adjoint.rep import AdjointMatrix, adjoint_of, block_lde
 
 __all__ = [
     "AdjointMatrix",
-    "BASIS_NORM",
     "BORDERED_ONES",
     "BORDERED_TWOS",
     "ObstructionVerdict",
     "ResiduePattern",
     "adjoint_of",
     "block_lde",
-    "build_basis",
     "pattern_equiv",
     "residue_pattern",
     "single_qutrit_ct_obstruction",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -94,14 +95,13 @@ class PauliElement:
         return self.label() if w == "1" else f"({w}) * {self.label()}"
 
 
-def pauli_elements(n: int, include_identity: bool = False):
-    """All 9^n phase-free Pauli elements (minus identity unless asked)."""
+def pauli_elements(n: int):
+    """The 9^n - 1 phase-free Pauli elements other than the identity."""
     for xs in itertools.product(range(3), repeat=n):
         for zs in itertools.product(range(3), repeat=n):
             p = PauliElement(xs, zs)
-            if p.is_identity_up_to_phase() and not include_identity:
-                continue
-            yield p
+            if not p.is_identity_up_to_phase():
+                yield p
 
 
 def _check_n(m: UnitaryMatrix) -> int:
@@ -173,9 +173,15 @@ def match_pauli(
     return None
 
 
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> UnitaryMatrix:
+    return UnitaryMatrix.identity(dim)
+
+
 def is_pauli(m: UnitaryMatrix) -> PauliElement | None:
     """``m`` as w * X(a)Z(b) with w in the 18-unit witness set, or None."""
-    element = match_pauli(UnitaryMatrix.identity(m.dim), m.rows, _check_n(m))
+    n = _check_n(m)
+    element = match_pauli(_identity(m.dim), m.rows, n)
     if element is None or element.phase not in _WITNESS_SET:
         return None
     return element

@@ -181,11 +181,6 @@ class DalphaElem:
     def __repr__(self) -> str:
         return f"DalphaElem({[str(c) for c in self.coeffs]})"
 
-    def times_alpha(self) -> DalphaElem:
-        n = self._num
-        shifted = (0,) + n[:-1]
-        return _elem([(a << 6) + n[-1] * b for a, b in zip(shifted, _SIX)], self._k + 6)
-
     def divide_by_alpha(self) -> DalphaElem | None:
         """Exact quotient self/alpha if it stays in Z[1/2][alpha], else None.
 

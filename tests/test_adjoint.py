@@ -1,22 +1,22 @@
-"""Adjoint representation: basis, homomorphism, residue patterns, verdicts."""
+"""Adjoint representation: trace oracle, homomorphism, residue patterns, verdicts."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import CT_KINDS, approx_equal, random_word, to_complex
+from conftest import CT_KINDS, approx_equal, mat_complex, random_op, random_word, to_complex
 from qutrit_exact.adjoint import (
     BORDERED_ONES,
     BORDERED_TWOS,
     ResiduePattern,
     adjoint_of,
     block_lde,
-    build_basis,
     pattern_equiv,
     residue_pattern,
     single_qutrit_ct_obstruction,
 )
-from qutrit_exact.circuit.core import Op
+from qutrit_exact.circuit.core import Circuit, Op
 from qutrit_exact.errors import DimMismatchError
 from qutrit_exact.rings import KTooSmallError
 from qutrit_exact.rings.cyclo import Cyclo36
@@ -28,18 +28,32 @@ def _gate(kind: str) -> UnitaryMatrix:
     return gate_matrix(Op(kind, (0,)), 1)
 
 
-class TestBasis:
-    def test_eight_traceless_hermitian_orthogonal_mats(self):
-        b = build_basis()
-        assert len(b) == 8
-        for i in range(8):
-            m = b[i]
-            assert m.trace().is_zero()
-            assert m.dag().rows == m.rows
-            for j in range(8):
-                inner = (b[i] @ b[j]).trace()
-                want = Cyclo36.from_int(6 if i == j else 0)
-                assert inner == want
+_THIRDS = tuple(Fraction(k, 3) for k in range(-3, 4))
+_WORD_KINDS = CT_KINDS + ("R", "ZPHASE", "XPHASE")
+
+
+def _phased_word(rng, length: int) -> UnitaryMatrix:
+    """A seeded word over the Clifford+T kinds, R, and ZPHASE/XPHASE with thirds.
+
+    Each of R, ZPHASE and XPHASE occurs at least once.
+    """
+    kinds = [rng.choice(_WORD_KINDS) for _ in range(length - 3)] + ["R", "ZPHASE", "XPHASE"]
+    rng.shuffle(kinds)
+    ops = tuple(
+        Op(kind, (0,), (rng.choice(_THIRDS), rng.choice(_THIRDS)))
+        if kind in ("ZPHASE", "XPHASE")
+        else random_op(rng, (kind,), 1)
+        for kind in kinds
+    )
+    return circuit_matrix(Circuit(1, ops))
+
+
+def _numeric_basis() -> list[np.ndarray]:
+    """P + P^dag, then i(P - P^dag), for P = Z, X, XZ, XZ^2, in complex floats."""
+    x = np.roll(np.eye(3), 1, axis=0)  # |c> -> |c + 1>
+    z = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    words = (z, x, x @ z, x @ z @ z)
+    return [p + p.conj().T for p in words] + [1j * (p - p.conj().T) for p in words]
 
 
 class TestAdjointMap:
@@ -64,7 +78,7 @@ class TestAdjointMap:
         for _ in range(20):
             m = circuit_matrix(random_word(rng, CT_KINDS, 1, 15))
             adj = adjoint_of(m)
-            assert adj.is_orthogonal()
+            assert adj.dag() @ adj == UnitaryMatrix.identity(8)
             for i in range(8):
                 for j in range(8):
                     assert adj.entry(i, j).is_real()
@@ -76,26 +90,23 @@ class TestAdjointMap:
             assert adjoint_of(u @ v) == adjoint_of(u) @ adjoint_of(v)
 
     def test_numeric_action_oracle(self, rng):
-        # <m_i, U m_j U^dag> / 6 computed numerically must match
-        b = build_basis()
-        u = circuit_matrix(random_word(rng, CT_KINDS, 1, 12))
-        adj = adjoint_of(u)
-        for i in range(2):
-            for j in range(8):
-                conj = u @ b[j] @ u.dag()
-                inner = (b[i] @ conj).trace()
-                assert approx_equal(
-                    to_complex(adj.entry(i, j)), to_complex(inner) / 6
-                )
+        # all 64 entries against Tr(m_i U m_j U^dag) / 6, with the basis
+        # built in floats from its definition
+        basis = _numeric_basis()
+        inputs = [_phased_word(rng, 12) for _ in range(6)]
+        inputs.append(inputs[0].scale(Cyclo36.zeta_pow(7)))
+        for u in inputs:
+            adj = adjoint_of(u)
+            un = np.array(mat_complex(u))
+            for i, mi in enumerate(basis):
+                for j, mj in enumerate(basis):
+                    want = np.trace(mi @ un @ mj @ un.conj().T) / 6
+                    assert approx_equal(to_complex(adj.entry(i, j)), want)
 
     def test_ct_words_lie_in_alpha_ring(self, rng):
         for _ in range(10):
             m = circuit_matrix(random_word(rng, CT_KINDS, 1, 12))
             adjoint_of(m).alpha_entries()  # raises NOT_IN_A outside the ring
-
-    def test_describe_runs(self):
-        text = adjoint_of(_gate("T")).describe()
-        assert "alpha" in text
 
 
 class TestBlocks:

@@ -97,12 +97,17 @@ class TestPauliRecognition:
             is_pauli(UnitaryMatrix.identity(4))
 
 
+def _all_paulis(n: int) -> list[PauliElement]:
+    """The 9^n phase-free Pauli elements, identity first."""
+    return [PauliElement((0,) * n, (0,) * n), *pauli_elements(n)]
+
+
 @lru_cache(maxsize=None)
 def _phased_paulis(n: int) -> dict:
     """All 9^n * 18 products w * P of a Pauli P and a witness unit w, keyed by matrix."""
     return {
         q.matrix().rows: q
-        for p in pauli_elements(n, include_identity=True)
+        for p in _all_paulis(n)
         for q in (PauliElement(p.x_exps, p.z_exps, w) for w in WITNESS_UNITS)
     }
 
@@ -121,7 +126,7 @@ class TestMatchPauli:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_phased_pauli_times_m_is_matched_exactly(self, n, rng):
-        paulis = list(pauli_elements(n, include_identity=True))
+        paulis = _all_paulis(n)
         for m in _ct_matrices(rng, n, 4):
             for p in rng.sample(paulis, 6):
                 q = PauliElement(p.x_exps, p.z_exps, rng.choice(WITNESS_UNITS))
@@ -131,7 +136,7 @@ class TestMatchPauli:
     @pytest.mark.parametrize("n", [1, 2])
     def test_near_misses_are_rejected(self, n, rng):
         s0 = gate_matrix(Op("S", (0,)), n)
-        paulis = list(pauli_elements(n, include_identity=True))
+        paulis = _all_paulis(n)
         for m in _ct_matrices(rng, n, 4):
             v = rng.choice(paulis).matrix() @ m
             rows = [list(row) for row in v.rows]

@@ -277,7 +277,8 @@ class TestAlphaRing:
             to_alpha(Cyclo36.from_fraction(Fraction(1, 5)))
 
 
-# adjoint_of(H).describe() and adjoint_of(T).describe(), pinned cell by cell
+# alpha_entries() of adjoint_of(H) and adjoint_of(T), pinned cell by cell as
+# (alpha coefficients)/alpha^denom_exp
 _Z = "(0,0,0,0,0,0)/alpha^0"
 _ONE, _NEG = "(1,0,0,0,0,0)/alpha^0", "(-1,0,0,0,0,0)/alpha^0"
 _HALF = "(-1/2,0,0,0,0,0)/alpha^0"
@@ -337,7 +338,7 @@ class TestIntegerAlphaRing:
         assert to_alpha(Cyclo36.from_fraction(Fraction(5, 27))).denom_exp == 18
 
     def test_normal_form(self, rng):
-        half = DalphaElem((Fraction(1, 2),))
+        half, alpha = DalphaElem((Fraction(1, 2),)), DalphaElem((0, 1))
         for a, b in ((half * 2, DalphaElem((1,))), (half + half, DalphaElem((1,))),
                      (DalphaElem((Fraction(2, 4), 6)), DalphaElem((half.coeffs[0], 6))),
                      (DalphaElem((Fraction(3, 8),)) * 8 - 3, DalphaElem())):
@@ -347,7 +348,7 @@ class TestIntegerAlphaRing:
                             for _ in range(6)])
             y = DalphaElem([Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 4))
                             for _ in range(6)])
-            for z in ((x + y) - y, x.times_alpha().divide_by_alpha(), (x * 4) * half * half):
+            for z in ((x + y) - y, (x * alpha).divide_by_alpha(), (x * 4) * half * half):
                 assert z == x and hash(z) == hash(x)
         coeffs = DalphaElem((Fraction(6, 4), Fraction(-2, 8), 4)).coeffs
         assert coeffs == (Fraction(3, 2), Fraction(-1, 4), 4, 0, 0, 0)
@@ -357,5 +358,11 @@ class TestIntegerAlphaRing:
 
     def test_describe_pinned(self):
         for kind, cells in (("H", _H_ADJOINT), ("T", _T_ADJOINT)):
-            want = "\n".join("  ".join(row) for row in cells)
-            assert adjoint_of(gate_matrix(Op(kind, (0,)), 1)).describe() == want
+            got = tuple(
+                tuple(
+                    f"({','.join(str(c) for c in a.value.coeffs)})/alpha^{a.denom_exp}"
+                    for a in row
+                )
+                for row in adjoint_of(gate_matrix(Op(kind, (0,)), 1)).alpha_entries()
+            )
+            assert got == cells
