@@ -43,11 +43,9 @@ BORDERED_ONES = ResiduePattern(
     ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), (0, 1, 1, 1))
 )
 
-_ROW_TRANSFORMS = tuple(
-    (perm, scales)
-    for perm in itertools.permutations(range(4))
-    for scales in itertools.product((1, 2), repeat=4)
-)
+_PERMS = tuple(itertools.permutations(range(4)))
+# a global factor on the rows is absorbed by the column side, so row 0 keeps scale 1
+_SCALES = tuple((1,) + rest for rest in itertools.product((1, 2), repeat=3))
 
 
 def _canon_column(col: tuple[int, ...]) -> tuple[int, ...]:
@@ -60,33 +58,33 @@ def _column_profile(cells) -> tuple:
     return tuple(sorted(_canon_column(c) for c in cols))
 
 
-def _zero_profile(cells) -> tuple:
-    rows = tuple(sorted(sum(1 for v in row if v == 0) for row in cells))
-    cols = tuple(
-        sorted(sum(1 for r in range(4) if cells[r][c] == 0) for c in range(4))
-    )
-    return rows, cols
-
-
 def pattern_equiv(p: ResiduePattern, q: ResiduePattern) -> bool:
     """True iff monomial matrices L, R over Z_3 exist with L p R = q.
 
-    Row transforms (24 permutations x 16 scalings) are enumerated; for each,
-    a column transform exists iff the multisets of columns agree after
-    canonicalizing each column up to a global Z_3 scaling, which is checked
-    directly instead of enumerating the column side.
+    Row transforms are enumerated: the permutations that send each row of p
+    to a row of q with as many zeros (a monomial action keeps that count),
+    times the 8 scalings with row 0 fixed.  For each, a column transform
+    exists iff the multisets of columns agree after canonicalizing each
+    column up to a global Z_3 scaling, which is checked directly instead of
+    enumerating the column side.
     """
     if p.cells == q.cells:
         return True
-    if _zero_profile(p.cells) != _zero_profile(q.cells):
+    zp = [row.count(0) for row in p.cells]
+    zq = [row.count(0) for row in q.cells]
+    if sorted(zp) != sorted(zq):
         return False
     target = _column_profile(q.cells)
-    for perm, scales in _ROW_TRANSFORMS:
-        transformed = tuple(
-            tuple(scales[i] * v % 3 for v in p.cells[perm[i]]) for i in range(4)
-        )
-        if _column_profile(transformed) == target:
-            return True
+    for perm in _PERMS:
+        if any(zp[perm[i]] != zq[i] for i in range(4)):
+            continue
+        rows = [p.cells[i] for i in perm]
+        for scales in _SCALES:
+            transformed = tuple(
+                tuple(s * v % 3 for v in row) for s, row in zip(scales, rows)
+            )
+            if _column_profile(transformed) == target:
+                return True
     return False
 
 

@@ -16,6 +16,11 @@ times powers of omega read off the words, so the products are formed once
 and bucketed by omega power.  This holds for any 3x3 input, with or without
 a global phase.
 
+The traces are computed on integers: U's entries are brought to one common
+denominator D, the products are 12-coordinate integer vectors over D^2, and
+the sums, omega twists, conjugates and the factor i stay integer vectors
+until each entry is built once as a ``Cyclo36`` over 6 D^2.
+
 ``AdjointMatrix`` is an 8 x 8 ``UnitaryMatrix`` (product, equality and
 hashing are the matrix's own) that adds the view the T-count obstruction
 reads: for circuits over the supported gate set every entry lies in the real
@@ -27,9 +32,13 @@ inspection.
 
 from __future__ import annotations
 
+import math
+
 from qutrit_exact.errors import DimMismatchError
 from qutrit_exact.rings.alpha import AlphaElem, to_alpha
-from qutrit_exact.rings.cyclo import OMEGA, OMEGA2, ZERO, Cyclo36
+from qutrit_exact.rings.cyclo import (
+    _POWER_TABLE, _SIGMA, Cyclo36, _galois_image, _mul_vectors,
+)
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 _BLOCK_SLICES = {
@@ -39,9 +48,10 @@ _BLOCK_SLICES = {
     "D": (range(4, 8), range(4, 8)),
 }
 
-_SIXTH = Cyclo36((1,), 6)
-_MINUS_SIXTH = -_SIXTH
-_I_SIXTH = Cyclo36.zeta_pow(9) * _SIXTH
+_CONJ = _SIGMA[35]
+_OMEGA = _POWER_TABLE[12]
+_I = _POWER_TABLE[9]
+_ZEROS = (0,) * 12
 
 
 def _columns(x: int, z: int):
@@ -51,10 +61,10 @@ def _columns(x: int, z: int):
     return p, p_dag
 
 
-def _trace_terms(p, q) -> tuple[tuple[int, int, int], ...]:
-    """Tr(P U Q U^dag) as (k, 3b + c, 3a + e): omega^k * U[b][c] * conj(U[a][e])."""
+def _trace_terms(p, q) -> tuple[tuple[int, int], ...]:
+    """Tr(P U Q U^dag) as (k, 9(3b + c) + 3a + e): omega^k U[b][c] conj(U[a][e])."""
     return tuple(
-        ((kp + kq) % 3, 3 * b + c, 3 * a + e)
+        ((kp + kq) % 3, 9 * (3 * b + c) + 3 * a + e)
         for b, (a, kp) in enumerate(p)
         for e, (c, kq) in enumerate(q)
     )
@@ -94,14 +104,17 @@ class AdjointMatrix(UnitaryMatrix):
         return tuple(tuple(alpha[i][j] for j in cols) for i in rows)
 
 
-def _trace(products: dict, terms) -> Cyclo36:
-    """The sum of omega^k * product over the terms, with the products bucketed by k."""
-    buckets = [ZERO, ZERO, ZERO]
-    for k, left, right in terms:
-        p = products.get((left, right))
+def _trace(products: list, terms) -> list[int]:
+    """Numerators of the sum of omega^k * product over the terms, bucketed by k."""
+    buckets = ([_ZEROS], [_ZEROS], [_ZEROS])
+    for k, idx in terms:
+        p = products[idx]
         if p is not None:
-            buckets[k] = buckets[k] + p
-    return buckets[0] + OMEGA * buckets[1] + OMEGA2 * buckets[2]
+            buckets[k].append(p)
+    b0, b1, b2 = ([sum(c) for c in zip(*b)] for b in buckets)
+    # b0 + omega b1 + omega^2 b2, with omega^2 = -1 - omega
+    twist = _mul_vectors([x - z for x, z in zip(b1, b2)], _OMEGA)
+    return [x - z + t for x, z, t in zip(b0, b2, twist)]
 
 
 def adjoint_of(u: UnitaryMatrix) -> AdjointMatrix:
@@ -111,23 +124,23 @@ def adjoint_of(u: UnitaryMatrix) -> AdjointMatrix:
             f"adjoint representation expects a 3 x 3 matrix, got {u.dim} x {u.dim}"
         )
     flat = [e for row in u.rows for e in row]
-    conj = [e.conjugate() for e in flat]
-    products = {
-        (left, right): x * y
-        for left, x in enumerate(flat)
-        if x
-        for right, y in enumerate(conj)
-        if y
-    }
-    rows = [[ZERO] * 8 for _ in range(8)]
+    den = math.lcm(*(e.denominator for e in flat))
+    nums = [[c * (den // e.denominator) for c in e.numerators] if e else None for e in flat]
+    conj = [_galois_image(n, _CONJ) if n else None for n in nums]
+    products = [_mul_vectors(x, y) if x and y else None for x in nums for y in conj]
+    scale = 6 * den * den
+    rows = [[None] * 8 for _ in range(8)]
     for i, j, s_terms, d_terms in _PAIRS:
         s, d = _trace(products, s_terms), _trace(products, d_terms)
-        plus, minus = s + d, s - d
-        plus_c, minus_c = plus.conjugate(), minus.conjugate()
-        rows[i][j] = (plus + plus_c) * _SIXTH
-        rows[i][j + 4] = (minus - minus_c) * _I_SIXTH
-        rows[i + 4][j] = (plus - plus_c) * _I_SIXTH
-        rows[i + 4][j + 4] = (minus + minus_c) * _MINUS_SIXTH
+        plus = [a + b for a, b in zip(s, d)]
+        minus = [a - b for a, b in zip(s, d)]
+        plus_c, minus_c = _galois_image(plus, _CONJ), _galois_image(minus, _CONJ)
+        i_plus = _mul_vectors([a - b for a, b in zip(plus, plus_c)], _I)
+        i_minus = _mul_vectors([a - b for a, b in zip(minus, minus_c)], _I)
+        rows[i][j] = Cyclo36([a + b for a, b in zip(plus, plus_c)], scale)
+        rows[i][j + 4] = Cyclo36(i_minus, scale)
+        rows[i + 4][j] = Cyclo36(i_plus, scale)
+        rows[i + 4][j + 4] = Cyclo36([a + b for a, b in zip(minus, minus_c)], -scale)
     return AdjointMatrix(rows)
 
 

@@ -195,8 +195,9 @@ class DalphaElem:
         return _elem((n1, n2 + 36 * m, n3, n4 - 96 * m, n5, 64 * m), self._k)
 
 
-# alpha^6 / 3, the dyadic cofactor of 1/3
+# alpha^6 / 3, the dyadic cofactor of 1/3, and its powers, extended on demand
 _THIRD_COFACTOR = _elem((1, 0, -12, 0, 32, 0), 6)
+_THIRD_COFACTOR_POWERS = [_elem((1,), 0)]
 
 
 def residue(q: DalphaElem) -> int:
@@ -299,6 +300,8 @@ def to_alpha(x: Cyclo36) -> AlphaElem:
     generates the whole real subfield, so the projection is exact on every
     real input.
     """
+    if x.is_zero():
+        return AlphaElem(_elem(_ZEROS, 0))
     if not x.is_real():
         raise NotRealError("value has nonzero imaginary part")
     n = x.numerators
@@ -316,7 +319,9 @@ def to_alpha(x: Cyclo36) -> AlphaElem:
         b += 1
     if den != 1:
         raise NotInAError("coordinate denominator has a prime factor other than 2 or 3")
+    while len(_THIRD_COFACTOR_POWERS) <= b:
+        _THIRD_COFACTOR_POWERS.append(_THIRD_COFACTOR_POWERS[-1] * _THIRD_COFACTOR)
     elem = _elem(s, a)
-    for _ in range(b):
-        elem = elem * _THIRD_COFACTOR
+    if b:
+        elem = elem * _THIRD_COFACTOR_POWERS[b]
     return AlphaElem(elem, 6 * b)

@@ -169,7 +169,8 @@ class Cyclo36:
         return Cyclo36(_galois_image(self._num, _SIGMA[35]), self._den)
 
     def is_real(self) -> bool:
-        return self.conjugate() == self
+        # conjugation is unimodular, so the conjugate keeps the reduced denominator
+        return tuple(_galois_image(self._num, _SIGMA[35])) == self._num
 
     # -- arithmetic --------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Adjoint representation: trace oracle, homomorphism, residue patterns, verdicts."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,34 @@ def _phased_word(rng, length: int) -> UnitaryMatrix:
         for kind in kinds
     )
     return circuit_matrix(Circuit(1, ops))
+
+
+def _fifth_rotation() -> UnitaryMatrix:
+    """A real rotation by an angle with cosine 3/5: its adjoint leaves the alpha ring."""
+    c, s, zero = Fraction(3, 5), Fraction(4, 5), Cyclo36.from_int(0)
+    return UnitaryMatrix(
+        (
+            (Cyclo36.from_fraction(c), Cyclo36.from_fraction(s), zero),
+            (Cyclo36.from_fraction(-s), Cyclo36.from_fraction(c), zero),
+            (zero, zero, Cyclo36.from_int(1)),
+        )
+    )
+
+
+def _exact_basis() -> list[UnitaryMatrix]:
+    """P + P^dag, then i(P - P^dag) with i = zeta_36^9, for P = Z, X, XZ, XZ^2."""
+    omega, i = Cyclo36.zeta_pow(12), Cyclo36.zeta_pow(9)
+    x = UnitaryMatrix([[int(r == (c + 1) % 3) for c in range(3)] for r in range(3)])
+    z = UnitaryMatrix([[omega**r if r == c else 0 for c in range(3)] for r in range(3)])
+
+    def combine(p, sign):
+        return UnitaryMatrix(
+            tuple(a + sign * b for a, b in zip(row, row_dag))
+            for row, row_dag in zip(p.rows, p.dag().rows)
+        )
+
+    words = (z, x, x @ z, x @ z @ z)
+    return [combine(p, 1) for p in words] + [combine(p, -1).scale(i) for p in words]
 
 
 def _numeric_basis() -> list[np.ndarray]:
@@ -103,6 +132,25 @@ class TestAdjointMap:
                     want = np.trace(mi @ un @ mj @ un.conj().T) / 6
                     assert approx_equal(to_complex(adj.entry(i, j)), want)
 
+    def test_exact_action_oracle(self, rng):
+        # all 64 entries equal Tr(m_i U m_j U^dag) / 6 exactly, with the basis
+        # built as exact matrices from its definition
+        basis = _exact_basis()
+        sixth = Cyclo36.from_fraction(Fraction(1, 6))
+        words = [_phased_word(rng, 10) for _ in range(5)]
+        inputs = words + [w.scale(Cyclo36.zeta_pow(rng.randrange(1, 36))) for w in words]
+        inputs.append(_fifth_rotation())
+        for u in inputs:
+            adj = adjoint_of(u)
+            images = [u @ mj @ u.dag() for mj in basis]
+            for i, mi in enumerate(basis):
+                for j, w in enumerate(images):
+                    trace = sum(
+                        (mi.entry(a, b) * w.entry(b, a) for a in range(3) for b in range(3)),
+                        Cyclo36.from_int(0),
+                    )
+                    assert adj.entry(i, j) == trace * sixth, (i, j)
+
     def test_ct_words_lie_in_alpha_ring(self, rng):
         for _ in range(10):
             m = circuit_matrix(random_word(rng, CT_KINDS, 1, 12))
@@ -132,7 +180,97 @@ class TestBlocks:
             block_lde(adjoint_of(_gate("T")), "E")
 
 
+def _bordered_orbit() -> set:
+    """BORDERED_TWOS under row/column swaps and x2 scalings, by breadth-first search."""
+
+    def row_moves(rows):
+        for a in range(4):
+            yield rows[:a] + (tuple(2 * v % 3 for v in rows[a]),) + rows[a + 1:]
+            for b in range(a + 1, 4):
+                swapped = list(rows)
+                swapped[a], swapped[b] = rows[b], rows[a]
+                yield tuple(swapped)
+
+    def moves(cells):
+        yield from row_moves(cells)
+        for t in row_moves(tuple(zip(*cells))):
+            yield tuple(zip(*t))
+
+    seen, frontier = {BORDERED_TWOS.cells}, [BORDERED_TWOS.cells]
+    while frontier:
+        nxt = []
+        for cells in frontier:
+            for c in moves(cells):
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return seen
+
+
+def _reference_equiv(p: ResiduePattern, q: ResiduePattern) -> bool:
+    """pattern_equiv by the full 24 x 16 row-transform enumeration."""
+
+    def profile(cells):
+        cols = [tuple(r[c] for r in cells) for c in range(4)]
+        return sorted(min(c, tuple(2 * v % 3 for v in c)) for c in cols)
+
+    target = profile(q.cells)
+    return any(
+        profile([[s * v % 3 for v in p.cells[perm[i]]] for i, s in enumerate(scales)])
+        == target
+        for perm in itertools.permutations(range(4))
+        for scales in itertools.product((1, 2), repeat=4)
+    )
+
+
+def _random_pattern(rng) -> ResiduePattern:
+    # zeros weighted up, so that zero counts vary across rows
+    return ResiduePattern(
+        tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(4)) for _ in range(4))
+    )
+
+
+def _mutations(cells):
+    for r in range(4):
+        for c in range(4):
+            for d in (1, 2):
+                rows = [list(row) for row in cells]
+                rows[r][c] = (rows[r][c] + d) % 3
+                yield ResiduePattern(tuple(tuple(row) for row in rows))
+
+
 class TestPatterns:
+    def test_equiv_is_orbit_membership(self, rng):
+        orbit = _bordered_orbit()
+        assert len(orbit) == 512  # 4 x 4 border positions x 32 sign patterns
+        for cells in orbit:
+            p = ResiduePattern(cells)
+            assert pattern_equiv(p, BORDERED_TWOS) and pattern_equiv(p, BORDERED_ONES)
+        for cells in rng.sample(sorted(orbit), 40):
+            for m in _mutations(cells):
+                assert pattern_equiv(m, BORDERED_TWOS) == (m.cells in orbit)
+        for _ in range(300):
+            p = _random_pattern(rng)
+            assert pattern_equiv(p, BORDERED_ONES) == (p.cells in orbit)
+
+    def test_equiv_matches_full_enumeration(self, rng):
+        outcomes = set()
+        for _ in range(150):
+            p = _random_pattern(rng)
+            rows, cols = rng.sample(range(4), 4), rng.sample(range(4), 4)
+            rs, cs = [rng.choice((1, 2)) for _ in range(4)], [rng.choice((1, 2)) for _ in range(4)]
+            q = ResiduePattern(tuple(
+                tuple(p.cells[rows[i]][cols[j]] * rs[i] * cs[j] % 3 for j in range(4))
+                for i in range(4)
+            ))
+            if rng.random() < 0.5:
+                q = rng.choice(list(_mutations(q.cells)))
+            want = _reference_equiv(p, q)
+            assert pattern_equiv(p, q) == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
     def test_bordered_patterns_are_equivalent_to_each_other(self):
         # row scaling by 2 maps the all-2 interior onto the all-1 interior
         assert pattern_equiv(BORDERED_TWOS, BORDERED_ONES)
@@ -203,15 +341,7 @@ class TestObstructionVerdicts:
         assert "residue" in verdict.text()
 
     def test_unitary_outside_the_ring(self):
-        fifth = Fraction(1, 5)
-        m = UnitaryMatrix(
-            (
-                (Cyclo36.from_fraction(3 * fifth), Cyclo36.from_fraction(4 * fifth), Cyclo36.from_int(0)),
-                (Cyclo36.from_fraction(-4 * fifth), Cyclo36.from_fraction(3 * fifth), Cyclo36.from_int(0)),
-                (Cyclo36.from_int(0), Cyclo36.from_int(0), Cyclo36.from_int(1)),
-            )
-        )
-        verdict = single_qutrit_ct_obstruction(m)
+        verdict = single_qutrit_ct_obstruction(_fifth_rotation())
         assert verdict.is_obstructed()
         assert verdict.kind == "not_in_ring"
 

@@ -108,6 +108,15 @@ class TestCycloArithmetic:
         assert str(MINUS_ONE * Cyclo36.omega_pow(2)) == "-omega^2"
         assert str(Cyclo36.zeta9_pow(7)) == "zeta^7"
 
+    def test_is_real_matches_conjugate(self, rng):
+        outcomes = set()
+        for _ in range(60):
+            a = Cyclo36([rng.randint(-9, 9) for _ in range(12)], rng.randint(1, 60))
+            for x in (a, a + a.conjugate(), a * a.conjugate(), a - a.conjugate()):
+                assert x.is_real() == (x.conjugate() == x)
+                outcomes.add(x.is_real())
+        assert outcomes == {True, False}
+
     def test_conjugate_is_involution(self, rng):
         for _ in range(40):
             a = random_cyclo(rng)
@@ -250,6 +259,8 @@ class TestAlphaRing:
         # 3 = alpha^6 * unit, so 1/3 has alpha-denominator exponent 6
         third = to_alpha(Cyclo36.from_fraction(Fraction(1, 3)))
         assert third.lde() == 6
+        zero = to_alpha(ZERO)
+        assert zero.lde() == 0 and zero.denom_exp == 0 and zero.value == 0
 
     def test_to_alpha_roundtrip_numeric(self, rng):
         alpha = math.sin(2 * math.pi / 9)
@@ -271,8 +282,9 @@ class TestAlphaRing:
             assert abs(fx - approx) < 1e-8
 
     def test_to_alpha_rejects_imaginary_and_foreign_denominators(self):
-        with pytest.raises(NotRealError):
-            to_alpha(embed("i"))
+        for x in (embed("i"), embed("omega")):
+            with pytest.raises(NotRealError):
+                to_alpha(x)
         with pytest.raises(NotInAError):
             to_alpha(Cyclo36.from_fraction(Fraction(1, 5)))
 
@@ -335,7 +347,10 @@ class TestIntegerAlphaRing:
             elem = to_alpha(x)
             assert elem.denom_exp % 6 == 0
             assert _alpha_value(elem) == x
-        assert to_alpha(Cyclo36.from_fraction(Fraction(5, 27))).denom_exp == 18
+        # 1/81 takes the cofactor power (alpha^6/3)^4
+        for q, exp in ((Fraction(5, 27), 18), (Fraction(1, 81), 24)):
+            elem = to_alpha(Cyclo36.from_fraction(q))
+            assert elem.denom_exp == exp and _alpha_value(elem) == q
 
     def test_normal_form(self, rng):
         half, alpha = DalphaElem((Fraction(1, 2),)), DalphaElem((0, 1))
