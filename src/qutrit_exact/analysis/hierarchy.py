@@ -7,18 +7,19 @@ phase and U A B U^dag = (U A U^dag)(U B U^dag), so at k = 3 the generators
 X_w and Z_w suffice.  Level k-1 is not a group once k-1 >= 3, so at k >= 4
 every nontrivial Pauli is conjugated.  The search is capped: absence up to
 the cap is certified, absence beyond it is not decided.
+
+A conjugate U P U^dag costs one ``matmul``: U P relabels U's columns and
+rotates them by powers of omega, a map of each entry's numerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from qutrit_exact.analysis.clifford import CliffordCertificate, is_clifford
-from qutrit_exact.analysis.pauli import is_pauli, pauli_elements
-from qutrit_exact.circuit.core import Op
+from qutrit_exact.analysis.pauli import column_maps, is_pauli, omega_times
 from qutrit_exact.errors import DimMismatchError
-from qutrit_exact.sim.gates import gate_matrix
+from qutrit_exact.rings.cyclo import Cyclo36
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 MAX_CAP = 5
@@ -41,12 +42,14 @@ class HierarchyReport:
         return "\n".join((head,) + self.lines)
 
 
-@lru_cache(maxsize=None)
-def _paulis(n: int, generators: bool) -> tuple[tuple[str, UnitaryMatrix], ...]:
-    """(label, matrix) of X_w and Z_w on each wire, or of every nontrivial Pauli."""
-    if generators:
-        return tuple((f"{g}_{w}", gate_matrix(Op(g, (w,)), n)) for w in range(n) for g in "XZ")
-    return tuple((p.label(), p.matrix()) for p in pauli_elements(n))
+def _times_pauli(m: UnitaryMatrix, columns) -> UnitaryMatrix:
+    """m @ P for the phase-free Pauli P with this column map: a relabel with omega phases."""
+    out = []
+    for row in m.rows:
+        entries = [(row[src], k) for src, k in columns]
+        out.append([Cyclo36(omega_times(e.numerators, k), e.denominator) if k and e else e
+                    for e, k in entries])
+    return UnitaryMatrix(out)
 
 
 def _level_at_most(m: UnitaryMatrix, k: int, n: int, memo: dict):
@@ -58,7 +61,8 @@ def _level_at_most(m: UnitaryMatrix, k: int, n: int, memo: dict):
         else:
             md = m.dag()
             memo[key] = all(
-                _level_at_most(m @ p @ md, k - 1, n, memo) for _, p in _paulis(n, k == 3)
+                _level_at_most(_times_pauli(m, p) @ md, k - 1, n, memo)
+                for _, p in column_maps(n, k == 3)
             )
     return memo[key]
 
@@ -87,8 +91,8 @@ def hierarchy_level(m: UnitaryMatrix, cap: int = 4) -> HierarchyReport:
     md = m.dag()
     for k in range(3, cap + 1):
         lines = []
-        for label, p in _paulis(n, k == 3):
-            below = _level_at_most(m @ p @ md, k - 1, n, memo)
+        for label, p in column_maps(n, k == 3):
+            below = _level_at_most(_times_pauli(m, p) @ md, k - 1, n, memo)
             if not below:
                 break
             if k == 3:

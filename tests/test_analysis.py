@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import CLIFFORD_KINDS, CT_KINDS, random_word
+from conftest import CLIFFORD_KINDS, CT_KINDS, random_cyclo, random_word
 from qutrit_exact.analysis import (
     PauliElement,
     WITNESS_UNITS,
@@ -16,11 +16,12 @@ from qutrit_exact.analysis import (
     pauli_elements,
     refute_phase_membership,
 )
-from qutrit_exact.analysis.pauli import match_pauli
+from qutrit_exact.analysis.hierarchy import _times_pauli
+from qutrit_exact.analysis.pauli import column_maps, integer_rows, match_pauli, omega_times
 from qutrit_exact.circuit.core import Op
 from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.errors import DimMismatchError
-from qutrit_exact.rings.cyclo import OMEGA, Cyclo36, MINUS_ONE, ONE
+from qutrit_exact.rings.cyclo import OMEGA, Cyclo36, MINUS_ONE, ONE, ZERO
 from qutrit_exact.rings.membership import RingTag, in_ring
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact
@@ -131,7 +132,7 @@ class TestMatchPauli:
             for p in rng.sample(paulis, 6):
                 q = PauliElement(p.x_exps, p.z_exps, rng.choice(WITNESS_UNITS))
                 v = q.matrix() @ m
-                assert match_pauli(m, v.rows, n) == q == _brute_match(m, v)
+                assert match_pauli(integer_rows(m.rows), integer_rows(v.rows), n) == q == _brute_match(m, v)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_near_misses_are_rejected(self, n, rng):
@@ -159,7 +160,7 @@ class TestMatchPauli:
             ]
             # s0 @ v: every row proportional to v's, but the phases are not linear
             for near in (UnitaryMatrix(bumped), s0 @ v, UnitaryMatrix(swapped), *negated):
-                assert match_pauli(m, near.rows, n) is None
+                assert match_pauli(integer_rows(m.rows), integer_rows(near.rows), n) is None
                 assert _brute_match(m, near) is None
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -168,7 +169,9 @@ class TestMatchPauli:
         p = rng.choice(list(pauli_elements(n)))
         zeta = Cyclo36.zeta_pow(1)  # a 36th root of unity, not a witness unit
         phased = p.matrix().scale(zeta)
-        assert match_pauli(ident, phased.rows, n) == PauliElement(p.x_exps, p.z_exps, zeta)
+        assert match_pauli(integer_rows(ident.rows), integer_rows(phased.rows), n) == PauliElement(
+            p.x_exps, p.z_exps, zeta
+        )
         candidates = [
             PauliElement(p.x_exps, p.z_exps, rng.choice(WITNESS_UNITS)).matrix(),
             phased,
@@ -177,6 +180,30 @@ class TestMatchPauli:
         ]
         for m in candidates:
             assert is_pauli(m) == _brute_match(ident, m)
+
+    def test_is_pauli_on_every_single_qutrit_phased_pauli(self):
+        ident = UnitaryMatrix.identity(3)
+        phased = _phased_paulis(1)
+        assert len(phased) == 9 * 18
+        for rows, q in phased.items():
+            m = UnitaryMatrix(rows)
+            assert is_pauli(m) == _brute_match(ident, m) == q
+
+    def test_is_pauli_on_two_qutrit_paulis_and_near_misses(self, rng):
+        ident = UnitaryMatrix.identity(9)
+        zeta = Cyclo36.zeta_pow(1)  # a 36th root of unity, not a witness unit
+        for q in rng.sample(list(_phased_paulis(2).values()), 24):
+            m = q.matrix()
+            assert is_pauli(m) == _brute_match(ident, m) == q
+            rows = [list(row) for row in m.rows]
+            extra = [row[:] for row in rows]  # a second nonzero in one column
+            r, c = rng.choice([(r, c) for r in range(9) for c in range(9) if not rows[r][c]])
+            extra[r][c] = ONE
+            c = rng.randrange(1, 9)  # one column off by omega: the phases are not linear
+            turned = [[OMEGA * e if j == c else e for j, e in enumerate(row)] for row in rows]
+            for near in (UnitaryMatrix(extra), UnitaryMatrix(turned), m.scale(zeta)):
+                assert is_pauli(near) is None
+                assert _brute_match(ident, near) is None
 
 
 class TestCliffordRecognition:
@@ -197,18 +224,81 @@ class TestCliffordRecognition:
     def test_certificate_images_verify_exactly(self, rng):
         for n in (1, 2):
             for _ in range(10):
-                word = random_word(rng, CLIFFORD_KINDS, n, 15)
-                m = circuit_matrix(word)
-                cert = is_clifford(m)
-                assert cert.found
-                md = m.dag()
-                for name, image in cert.images:
-                    g = _generator(name, n)
-                    assert equal_exact(m @ g @ md, image.matrix())
+                m = circuit_matrix(random_word(rng, CLIFFORD_KINDS, n, 15))
+                self._assert_images_verify(m)
+                # an odd power of zeta_36: the entries leave Q(zeta_9)
+                self._assert_images_verify(m.scale(Cyclo36.zeta_pow(rng.randrange(1, 36, 2))))
+        # H, S and CX on two qutrits with phases: common denominators 1 and 3,
+        # dense and sparse; a Clifford's nonzero entries share one magnitude,
+        # so one matrix never mixes denominators (see the non-Clifford test)
+        shapes = set()
+        for _ in range(16):
+            word = random_word(rng, ("H", "HDG", "S", "SDG"), 2, rng.randrange(1, 8))
+            m = circuit_matrix(word).scale(Cyclo36.zeta_pow(rng.randrange(36)))
+            shapes.add((integer_rows(m.rows)[1], all(e for row in m.rows for e in row)))
+            self._assert_images_verify(m)
+        assert {(1, False), (3, False), (3, True)} <= shapes
+
+    @staticmethod
+    def _assert_images_verify(m: UnitaryMatrix) -> None:
+        n = 1 if m.dim == 3 else 2
+        cert = is_clifford(m)
+        assert cert.found
+        assert [name for name, _ in cert.images] == [f"{k}_{w}" for w in range(n) for k in "XZ"]
+        md = m.dag()
+        for name, image in cert.images:
+            assert equal_exact(m @ _generator(name, n) @ md, image.matrix())
+
+    def test_two_qutrit_non_cliffords_name_the_first_failing_generator(self, rng):
+        names = ["X_0", "Z_0", "X_1", "Z_1"]
+        # controlled H mixes entries over 1 and 3 in one matrix
+        inputs = [_lines(2, "T 1"), _lines(2, "LAMBDA[H 1] 0"), _lines(2, "LAMBDA[H 0] 1")]
+        for w in (0, 1, 0, 1):
+            c = circuit_matrix(random_word(rng, CLIFFORD_KINDS, 2, 8))
+            inputs.append(c @ _lines(2, f"T {w}") @ c.dag())
+        failed = []
+        for m in inputs:
+            md = m.dag()
+            brute = [_phased_paulis(2).get((m @ _generator(g, 2) @ md).rows) for g in names]
+            first = brute.index(None)
+            cert = is_clifford(m)
+            assert not cert.found
+            assert cert.failed == names[first]
+            assert cert.images == tuple(zip(names[:first], brute[:first]))
+            failed.append(cert.failed)
+        assert failed[0] == "X_1"  # T on wire 1 commutes with X_0 and Z_0
 
     def test_clifford_with_any_global_phase_is_clifford(self):
         h = _gate("H").scale(Cyclo36.zeta_pow(5))
         assert is_clifford(h).found
+
+
+class TestCoordinateMaps:
+    """omega as a map of coordinates, and products with a Pauli as column relabels."""
+
+    def test_omega_times_is_multiplication_by_omega(self, rng):
+        for _ in range(60):
+            x = random_cyclo(rng)
+            assert Cyclo36(omega_times(x.numerators), x.denominator) == OMEGA * x
+
+    def test_integer_rows_share_one_denominator(self, rng):
+        rows = [[random_cyclo(rng) for _ in range(3)] for _ in range(3)] + [[ZERO] * 3]
+        nums, den = integer_rows(rows)
+        assert nums[3] == [None] * 3
+        for row, num_row in zip(rows[:3], nums):
+            assert [Cyclo36(e, den) for e in num_row] == row
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_column_maps_multiply_like_the_pauli_matrices(self, n, rng):
+        gens = column_maps(n, True)
+        assert [name for name, _ in gens] == [f"{k}_{w}" for w in range(n) for k in "XZ"]
+        m = circuit_matrix(random_word(rng, CT_KINDS, n, 10)).scale(Cyclo36.zeta_pow(1))
+        for name, columns in gens:
+            assert _times_pauli(m, columns) == m @ _generator(name, n)
+        paulis = list(pauli_elements(n))
+        assert [label for label, _ in column_maps(n, False)] == [p.label() for p in paulis]
+        for (_, columns), p in zip(column_maps(n, False), paulis):
+            assert _times_pauli(m, columns) == m @ p.matrix()
 
 
 class TestHierarchy:
