@@ -16,8 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+# block_lde stays importable here: perfbench/tracing.py times it as adjoint.patterns
 from qutrit_exact.adjoint.rep import AdjointMatrix, adjoint_of, block_lde
 from qutrit_exact.errors import KTooSmallError, RingError
+from qutrit_exact.rings.alpha import residue
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
@@ -133,7 +135,9 @@ def single_qutrit_ct_obstruction(u: UnitaryMatrix) -> ObstructionVerdict:
             reason=f"adjoint entry falls outside the alpha ring ({e})",
         )
 
-    lde_a = block_lde(adj, "A")
+    # (l, alpha**l * entry) per A entry; at 2k > l the residue is 0, as alpha -> 0
+    reduced_a = [[a.reduced() for a in row] for row in adj.alpha_block("A")]
+    lde_a = max(lde for row in reduced_a for lde, _ in row)
     if lde_a % 2:
         return ObstructionVerdict(
             "obstructed",
@@ -152,7 +156,9 @@ def single_qutrit_ct_obstruction(u: UnitaryMatrix) -> ObstructionVerdict:
             lde_a=0,
         )
 
-    pat_a = residue_pattern(adj, "A", 2 * k)
+    pat_a = ResiduePattern(tuple(
+        tuple(residue(v) if lde == lde_a else 0 for lde, v in row) for row in reduced_a
+    ))
     if not pattern_equiv(pat_a, BORDERED_TWOS):
         return ObstructionVerdict(
             "obstructed",

@@ -219,9 +219,13 @@ class AlphaElem:
 
     def lde(self) -> int:
         """Least k >= 0 with alpha**k * self in Z[1/2][alpha]; lde(0) = 0."""
-        if self.value.is_zero():
-            return 0
+        return self.reduced()[0]
+
+    def reduced(self) -> tuple[int, DalphaElem]:
+        """lde(self) = k and alpha**k * self, from one chain of divisions."""
         v = self.value
+        if v.is_zero():
+            return 0, v
         d = 0
         while d < self.denom_exp:
             w = v.divide_by_alpha()
@@ -229,7 +233,7 @@ class AlphaElem:
                 break
             v = w
             d += 1
-        return self.denom_exp - d
+        return self.denom_exp - d, v
 
     def k_residue(self, k: int) -> int:
         """residue(alpha**k * self); raises K_TOO_SMALL when k < lde(self)."""

@@ -8,11 +8,22 @@ is the reversed product of the gate matrices.
 The simulator works on integers.  Every gate entry lies in Z[zeta_9][1/s] with
 s = omega - omega^2 (s^2 = -3), so a circuit matrix is held as rows / s**d for
 one shared exponent d.  A basis row is a pair (e, planes): a pending factor
-zeta_18**e and six integer planes, plane i holding the zeta_9**i coordinate
-(power basis mod Phi_9 = x^6 + x^3 + 1) of every entry of the row.  A monomial
-gate (one +-zeta_9**k per column) only permutes rows and adds to e; a dense
-gate sets each row to a sum of rotated source planes and adds its own
-s-exponent to d.  The matrix over Q(zeta_36) is built once, at the end.
+zeta_18**e and six planes, plane i holding the zeta_9**i coordinate (power
+basis mod Phi_9 = x^6 + x^3 + 1) of every entry of the row as one int with a
+signed W-bit lane per column.  A monomial gate (one +-zeta_9**k per column)
+only permutes rows and adds to e; a dense gate sets each row to a sum of
+rotated source planes and adds its own s-exponent to d.  The matrix over
+Q(zeta_36) is decoded once, at the end.
+
+W, the least multiple of 8 with W >= d + 4, is wide enough.  Packing is
+Z-linear, so only the final lanes must satisfy |c| < 2**(W-1).  They are the
+zeta_9-coordinates of x = (-3)**ceil(d/2) * u for the entries u of the
+unitary U.  Complex conjugation commutes with every automorphism sigma of
+Q(zeta_9), so sigma(U) is unitary and |sigma(x)| <= 3**ceil(d/2).  As
+Tr(zeta_9**k) is 6, -3 or 0 when 9 | k, 3 | k or neither,
+9 c_j = 2 Tr(x zeta_9**-j) + Tr(x zeta_9**(-j-3)) for j < 3 (zeta_9**(3-j) for
+j >= 3).  Each trace is at most 6 max|sigma(x)|, so
+|c_j| <= 2 max|sigma(x)| <= 2 * 3**ceil(d/2) < 2**(d+3).
 """
 
 from __future__ import annotations
@@ -20,7 +31,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, neg, sub
 
 from ..circuit.core import Circuit, Op, gate_facts
 from ..errors import RingError
@@ -187,39 +197,39 @@ def _layout(n: int, wires: tuple[int, ...]):
 # -- integer rows ---------------------------------------------------------
 
 
-def _combine(sources, zero: tuple) -> tuple:
-    """Planes of sum(coef * zeta_9**j * zeta_18**e * planes) over
-    (terms, e, planes) sources; all-zero planes are ``zero``.
+# zeta_18**e as (sign, zeta_9 shift): zeta_9**(e/2), or -zeta_9**((e+9)/2) for odd e
+_ZETA18 = tuple((1, e // 2) if e % 2 == 0 else (-1, (e + 9) // 2) for e in range(18))
+# the planes that planes 0..5 land on after a zeta_9**s rotation, before the fold
+_SHIFTS = tuple(tuple((i + s) % 9 for i in range(6)) for s in range(9))
 
-    Planes are never changed in place, so a result may share a source plane.
-    """
-    acc: list = [None] * 9
+
+def _combine(sources) -> tuple:
+    """Planes of sum(coef * zeta_9**j * zeta_18**e * planes) over
+    (terms, e, planes) sources."""
+    acc = [0] * 9
     for terms, e, planes in sources:
-        e %= 18
-        # zeta_18**e = zeta_9**(e/2), or -zeta_9**((e+9)/2) for odd e
-        sign, rot = (1, e // 2) if e % 2 == 0 else (-1, (e + 9) // 2)
+        sign, rot = _ZETA18[e % 18]
+        p0, p1, p2, p3, p4, p5 = planes
         for coef, j in terms:
             c = sign * coef
-            for i, p in enumerate(planes):
-                if p is zero:
-                    continue
-                t = (i + j + rot) % 9
-                a = acc[t]
-                if c == 1:
-                    acc[t] = p if a is None else list(map(add, a, p))
-                elif c == -1:
-                    acc[t] = list(map(neg, p)) if a is None else list(map(sub, a, p))
-                else:
-                    q = [c * x for x in p]
-                    acc[t] = q if a is None else list(map(add, a, q))
+            t0, t1, t2, t3, t4, t5 = _SHIFTS[(j + rot) % 9]
+            # unrolled over the six planes: this is the simulator's inner loop
+            if c == 1:
+                acc[t0] += p0; acc[t1] += p1; acc[t2] += p2
+                acc[t3] += p3; acc[t4] += p4; acc[t5] += p5
+            elif c == -1:
+                acc[t0] -= p0; acc[t1] -= p1; acc[t2] -= p2
+                acc[t3] -= p3; acc[t4] -= p4; acc[t5] -= p5
+            else:
+                acc[t0] += c * p0; acc[t1] += c * p1; acc[t2] += c * p2
+                acc[t3] += c * p3; acc[t4] += c * p4; acc[t5] += c * p5
     # x^(6+m) = -x^(3+m) - x^m mod Phi_9
     for m in range(3):
         high = acc[6 + m]
-        if high is not None:
-            for t in (3 + m, m):
-                a = acc[t]
-                acc[t] = list(map(neg, high)) if a is None else list(map(sub, a, high))
-    return tuple(zero if a is None or not any(a) else a for a in acc[:6])
+        if high:
+            acc[3 + m] -= high
+            acc[m] -= high
+    return tuple(acc[:6])
 
 
 def _permute(rows: list, images: tuple, exps: tuple, layout) -> list:
@@ -232,7 +242,7 @@ def _permute(rows: list, images: tuple, exps: tuple, layout) -> list:
     return out
 
 
-def _mix(rows: list, terms: tuple, layout, zero: tuple) -> list:
+def _mix(rows: list, terms: tuple, layout) -> list:
     """Rows after a dense gate, before its s-exponent is added to d."""
     local, base, offsets = layout
     out = []
@@ -241,19 +251,30 @@ def _mix(rows: list, terms: tuple, layout, zero: tuple) -> list:
         sources = [
             (t, *rows[b + off]) for off, t in zip(offsets, terms[local[r]]) if t
         ]
-        out.append((0, _combine(sources, zero)))
+        out.append((0, _combine(sources)))
     return out
 
 
-def _to_matrix(rows: list, d: int, zero: tuple) -> UnitaryMatrix:
+def _to_matrix(rows: list, d: int, width: int) -> UnitaryMatrix:
     # rows / s**d = rows * s**(d % 2) / (-3)**ceil(d / 2), and s = zeta_9^3 - zeta_9^6
     scale = ((1, 3), (-1, 6)) if d % 2 else ((1, 0),)
     den = (-3) ** ((d + 1) // 2)
+    dim, step = len(rows), width // 8
+    # adding 2**(width-1) to every lane makes each lane c, |c| < 2**(width-1), unsigned
+    half, bias = 1 << (width - 1), int.from_bytes((bytes(step - 1) + b"\x80") * dim, "little")
+    size, zeros = dim * step, (0,) * dim
     out = []
     for e, planes in rows:
-        planes = _combine(((scale, e, planes),), zero)
+        lanes = []
+        for p in _combine(((scale, e, planes),)):
+            if not p:
+                lanes.append(zeros)
+                continue
+            raw = (p + bias).to_bytes(size, "little")
+            lanes.append([int.from_bytes(raw[i:i + step], "little") - half
+                          for i in range(0, size, step)])
         out.append([Cyclo36.from_zeta9_coords(c, den) if any(c) else ZERO
-                    for c in zip(*planes)])
+                    for c in zip(*lanes)])
     return UnitaryMatrix(out)
 
 
@@ -266,22 +287,21 @@ def circuit_matrix(circ: Circuit) -> UnitaryMatrix:
     """The exact unitary of a circuit (earlier gates act first)."""
     _check_width(circ.n)
     n, dim = circ.n, 3**circ.n
-    zero = (0,) * dim
-    rows = [
-        (0, (tuple(int(c == r) for c in range(dim)),) + (zero,) * 5) for r in range(dim)
-    ]
-    d = 0
+    steps, d = [], 0
     for op in circ.ops:
         inner = (op.inner.kind, op.inner.params) if op.inner else (None, ())
         mono, dense = _compiled(op.kind, op.params, op.phase, *inner)
-        layout = _layout(n, op.all_wires())
+        steps.append((mono, dense, _layout(n, op.all_wires())))
+        if dense is not None:
+            d += dense[0]
+    width = 8 * ((d + 11) // 8)
+    rows = [(0, (1 << (width * r), 0, 0, 0, 0, 0)) for r in range(dim)]
+    for mono, dense, layout in steps:
         if mono is not None:
             rows = _permute(rows, *mono, layout)
         else:
-            k, terms = dense
-            rows = _mix(rows, terms, layout, zero)
-            d += k
-    return _to_matrix(rows, d, zero)
+            rows = _mix(rows, dense[1], layout)
+    return _to_matrix(rows, d, width)
 
 
 def _check_width(n: int) -> None:

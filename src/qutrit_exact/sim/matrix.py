@@ -151,7 +151,10 @@ def equal_up_to_phase(a: UnitaryMatrix, b: UnitaryMatrix) -> Cyclo36 | None:
         return None
     for arow, brow in zip(a.rows, b.rows):
         for ae, be in zip(arow, brow):
-            if ae != witness * be:
+            if be.is_zero():
+                if not ae.is_zero():
+                    return None
+            elif ae != witness * be:
                 return None
     return witness
 

@@ -274,6 +274,12 @@ class TestComparisons:
         h = gate_matrix(Op("H", (0,)), 1)
         assert equal_up_to_phase(t, h) is None
 
+    def test_phase_match_checks_the_zeros_of_b(self):
+        t = gate_matrix(Op("T", (0,)), 1)
+        rows = [list(row) for row in t.rows]
+        rows[0][1] = ONE  # a differs from t only where t is 0
+        assert equal_up_to_phase(UnitaryMatrix(rows), t) is None
+
     def test_phase_match_rejects_nonunit_scale(self):
         t = gate_matrix(Op("T", (0,)), 1)
         doubled = t.scale(Cyclo36.from_int(2))
@@ -367,6 +373,21 @@ def _random_op(rng: random.Random, n: int) -> Op:
     return _random_single(rng, wire)
 
 
+def _dense_op(rng: random.Random, n: int) -> Op:
+    """H, HDG or an XPHASE with a third on one wire, or C2[H] or LAMBDA[XPHASE]
+    on two: each adds 1 or 2 to the circuit's s-exponent d."""
+    wire = rng.randrange(n)
+    xphase = (Fraction(rng.randrange(9), 3), Fraction(1, 3))
+    roll = rng.random() if n > 1 else 0.0
+    if roll < 0.4:
+        kind = rng.choice(("H", "HDG", "XPHASE"))
+        return Op(kind, (wire,), xphase if kind == "XPHASE" else ())
+    other = rng.choice([w for w in range(n) if w != wire])
+    if roll < 0.7:
+        return Op("C2", (wire,), inner=Op("H", (other,)), phase=(-1, rng.randrange(9)))
+    return Op("LAMBDA", (wire,), inner=Op("XPHASE", (other,), xphase))
+
+
 class TestIntegerSimulator:
     """The integer simulator against the Cyclo36 reference, entry for entry."""
 
@@ -389,6 +410,13 @@ class TestIntegerSimulator:
             length = rng.randint(1, 10 if n < 3 else 4)
             circ = Circuit(n, tuple(_random_op(rng, n) for _ in range(length)))
             assert circuit_matrix(circ) == _reference_matrix(circ), circ
+
+    @pytest.mark.parametrize("n,dense", [(1, 300), (2, 150), (3, 30)])
+    def test_long_dense_words_need_the_full_lane_width(self, n, dense):
+        # the final lanes reach 3**(d/2), so lanes of d/2 + O(1) bits overflow
+        rng = random.Random(0x1A4E + n)
+        circ = Circuit(n, tuple(_dense_op(rng, n) for _ in range(dense)))
+        assert circuit_matrix(circ) == _reference_matrix(circ)
 
     def test_zero_entries_share_one_object(self):
         m = circuit_matrix(Circuit(2, (Op("H", (0,)), Op("CX", (0, 1)))))
