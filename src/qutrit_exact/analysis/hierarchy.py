@@ -6,10 +6,13 @@ nontrivial Pauli P.  Level 2 is a group, the Clifford test ignores global
 phase and U A B U^dag = (U A U^dag)(U B U^dag), so at k = 3 the generators
 X_w and Z_w suffice.  Level k-1 is not a group once k-1 >= 3, so at k >= 4
 every nontrivial Pauli is conjugated.  The search is capped: absence up to
-the cap is certified, absence beyond it is not decided.
+the cap is certified, absence beyond it is not decided.  The level-2 test
+looks only for phased Paulis w Q with w^3 = 1, since a conjugate of a qutrit
+Pauli, which has order 3, can carry no other phase (``analysis.clifford``).
 
 A conjugate U P U^dag costs one ``matmul``: U P relabels U's columns and
-rotates them by powers of omega, a map of each entry's numerators.
+rotates them by powers of omega (``Cyclo36.times_omega``), a map of each
+entry's numerators over the same denominator.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qutrit_exact.analysis.clifford import CliffordCertificate, is_clifford
-from qutrit_exact.analysis.pauli import column_maps, is_pauli, omega_times
+from qutrit_exact.analysis.pauli import column_maps, is_pauli
 from qutrit_exact.errors import DimMismatchError
-from qutrit_exact.rings.cyclo import Cyclo36
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 MAX_CAP = 5
@@ -44,12 +46,7 @@ class HierarchyReport:
 
 def _times_pauli(m: UnitaryMatrix, columns) -> UnitaryMatrix:
     """m @ P for the phase-free Pauli P with this column map: a relabel with omega phases."""
-    out = []
-    for row in m.rows:
-        entries = [(row[src], k) for src, k in columns]
-        out.append([Cyclo36(omega_times(e.numerators, k), e.denominator) if k and e else e
-                    for e, k in entries])
-    return UnitaryMatrix(out)
+    return UnitaryMatrix([row[src].times_omega(k) for src, k in columns] for row in m.rows)
 
 
 def _level_at_most(m: UnitaryMatrix, k: int, n: int, memo: dict):

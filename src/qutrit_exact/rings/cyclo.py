@@ -210,6 +210,24 @@ class Cyclo36:
 
     __rmul__ = __mul__
 
+    def times_omega(self, k: int = 1) -> Cyclo36:
+        """omega**k * self as a map of coordinates, with no product.
+
+        With numerators lo + zeta^6 hi (lo, hi of degree < 6) and
+        zeta^12 = zeta^6 - 1, omega maps them to (-lo - hi) + zeta^6 lo, and
+        omega^2 to hi + zeta^6 (-lo - hi).  The map is invertible over Z, so
+        the numerators stay reduced over the same denominator and no gcd is
+        taken.
+        """
+        k %= 3
+        if not k or self.is_zero():
+            return self
+        lo, hi = self._num[:6], self._num[6:]
+        mixed = tuple(-p - q for p, q in zip(lo, hi))
+        out = object.__new__(Cyclo36)
+        out._num, out._den = mixed + lo if k == 1 else hi + mixed, self._den
+        return out
+
     def __pow__(self, e: int) -> Cyclo36:
         if e < 0:
             return self.inverse() ** (-e)

@@ -1,5 +1,6 @@
 """Recognition: Pauli/Clifford certificates, hierarchy levels, ring verdicts."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,12 +17,13 @@ from qutrit_exact.analysis import (
     pauli_elements,
     refute_phase_membership,
 )
+from qutrit_exact.analysis.clifford import _match, _row_index
 from qutrit_exact.analysis.hierarchy import _times_pauli
-from qutrit_exact.analysis.pauli import column_maps, integer_rows, match_pauli, omega_times
+from qutrit_exact.analysis.pauli import column_maps
 from qutrit_exact.circuit.core import Op
 from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.errors import DimMismatchError
-from qutrit_exact.rings.cyclo import OMEGA, Cyclo36, MINUS_ONE, ONE, ZERO
+from qutrit_exact.rings.cyclo import OMEGA, OMEGA2, Cyclo36, MINUS_ONE, ONE, ZERO
 from qutrit_exact.rings.membership import RingTag, in_ring
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact
@@ -98,6 +100,10 @@ class TestPauliRecognition:
             is_pauli(UnitaryMatrix.identity(4))
 
 
+#: The phases a Clifford conjugate of a qutrit Pauli can carry: 1, omega, omega^2.
+CUBE_ROOTS = (ONE, OMEGA, OMEGA2)
+
+
 def _all_paulis(n: int) -> list[PauliElement]:
     """The 9^n phase-free Pauli elements, identity first."""
     return [PauliElement((0,) * n, (0,) * n), *pauli_elements(n)]
@@ -118,21 +124,27 @@ def _brute_match(m: UnitaryMatrix, v: UnitaryMatrix) -> PauliElement | None:
     return _phased_paulis(1 if m.dim == 3 else 2).get((v @ m.dag()).rows)
 
 
+def _match_rows(m: UnitaryMatrix, v: UnitaryMatrix) -> PauliElement | None:
+    """The Clifford test's matcher: w * P with v == w * P @ m and w**3 == 1, or None."""
+    orbits = [[(e, e.times_omega(1), e.times_omega(2)) for e in row] for row in m.rows]
+    return _match(_row_index(orbits), v.rows, 1 if m.dim == 3 else 2)
+
+
 def _ct_matrices(rng, n: int, count: int) -> list[UnitaryMatrix]:
     return [circuit_matrix(random_word(rng, CT_KINDS, n, 12)) for _ in range(count)]
 
 
 class TestMatchPauli:
-    """The phased-Pauli solver against a search over all phased Paulis."""
+    """The Clifford test's row matcher against a search over all phased Paulis."""
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_phased_pauli_times_m_is_matched_exactly(self, n, rng):
         paulis = _all_paulis(n)
         for m in _ct_matrices(rng, n, 4):
             for p in rng.sample(paulis, 6):
-                q = PauliElement(p.x_exps, p.z_exps, rng.choice(WITNESS_UNITS))
+                q = PauliElement(p.x_exps, p.z_exps, rng.choice(CUBE_ROOTS))
                 v = q.matrix() @ m
-                assert match_pauli(integer_rows(m.rows), integer_rows(v.rows), n) == q == _brute_match(m, v)
+                assert _match_rows(m, v) == q == _brute_match(m, v)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_near_misses_are_rejected(self, n, rng):
@@ -160,7 +172,7 @@ class TestMatchPauli:
             ]
             # s0 @ v: every row proportional to v's, but the phases are not linear
             for near in (UnitaryMatrix(bumped), s0 @ v, UnitaryMatrix(swapped), *negated):
-                assert match_pauli(integer_rows(m.rows), integer_rows(near.rows), n) is None
+                assert _match_rows(m, near) is None
                 assert _brute_match(m, near) is None
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -169,9 +181,8 @@ class TestMatchPauli:
         p = rng.choice(list(pauli_elements(n)))
         zeta = Cyclo36.zeta_pow(1)  # a 36th root of unity, not a witness unit
         phased = p.matrix().scale(zeta)
-        assert match_pauli(integer_rows(ident.rows), integer_rows(phased.rows), n) == PauliElement(
-            p.x_exps, p.z_exps, zeta
-        )
+        # a conjugate of a qutrit Pauli has a phase with w**3 == 1, so no other w is solved for
+        assert _match_rows(ident, phased) is None
         candidates = [
             PauliElement(p.x_exps, p.z_exps, rng.choice(WITNESS_UNITS)).matrix(),
             phased,
@@ -235,7 +246,8 @@ class TestCliffordRecognition:
         for _ in range(16):
             word = random_word(rng, ("H", "HDG", "S", "SDG"), 2, rng.randrange(1, 8))
             m = circuit_matrix(word).scale(Cyclo36.zeta_pow(rng.randrange(36)))
-            shapes.add((integer_rows(m.rows)[1], all(e for row in m.rows for e in row)))
+            den = math.lcm(*(e.denominator for row in m.rows for e in row))
+            shapes.add((den, all(e for row in m.rows for e in row)))
             self._assert_images_verify(m)
         assert {(1, False), (3, False), (3, True)} <= shapes
 
@@ -247,6 +259,7 @@ class TestCliffordRecognition:
         assert [name for name, _ in cert.images] == [f"{k}_{w}" for w in range(n) for k in "XZ"]
         md = m.dag()
         for name, image in cert.images:
+            assert image.phase in CUBE_ROOTS
             assert equal_exact(m @ _generator(name, n) @ md, image.matrix())
 
     def test_two_qutrit_non_cliffords_name_the_first_failing_generator(self, rng):
@@ -276,17 +289,11 @@ class TestCliffordRecognition:
 class TestCoordinateMaps:
     """omega as a map of coordinates, and products with a Pauli as column relabels."""
 
-    def test_omega_times_is_multiplication_by_omega(self, rng):
-        for _ in range(60):
-            x = random_cyclo(rng)
-            assert Cyclo36(omega_times(x.numerators), x.denominator) == OMEGA * x
-
-    def test_integer_rows_share_one_denominator(self, rng):
-        rows = [[random_cyclo(rng) for _ in range(3)] for _ in range(3)] + [[ZERO] * 3]
-        nums, den = integer_rows(rows)
-        assert nums[3] == [None] * 3
-        for row, num_row in zip(rows[:3], nums):
-            assert [Cyclo36(e, den) for e in num_row] == row
+    def test_times_omega_is_multiplication_by_omega_powers(self, rng):
+        # == compares gcd-normalized pairs, so this also shows no gcd is needed
+        for x in [random_cyclo(rng) for _ in range(60)] + [ZERO]:
+            for k in range(6):
+                assert x.times_omega(k) == OMEGA**k * x
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_column_maps_multiply_like_the_pauli_matrices(self, n, rng):

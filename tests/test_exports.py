@@ -1,5 +1,7 @@
-"""Every name a module lists in ``__all__`` exists, so no re-export outlives its definition."""
+"""Every name a module lists in ``__all__`` exists, so no re-export outlives its definition;
+and the private layout of ``rings.cyclo`` stays behind the modules that are measured to need it."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -34,3 +36,31 @@ def test_perfbench_trace_hooks_resolve():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def _imported_names(path: Path, package: str):
+    """(absolute module, name) for each ``from ... import name`` in one source file."""
+    parts = package.split(".")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = parts[: len(parts) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            for alias in node.names:
+                yield module, alias.name
+
+
+def test_cyclo_internals_stay_in_rings_and_the_adjoint_traces():
+    """Only ``rings/`` and ``adjoint/rep.py`` import the 12-numerator helpers of ``rings.cyclo``."""
+    root = Path(qutrit_exact.__file__).resolve().parent
+    allowed = {root / "adjoint" / "rep.py"}
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path in allowed or (root / "rings") in path.parents:
+            continue
+        package = ".".join(("qutrit_exact",) + path.relative_to(root).parent.parts)
+        offenders += [
+            f"{path.relative_to(root)}: {name}"
+            for module, name in _imported_names(path, package)
+            if module == "qutrit_exact.rings.cyclo" and name.startswith("_")
+        ]
+    assert not offenders, offenders
