@@ -16,10 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-# block_lde stays importable here: perfbench/tracing.py times it as adjoint.patterns
 from qutrit_exact.adjoint.rep import AdjointMatrix, adjoint_of, block_lde
 from qutrit_exact.errors import KTooSmallError, RingError
-from qutrit_exact.rings.alpha import residue
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
@@ -91,12 +89,14 @@ def pattern_equiv(p: ResiduePattern, q: ResiduePattern) -> bool:
 
 
 def residue_pattern(m: AdjointMatrix, block: str, k: int) -> ResiduePattern:
-    """Entrywise k-residue of a block; raises K_TOO_SMALL if k is too small."""
-    return ResiduePattern(
-        tuple(
-            tuple(a.k_residue(k) for a in row) for row in m.alpha_block(block)
-        )
-    )
+    """Residue of alpha**k * entry over a block; raises K_TOO_SMALL if k is too small."""
+
+    def cell(lde: int, r: int) -> int:
+        if k < lde:
+            raise KTooSmallError(f"k={k} is below the least denominator exponent")
+        return r if k == lde else 0  # the residue map sends alpha to 0
+
+    return ResiduePattern(tuple(tuple(cell(*p) for p in row) for row in m.alpha_block(block)))
 
 
 @dataclass(frozen=True)
@@ -128,16 +128,14 @@ def single_qutrit_ct_obstruction(u: UnitaryMatrix) -> ObstructionVerdict:
 
     adj = adjoint_of(u)
     try:
-        adj.alpha_entries()
+        adj.check_alpha_ring()
     except RingError as e:
         return ObstructionVerdict(
             "not_in_ring",
             reason=f"adjoint entry falls outside the alpha ring ({e})",
         )
 
-    # (l, alpha**l * entry) per A entry; at 2k > l the residue is 0, as alpha -> 0
-    reduced_a = [[a.reduced() for a in row] for row in adj.alpha_block("A")]
-    lde_a = max(lde for row in reduced_a for lde, _ in row)
+    lde_a = block_lde(adj, "A")
     if lde_a % 2:
         return ObstructionVerdict(
             "obstructed",
@@ -156,10 +154,7 @@ def single_qutrit_ct_obstruction(u: UnitaryMatrix) -> ObstructionVerdict:
             lde_a=0,
         )
 
-    pat_a = ResiduePattern(tuple(
-        tuple(residue(v) if lde == lde_a else 0 for lde, v in row) for row in reduced_a
-    ))
-    if not pattern_equiv(pat_a, BORDERED_TWOS):
+    if not pattern_equiv(residue_pattern(adj, "A", lde_a), BORDERED_TWOS):
         return ObstructionVerdict(
             "obstructed",
             reason=f"residue of block A at exponent {2 * k} is not monomially "

@@ -23,11 +23,14 @@ until each entry is built once as a ``Cyclo36`` over 6 D^2.
 
 ``AdjointMatrix`` is an 8 x 8 ``UnitaryMatrix`` (product, equality and
 hashing are the matrix's own) that adds the view the T-count obstruction
-reads: for circuits over the supported gate set every entry lies in the real
-ring generated by dyadic fractions, alpha = sin(2*pi/9), and inverse powers
-of alpha; the conversion is performed lazily and cached, and a value outside
-that ring raises NOT_IN_A while the symbolic matrix stays available for
-inspection.
+reads.  Every entry is real by construction, and for circuits over the
+supported gate set it lies in A = Z[1/2][alpha, 1/3], alpha = sin(2*pi/9),
+which holds exactly when its reduced denominator is 2^a * 3^b.
+``check_alpha_ring`` reads that off each entry's denominator and raises
+NOT_IN_A otherwise, while the symbolic matrix stays available for
+inspection.  ``alpha_block`` converts one block to (lde, residue) pairs with
+``to_alpha`` on first use and caches it, so the obstruction converts block A
+and, only when it gets that far, block C.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 
 from qutrit_exact.errors import DimMismatchError
-from qutrit_exact.rings.alpha import AlphaElem, to_alpha
+from qutrit_exact.rings.alpha import denominator_exponents, to_alpha
 from qutrit_exact.rings.cyclo import (
     _POWER_TABLE, _SIGMA, Cyclo36, _galois_image, _mul_vectors,
 )
@@ -90,18 +93,22 @@ class AdjointMatrix(UnitaryMatrix):
         super().__init__(rows)
         if self.dim != 8:
             raise ValueError("adjoint matrix must be 8 x 8")
-        self._alpha = None
+        self._alpha = {}
 
-    def alpha_entries(self) -> tuple[tuple[AlphaElem, ...], ...]:
-        """Entrywise conversion; raises NOT_IN_A outside the target ring."""
-        if self._alpha is None:
-            self._alpha = tuple(tuple(to_alpha(e) for e in row) for row in self.rows)
-        return self._alpha
+    def check_alpha_ring(self) -> None:
+        """Raise NOT_IN_A if an entry's denominator has a prime other than 2 or 3."""
+        for row in self.rows:
+            for e in row:
+                denominator_exponents(e.denominator)
 
-    def alpha_block(self, name: str) -> tuple[tuple[AlphaElem, ...], ...]:
-        rows, cols = _BLOCK_SLICES[name]
-        alpha = self.alpha_entries()
-        return tuple(tuple(alpha[i][j] for j in cols) for i in rows)
+    def alpha_block(self, name: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(lde, residue) per entry of a block, converted on first use."""
+        block = self._alpha.get(name)
+        if block is None:
+            rows, cols = _BLOCK_SLICES[name]
+            block = tuple(tuple(to_alpha(self.rows[i][j]) for j in cols) for i in rows)
+            self._alpha[name] = block
+        return block
 
 
 def _trace(products: list, terms) -> list[int]:
@@ -146,4 +153,4 @@ def adjoint_of(u: UnitaryMatrix) -> AdjointMatrix:
 
 def block_lde(m: AdjointMatrix, name: str) -> int:
     """Largest least denominator exponent over the 16 entries of a block."""
-    return max(a.lde() for row in m.alpha_block(name) for a in row)
+    return max(lde for row in m.alpha_block(name) for lde, _ in row)

@@ -1,15 +1,13 @@
 """Exact number rings used by the toolkit."""
 
-from .alpha import AlphaElem, DalphaElem, residue, to_alpha
+from .alpha import to_alpha
 from .cyclo import MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO, ZETA9, Cyclo36, embed
 from ..errors import KTooSmallError, NotInAError, NotRealError, RingError
 from .membership import RingTag, in_ring
 from .polynomials import has_rational_root
 
 __all__ = [
-    "AlphaElem",
     "Cyclo36",
-    "DalphaElem",
     "KTooSmallError",
     "MINUS_ONE",
     "NotInAError",
@@ -24,6 +22,5 @@ __all__ = [
     "embed",
     "has_rational_root",
     "in_ring",
-    "residue",
     "to_alpha",
 ]

@@ -150,10 +150,6 @@ class Cyclo36:
             return None
         return (n[0] + n[6], n[4] + n[10], n[8], n[6], n[10], -n[2])
 
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        d = self._den
-        return tuple(Fraction(c, d) for c in self._num)
-
     def is_zero(self) -> bool:
         return not any(self._num)
 

@@ -8,8 +8,8 @@ Tags name the subrings that certify gate-set membership:
   matrices have all entries here);
 * ``TZETA``   -- triadic combinations of zeta_9 powers (Clifford+T entries);
 * ``D``       -- dyadic rationals a/2^k;
-* ``DALPHA``  -- Z[1/2][alpha];
-* ``A``       -- the alpha-localization of DALPHA;
+* ``DALPHA``  -- Z[1/2][alpha]: real, with least denominator exponent 0;
+* ``A``       -- Z[1/2][alpha, 1/3]: real, with reduced denominator 2^a 3^b;
 * ``Q36``     -- the whole ambient field.
 """
 
@@ -77,10 +77,8 @@ def in_ring(x: Cyclo36, tag: RingTag) -> bool:
         return den == 1 if tag is RingTag.ZOMEGA else _is_power_of_3(den)
     if tag in (RingTag.DALPHA, RingTag.A):
         try:
-            elem = to_alpha(x)
+            lde, _ = to_alpha(x)
         except NotInAError:
             return False
-        if tag is RingTag.A:
-            return True
-        return elem.lde() == 0
+        return tag is RingTag.A or lde == 0
     raise ValueError(f"unhandled tag {tag}")

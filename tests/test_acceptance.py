@@ -30,7 +30,8 @@ from qutrit_exact.analysis import (
 from qutrit_exact.circuit.core import Op, adjoint
 from qutrit_exact.circuit.macros import load_named
 from qutrit_exact.cli.catalog import CLAIMS, check_equation
-from qutrit_exact.rings.alpha import DalphaElem, residue
+from qutrit_exact.rings.alpha import to_alpha
+from qutrit_exact.rings.cyclo import ZERO, embed
 from qutrit_exact.rings.membership import RingTag
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix
@@ -101,11 +102,19 @@ def test_criterion_09_property_suites():
         u, v = words[k], words[k + 1]
         assert adjoint_of(u @ v) == images[k] @ images[k + 1]
 
-    # (e) the residue map is a ring homomorphism on 500 random pairs
-    def rand_elem() -> DalphaElem:
-        return DalphaElem(
-            [Fraction(rng.randint(-12, 12), 2 ** rng.randint(0, 5))
-             for _ in range(6)]
+    # (e) the residue map is a ring homomorphism on 500 random pairs of
+    # elements sum(c_k alpha^k) with dyadic c_k, which all have LDE 0
+    powers = [embed("alpha") ** k for k in range(6)]
+
+    def residue(x) -> int:
+        lde, r = to_alpha(x)
+        assert lde == 0
+        return r
+
+    def rand_elem():
+        return sum(
+            (p * Fraction(rng.randint(-12, 12), 2 ** rng.randint(0, 5)) for p in powers),
+            ZERO,
         )
 
     for _ in range(500):

@@ -19,7 +19,7 @@ from qutrit_exact.adjoint import (
 )
 from qutrit_exact.circuit.core import Circuit, Op
 from qutrit_exact.errors import DimMismatchError
-from qutrit_exact.rings import KTooSmallError
+from qutrit_exact.rings import KTooSmallError, NotInAError
 from qutrit_exact.rings.cyclo import Cyclo36
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix
@@ -154,7 +154,12 @@ class TestAdjointMap:
     def test_ct_words_lie_in_alpha_ring(self, rng):
         for _ in range(10):
             m = circuit_matrix(random_word(rng, CT_KINDS, 1, 12))
-            adjoint_of(m).alpha_entries()  # raises NOT_IN_A outside the ring
+            adj = adjoint_of(m)
+            adj.check_alpha_ring()  # raises NOT_IN_A outside the ring
+            for name in "ABCD":
+                assert adj.alpha_block(name) is adj.alpha_block(name)
+        with pytest.raises(NotInAError):
+            adjoint_of(_fifth_rotation()).check_alpha_ring()
 
 
 class TestBlocks:

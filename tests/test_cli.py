@@ -143,6 +143,55 @@ def r_file(tmp_path):
     return str(path)
 
 
+# classify FILE --ring Dalpha|A on one-qutrit inputs, pinned byte for byte
+_MEMBER = "member: true\n  entries lie in {tag} up to global phase 1\n"
+_ZETA_PAIR = (
+    "refuted: pair (1, zeta)\n"
+    "  refuted: entries 1 and zeta have conj(1)*(zeta) = zeta, which is outside "
+    "{tag}; no unit global phase can repair this\n"
+)
+_H_DALPHA = (
+    "refuted: pair (1/3 + 2/3*omega, 1/3 + 2/3*omega)\n"
+    "  refuted: entries 1/3 + 2/3*omega and 1/3 + 2/3*omega have "
+    "conj(1/3 + 2/3*omega)*(1/3 + 2/3*omega) = 1/3, which is outside Dalpha; "
+    "no unit global phase can repair this\n"
+)
+_H_A = (
+    "refuted: pair (1/3 + 2/3*omega, -2/3 - 1/3*omega)\n"
+    "  refuted: entries 1/3 + 2/3*omega and -2/3 - 1/3*omega have "
+    "conj(1/3 + 2/3*omega)*(-2/3 - 1/3*omega) = 1/3*omega, which is outside A; "
+    "no unit global phase can repair this\n"
+)
+_XPHASE_DALPHA = (
+    "refuted: pair (2/3 + 1/3*zeta^2, 2/3 + 1/3*zeta^2)\n"
+    "  refuted: entries 2/3 + 1/3*zeta^2 and 2/3 + 1/3*zeta^2 have "
+    "conj(2/3 + 1/3*zeta^2)*(2/3 + 1/3*zeta^2) = "
+    "5/9 - 2/9*zeta + 2/9*zeta^2 - 2/9*zeta^4, which is outside Dalpha; "
+    "no unit global phase can repair this\n"
+)
+_XPHASE_A = (
+    "refuted: pair (2/3 + 1/3*zeta^2, 1/3 - 1/3*zeta^2 + 1/3*omega - 1/3*zeta^5)\n"
+    "  refuted: entries 2/3 + 1/3*zeta^2 and 1/3 - 1/3*zeta^2 + 1/3*omega - 1/3*zeta^5 "
+    "have conj(2/3 + 1/3*zeta^2)*(1/3 - 1/3*zeta^2 + 1/3*omega - 1/3*zeta^5) = "
+    "1/9 - 2/9*zeta^2 + 1/9*omega - 1/9*zeta^4 - 2/9*zeta^5, which is outside A; "
+    "no unit global phase can repair this\n"
+)
+_RING_PINS = [
+    ("identity", "", "Dalpha", 0, _MEMBER),
+    ("identity", "", "A", 0, _MEMBER),
+    ("H", "H 0\n", "Dalpha", 1, _H_DALPHA),
+    ("H", "H 0\n", "A", 1, _H_A),
+    ("T", "T 0\n", "Dalpha", 1, _ZETA_PAIR),
+    ("T", "T 0\n", "A", 1, _ZETA_PAIR),
+    ("R", "R 0\n", "Dalpha", 0, _MEMBER),
+    ("R", "R 0\n", "A", 0, _MEMBER),
+    ("zphase", "ZPHASE 1/3 2/3 0\n", "Dalpha", 1, _ZETA_PAIR),
+    ("zphase", "ZPHASE 1/3 2/3 0\n", "A", 1, _ZETA_PAIR),
+    ("xphase", "XPHASE 2/3 0 0\n", "Dalpha", 1, _XPHASE_DALPHA),
+    ("xphase", "XPHASE 2/3 0 0\n", "A", 1, _XPHASE_A),
+]
+
+
 class TestCommands:
     def test_matrix_output(self, t_file, capsys):
         assert main(["matrix", t_file]) == 0
@@ -222,6 +271,16 @@ class TestCommands:
     def test_classify_ring_membership(self, t_file, capsys):
         assert main(["classify", t_file, "--ring", "Tzeta"]) == 0
         assert "member: true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "body,tag,code,out", [pin[1:] for pin in _RING_PINS],
+        ids=[f"{pin[0]}-{pin[2]}" for pin in _RING_PINS],
+    )
+    def test_classify_real_ring_output(self, tmp_path, capsys, body, tag, code, out):
+        path = tmp_path / "u.qc"
+        path.write_text("qutrits 1\n" + body)
+        assert main(["classify", str(path), "--ring", tag]) == code
+        assert capsys.readouterr() == (out.format(tag=tag), "")
 
     def test_classify_obstruct(self, t_file, r_file, capsys):
         assert main(["classify", t_file, "--obstruct"]) == 0

@@ -2,18 +2,21 @@
 
 x stands for zeta_36.  Ring operations and circuit matrices are recomputed
 with sympy's own polynomial code and must agree with the package exactly.
-The alpha ring is checked the same way in QQ[a]/(64a^6 - 96a^4 + 36a^2 - 3).
+The valuation read by ``to_alpha`` is checked the same way: QQ[a]/(64a^6 -
+96a^4 + 36a^2 - 3) gives the least a-power with dyadic coefficients and the
+residue of its constant coefficient.
 """
 
 import math
 from fractions import Fraction
 
-from sympy import QQ, cyclotomic_poly, symbols
+from sympy import QQ, Matrix, cyclotomic_poly, symbols
 from sympy.polys.rings import ring
 
 from conftest import CT_KINDS, random_cyclo, random_word
 from qutrit_exact.circuit.core import Circuit, Op
-from qutrit_exact.rings.alpha import DalphaElem, residue
+from qutrit_exact.adjoint import adjoint_of
+from qutrit_exact.rings.alpha import to_alpha
 from qutrit_exact.rings.cyclo import ONE, Cyclo36
 from qutrit_exact.sim.gates import circuit_matrix
 
@@ -60,49 +63,89 @@ QA, a = ring("a", QQ)
 ALPHA_MIN = 64 * a**6 - 96 * a**4 + 36 * a**2 - 3
 _s, _, _h = a.gcdex(ALPHA_MIN)  # s*a + t*min = h, a nonzero constant
 ALPHA_INV = _s.quo_ground(_h.LC)
-ALPHA = DalphaElem((0, 1))
+ALPHA = from_poly((x**5 - x**13) * QQ(1, 2))
 
 
-def to_alpha_poly(e: DalphaElem):
-    return sum((QQ(c.numerator, c.denominator) * a**k for k, c in enumerate(e.coeffs)), QA.zero)
-
-
-def from_alpha_poly(p) -> DalphaElem | None:
-    """The DalphaElem of p mod the minimal polynomial; None if a coefficient is not dyadic."""
+def _coeffs(p) -> list:
     p = p.rem(ALPHA_MIN)
-    coeffs = [p.coeff(a**k) for k in range(6)]
-    coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in coeffs]
-    if any(c.denominator & (c.denominator - 1) for c in coeffs):
-        return None
-    return DalphaElem(coeffs)
+    return [p.coeff(a**k) for k in range(6)]
 
 
-def random_dalpha(rng) -> DalphaElem:
-    return DalphaElem([Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 3)) for _ in range(6)])
+def oracle_pair(p) -> tuple[int, int]:
+    """(lde, residue) of p in QQ[a]/min: the least L with dyadic coefficients
+    of a**L * p, and the constant coefficient of that product mod 3."""
+    for lde in range(64):
+        cs = _coeffs(a**lde * p)
+        if all(c.denominator & (c.denominator - 1) == 0 for c in cs):
+            c0 = cs[0]
+            return lde, int(c0.numerator) * pow(int(c0.denominator), -1, 3) % 3
+    raise AssertionError("no alpha power clears the denominators")
+
+
+def from_alpha_poly(p) -> Cyclo36:
+    """p evaluated at alpha, computed in Q(zeta_36) by the package."""
+    return sum((ALPHA**k * Fraction(int(c.numerator), int(c.denominator))
+                for k, c in enumerate(_coeffs(p))), Cyclo36())
+
+
+# the columns alpha^k over QQ[x]/Phi_36 and a left inverse, in sympy
+_COLUMNS = Matrix([[to_poly(ALPHA**k).coeff(x**j) for k in range(6)] for j in range(12)])
+_LEFT_INVERSE = (_COLUMNS.T * _COLUMNS).inv() * _COLUMNS.T
+
+
+def to_alpha_poly(e: Cyclo36):
+    """A real element of Q(zeta_36) over the alpha power basis, solved by sympy."""
+    b = Matrix([to_poly(e).coeff(x**j) for j in range(12)])
+    c = _LEFT_INVERSE * b
+    assert _COLUMNS * c == b
+    return sum((QQ(int(v.p), int(v.q)) * a**k for k, v in enumerate(c)), QA.zero)
+
+
+def random_alpha_poly(rng, dens=(1, 2, 4, 8)):
+    return sum((QQ(rng.randint(-9, 9), rng.choice(dens)) * a**k for k in range(6)), QA.zero)
 
 
 class TestAlphaOracle:
     def test_mul_and_times_alpha(self, rng):
         for _ in range(40):
-            u, v = random_dalpha(rng), random_dalpha(rng)
-            assert u * v == from_alpha_poly(to_alpha_poly(u) * to_alpha_poly(v))
-            assert u * ALPHA == from_alpha_poly(to_alpha_poly(u) * a)
+            p, q = random_alpha_poly(rng, (1, 2, 3, 6, 9)), random_alpha_poly(rng)
+            u, v = from_alpha_poly(p), from_alpha_poly(q)
+            assert to_alpha(u * v) == oracle_pair(p * q)
+            assert to_alpha(u * ALPHA) == oracle_pair(p * a)
 
     def test_divide_by_alpha(self, rng):
-        outcomes = set()
-        for _ in range(40):
-            u = random_dalpha(rng)
-            for w in (u, u * ALPHA, u * 3, u * u * ALPHA):
-                want = from_alpha_poly(to_alpha_poly(w) * ALPHA_INV)
-                assert w.divide_by_alpha() == want
-                outcomes.add(want is None)
-        assert outcomes == {True, False}
+        # 1/3^b, and seeded elements over 3^b, divided by alpha up to 7 times
+        lde_steps = set()
+        for b in range(5):
+            third = QA(QQ(1, 3**b))
+            assert to_alpha(from_alpha_poly(third)) == oracle_pair(third) == (6 * b, 1)
+            for _ in range(8):
+                p = random_alpha_poly(rng) * third
+                u = from_alpha_poly(p)
+                for _ in range(rng.randint(0, 7)):
+                    p, u = p * ALPHA_INV, u * ALPHA.inverse()
+                want = oracle_pair(p)
+                assert to_alpha(u) == want
+                lde_steps.add(want[0] % 6)
+        assert len(lde_steps) == 6
 
     def test_residue(self, rng):
-        for _ in range(60):
-            u = random_dalpha(rng) * random_dalpha(rng)
-            c = to_alpha_poly(u).rem(ALPHA_MIN).coeff(1)
-            assert residue(u) == int(c.numerator) * pow(int(c.denominator), -1, 3) % 3
+        # seeded adjoint entries of words with R, ZPHASE 1/3 2/3 and XPHASE 2/3 0
+        fixed = (Op("R", (0,)), Op("ZPHASE", (0,), (Fraction(1, 3), Fraction(2, 3))),
+                 Op("XPHASE", (0,), (Fraction(2, 3), Fraction(0))))
+        seen = set()
+        for _ in range(8):
+            ops = list(random_word(rng, CT_KINDS, 1, 8).ops) + [rng.choice(fixed) for _ in range(2)]
+            rng.shuffle(ops)
+            for row in adjoint_of(circuit_matrix(Circuit(1, tuple(ops)))).rows:
+                seen.update(row)
+        assert len(seen) > 60
+        ldes = set()
+        for e in seen:
+            want = oracle_pair(to_alpha_poly(e))
+            assert to_alpha(e) == want, e
+            ldes.add(want[0])
+        assert max(ldes) > 6
 
 
 # gate matrices written out from their definitions, over x = zeta_36:

@@ -10,17 +10,8 @@ import pytest
 from conftest import CT_KINDS, approx_equal, random_cyclo, random_word, to_complex
 from qutrit_exact.adjoint import adjoint_of
 from qutrit_exact.circuit.core import Op
-from qutrit_exact.rings import (
-    KTooSmallError,
-    NotInAError,
-    NotRealError,
-)
-from qutrit_exact.rings.alpha import (
-    AlphaElem,
-    DalphaElem,
-    residue,
-    to_alpha,
-)
+from qutrit_exact.rings import NotInAError, NotRealError
+from qutrit_exact.rings.alpha import to_alpha
 from qutrit_exact.rings.cyclo import (
     Cyclo36,
     MINUS_ONE,
@@ -208,78 +199,92 @@ class TestPolynomials:
             assert has_rational_root(a3, a2, a1, a0)
 
 
+def _alpha_poly(coeffs) -> Cyclo36:
+    """sum(coeffs[i] * alpha**i), evaluated in Q(zeta_36)."""
+    alpha = embed("alpha")
+    return sum((alpha**i * c for i, c in enumerate(coeffs)), ZERO)
+
+
+def _dyadic(x: Cyclo36) -> bool:
+    """x lies in Z[1/2][alpha] (for real x): its reduced denominator is a power of 2."""
+    return x.denominator & (x.denominator - 1) == 0
+
+
+def _check_pair(x: Cyclo36) -> None:
+    """to_alpha(x) = (l, r) against the definitions, with no change of basis.
+
+    alpha**l * x lies in Z[1/2][alpha] and, for l > 0, alpha**(l-1) * x does
+    not; r is the one value with alpha**l * x - r in alpha * Z[1/2][alpha].
+    """
+    alpha = embed("alpha")
+    lde, r = to_alpha(x)
+    y = x * alpha**lde
+    assert _dyadic(y)
+    assert lde == 0 or not _dyadic(y * alpha**-1)
+    for c in range(3):
+        assert _dyadic((y - c) * alpha**-1) == (c == r)
+
+
 class TestAlphaRing:
     def test_alpha_satisfies_its_minimal_polynomial(self):
-        a = DalphaElem((0, 1))
+        a = embed("alpha")
         a2 = a * a
         a4 = a2 * a2
-        a6 = a4 * a2
-        poly = a6 * 64 - a4 * 96 + a2 * 36 - 3
-        assert poly.is_zero()
+        assert (a4 * a2 * 64 - a4 * 96 + a2 * 36 - 3).is_zero()
+        # beta = 2 alpha generates the prime above 3: x^6 - 6x^4 + 9x^2 - 3
+        b2 = a2 * 4
+        assert (b2 * b2 * b2 - b2 * b2 * 6 + b2 * 9 - 3).is_zero()
 
     def test_numeric_oracle(self, rng):
         alpha = math.sin(2 * math.pi / 9)
         for _ in range(60):
-            coeffs = [
-                Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 3))
-                for _ in range(6)
-            ]
+            coeffs = [Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 3)) for _ in range(6)]
             d = [rng.randint(-8, 8) for _ in range(6)]
-            x, y = DalphaElem(coeffs), DalphaElem(d)
+            x, y = _alpha_poly(coeffs), _alpha_poly(d)
             fx = sum(float(c) * alpha**k for k, c in enumerate(coeffs))
             fy = sum(float(c) * alpha**k for k, c in enumerate(d))
-            prod = x * y
-            fprod = sum(float(c) * alpha**k for k, c in enumerate(prod.coeffs))
-            assert abs(fprod - fx * fy) < 1e-8
+            assert x.is_real() and abs(to_complex(x) - fx) < 1e-8
+            assert abs(to_complex(x * y) - fx * fy) < 1e-8
 
     def test_rejects_non_dyadic_coeffs(self):
-        with pytest.raises(ValueError):
-            DalphaElem((Fraction(1, 3),))
+        # alpha^6 / 3 = (32 alpha^4 - 12 alpha^2 + 1)/64 has residue 1
+        for k in range(6):
+            x = _alpha_poly([0] * k + [Fraction(1, 3)])
+            assert to_alpha(x) == (6 - k, 1)
+            assert not in_ring(x, RingTag.DALPHA) and in_ring(x, RingTag.A)
 
     def test_residue_is_ring_map(self, rng):
         for _ in range(100):
-            x = DalphaElem([Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 4))
-                            for _ in range(6)])
-            y = DalphaElem([Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 4))
-                            for _ in range(6)])
-            assert residue(x + y) == (residue(x) + residue(y)) % 3
-            assert residue(x * y) == (residue(x) * residue(y)) % 3
-        assert residue(DalphaElem((1,))) == 1
-        assert residue(DalphaElem((Fraction(1, 2),))) == 2
-        assert residue(DalphaElem((0, 1))) == 0
-        assert residue(DalphaElem((3,))) == 0
+            x = _alpha_poly([Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 4))
+                             for _ in range(6)])
+            y = _alpha_poly([Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 4))
+                             for _ in range(6)])
+            (lx, rx), (ly, ry) = to_alpha(x), to_alpha(y)
+            assert lx == ly == 0
+            assert to_alpha(x + y) == (0, (rx + ry) % 3)
+            assert to_alpha(x * y) == (0, rx * ry % 3)
+        assert to_alpha(ONE) == (0, 1)
+        assert to_alpha(Cyclo36.from_fraction(Fraction(1, 2))) == (0, 2)
+        assert to_alpha(embed("alpha")) == (0, 0)
+        assert to_alpha(Cyclo36.from_int(3)) == (0, 0)
 
     def test_lde_and_k_residue(self):
-        one_over_alpha = AlphaElem(DalphaElem((1,)), 1)
-        assert one_over_alpha.lde() == 1
-        assert one_over_alpha.k_residue(1) == residue(DalphaElem((1,)))
-        with pytest.raises(KTooSmallError):
-            one_over_alpha.k_residue(0)
-        assert AlphaElem(DalphaElem((0, 1))).lde() == 0
+        alpha = embed("alpha")
+        assert to_alpha(alpha**-1) == (1, 1)
+        assert to_alpha(alpha**-2 * Fraction(1, 2)) == (2, 2)
         # 3 = alpha^6 * unit, so 1/3 has alpha-denominator exponent 6
-        third = to_alpha(Cyclo36.from_fraction(Fraction(1, 3)))
-        assert third.lde() == 6
-        zero = to_alpha(ZERO)
-        assert zero.lde() == 0 and zero.denom_exp == 0 and zero.value == 0
+        assert to_alpha(Cyclo36.from_fraction(Fraction(1, 3))) == (6, 1)
+        assert to_alpha(ZERO) == (0, 0)
 
     def test_to_alpha_roundtrip_numeric(self, rng):
         alpha = math.sin(2 * math.pi / 9)
-        base = embed("alpha")
         for _ in range(40):
-            coeffs = [Fraction(rng.randint(-6, 6), 2 ** rng.randint(0, 2))
-                      for _ in range(6)]
-            x = sum(
-                (base**k * c for k, c in enumerate(coeffs)),
-                start=ZERO,
-            )
-            elem = to_alpha(x)
-            assert elem.lde() == 0
-            fx = to_complex(x).real
-            approx = sum(
-                float(c) * alpha**k
-                for k, c in enumerate(elem.value.coeffs)
-            ) / alpha ** elem.denom_exp
-            assert abs(fx - approx) < 1e-8
+            coeffs = [Fraction(rng.randint(-6, 6), 2 ** rng.randint(0, 2)) for _ in range(6)]
+            x = _alpha_poly(coeffs)
+            c0 = coeffs[0]
+            assert to_alpha(x) == (0, c0.numerator * pow(c0.denominator, -1, 3) % 3)
+            fx = sum(float(c) * alpha**k for k, c in enumerate(coeffs))
+            assert abs(to_complex(x).real - fx) < 1e-8
 
     def test_to_alpha_rejects_imaginary_and_foreign_denominators(self):
         for x in (embed("i"), embed("omega")):
@@ -289,8 +294,8 @@ class TestAlphaRing:
             to_alpha(Cyclo36.from_fraction(Fraction(1, 5)))
 
 
-# alpha_entries() of adjoint_of(H) and adjoint_of(T), pinned cell by cell as
-# (alpha coefficients)/alpha^denom_exp
+# the cells of adjoint_of(H) and adjoint_of(T), pinned as
+# (alpha coefficients)/alpha^k, and their (lde, residue) pairs
 _Z = "(0,0,0,0,0,0)/alpha^0"
 _ONE, _NEG = "(1,0,0,0,0,0)/alpha^0", "(-1,0,0,0,0,0)/alpha^0"
 _HALF = "(-1/2,0,0,0,0,0)/alpha^0"
@@ -317,13 +322,16 @@ _T_ADJOINT = (
     (_Z, _VN, _UN, _UN, _Z, _Q, _P, _P),
     (_Z, _UN, _VN, _UN, _Z, _P, _Q, _P),
 )
+_H_PAIRS = {_Z: (0, 0), _ONE: (0, 1), _NEG: (0, 2), _HALF: (0, 1),
+            "(0,-3,0,4,0,0)/alpha^0": (0, 0), "(0,3,0,-4,0,0)/alpha^0": (0, 0)}
+_T_PAIRS = {_Z: (0, 0), _ONE: (0, 1), _P: (2, 2), _Q: (2, 2),
+            _U: (3, 2), _V: (3, 2), _UN: (3, 1), _VN: (3, 1)}
 
 
-def _alpha_value(elem: AlphaElem) -> Cyclo36:
-    """sum(coeffs[i] * alpha**i) / alpha**denom_exp, rebuilt in Q(zeta_36)."""
-    alpha = embed("alpha")
-    num = sum((alpha**i * c for i, c in enumerate(elem.value.coeffs)), ZERO)
-    return num * alpha ** -elem.denom_exp
+def _pinned_value(cell: str) -> Cyclo36:
+    coeffs, exp = cell.split("/alpha^")
+    num = _alpha_poly([Fraction(c) for c in coeffs.strip("()").split(",")])
+    return num * embed("alpha") ** -int(exp)
 
 
 class TestIntegerAlphaRing:
@@ -335,49 +343,35 @@ class TestIntegerAlphaRing:
                 for x in row:
                     if x not in seen:
                         seen.add(x)
-                        assert _alpha_value(to_alpha(x)) == x
+                        _check_pair(x)
         assert len(seen) > 100
 
     def test_to_alpha_is_exact_with_powers_of_three(self, rng):
-        alpha = embed("alpha")
         for _ in range(30):
-            coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 9, 27)))
-                      for _ in range(6)]
-            x = sum((alpha**i * c for i, c in enumerate(coeffs)), ZERO)
-            elem = to_alpha(x)
-            assert elem.denom_exp % 6 == 0
-            assert _alpha_value(elem) == x
-        # 1/81 takes the cofactor power (alpha^6/3)^4
-        for q, exp in ((Fraction(5, 27), 18), (Fraction(1, 81), 24)):
-            elem = to_alpha(Cyclo36.from_fraction(q))
-            assert elem.denom_exp == exp and _alpha_value(elem) == q
+            x = _alpha_poly([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 9, 27)))
+                             for _ in range(6)])
+            _check_pair(x)
+        # (alpha^6/3)^b has residue 1, so q/3^b reads q's residue at exponent 6b
+        for q, pair in ((Fraction(5, 27), (18, 2)), (Fraction(1, 81), (24, 1))):
+            x = Cyclo36.from_fraction(q)
+            assert to_alpha(x) == pair
+            _check_pair(x)
 
     def test_normal_form(self, rng):
-        half, alpha = DalphaElem((Fraction(1, 2),)), DalphaElem((0, 1))
-        for a, b in ((half * 2, DalphaElem((1,))), (half + half, DalphaElem((1,))),
-                     (DalphaElem((Fraction(2, 4), 6)), DalphaElem((half.coeffs[0], 6))),
-                     (DalphaElem((Fraction(3, 8),)) * 8 - 3, DalphaElem())):
-            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        # the pair is read off the gcd-normalized numerators, so it depends
+        # only on the value; times_omega builds its result without the gcd
         for _ in range(50):
-            x = DalphaElem([Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 4))
-                            for _ in range(6)])
-            y = DalphaElem([Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 4))
-                            for _ in range(6)])
-            for z in ((x + y) - y, (x * alpha).divide_by_alpha(), (x * 4) * half * half):
-                assert z == x and hash(z) == hash(x)
-        coeffs = DalphaElem((Fraction(6, 4), Fraction(-2, 8), 4)).coeffs
-        assert coeffs == (Fraction(3, 2), Fraction(-1, 4), 4, 0, 0, 0)
-        assert all(isinstance(c, Fraction) for c in coeffs)
-        assert [c.denominator for c in coeffs] == [2, 4, 1, 1, 1, 1]
-        assert DalphaElem((3,)) == 3 and DalphaElem((half.coeffs[0],)) == Fraction(1, 2)
+            x = _alpha_poly([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 9)))
+                             for _ in range(6)])
+            y = random_cyclo(rng)
+            routes = ((x + y) - y, x * 3 * Fraction(1, 3), x.times_omega(1).times_omega(2),
+                      Cyclo36([c * 4 for c in x.numerators], x.denominator * 4))
+            for z in routes:
+                assert z == x and hash(z) == hash(x) and to_alpha(z) == to_alpha(x)
 
     def test_describe_pinned(self):
-        for kind, cells in (("H", _H_ADJOINT), ("T", _T_ADJOINT)):
-            got = tuple(
-                tuple(
-                    f"({','.join(str(c) for c in a.value.coeffs)})/alpha^{a.denom_exp}"
-                    for a in row
-                )
-                for row in adjoint_of(gate_matrix(Op(kind, (0,)), 1)).alpha_entries()
-            )
-            assert got == cells
+        for kind, cells, pairs in (("H", _H_ADJOINT, _H_PAIRS), ("T", _T_ADJOINT, _T_PAIRS)):
+            adj = adjoint_of(gate_matrix(Op(kind, (0,)), 1))
+            for row, pinned in zip(adj.rows, cells):
+                assert row == tuple(_pinned_value(c) for c in pinned)
+                assert tuple(to_alpha(x) for x in row) == tuple(pairs[c] for c in pinned)
