@@ -131,26 +131,19 @@ def _c2_obstruction(op: Op) -> str | None:
     )
 
 
-def _int_zphase_ops(wire: int, a: int, b: int) -> list[Op]:
-    """Z(a, b) = Z^a * S^(b - 2a) exactly (all exponents mod 3)."""
-    ops = [Op("Z", (wire,))] * (a % 3)
-    ops += [Op("S", (wire,))] * ((b - 2 * a) % 3)
-    return ops
-
-
 def _zphase_ops(wire: int, a: Fraction, b: Fraction) -> list[Op]:
+    """Z(a, b) = T**j * Z**za * S**(zb - 2za) exactly (exponents mod 3), with j
+    the balanced residue of 3a, za = a - j/3 and zb = b + j/3."""
     if (a + b) % 1 != 0:
         raise UnexpandableError(
             f"ZPHASE {a} {b} has determinant zeta^{int(3 * ((a + b) % 3))}, "
             "not reachable over the base set"
         )
-    if a.denominator == 1:
-        return _int_zphase_ops(wire, int(a % 3), int(b % 3))
-    m = int(3 * a)  # not divisible by 3
-    j0 = ((m + 1) % 3) - 1  # balanced residue in {-1, 0, 1}; here +-1
-    ops = [Op("T" if j0 == 1 else "TDG", (wire,))]
-    ops += _int_zphase_ops(wire, (m - j0) // 3 % 3, (int(3 * b) + j0) // 3 % 3)
-    return ops
+    m = int(3 * a)
+    j = (m + 1) % 3 - 1  # in {-1, 0, 1}; 0 for an integer a
+    ops = [Op("T" if j == 1 else "TDG", (wire,))] if j else []
+    za, zb = (m - j) // 3, (int(3 * b) + j) // 3
+    return ops + [Op("Z", (wire,))] * (za % 3) + [Op("S", (wire,))] * ((zb - 2 * za) % 3)
 
 
 def _square_c2(op: Op) -> Op | None:

@@ -72,9 +72,12 @@ def to_alpha(x: Cyclo36) -> tuple[int, int]:
     a, b = denominator_exponents(x.denominator)
     n = x.numerators
     lde = 6 * b
-    if b:
-        while not _residue(n):
-            n = [c // 3 for c in _mul_vectors(n, _THREE_OVER_BETA)]
-            lde -= 1
+    while b and not _residue(n):
+        if lde == 6 * b - 5:
+            # v <= 5 (module docstring), so a sixth division is a defect; not a
+            # RingError, which ringcert would read as "not a member"
+            raise AssertionError("beta divides a numerator free of 3 more than five times")
+        n = [c // 3 for c in _mul_vectors(n, _THREE_OVER_BETA)]
+        lde -= 1
     r = _residue(n)
     return lde, -r % 3 if (a + lde) & 1 else r

@@ -279,62 +279,37 @@ class Cyclo36:
         return f"Cyclo36({list(self._num)}, {self._den})"
 
     def __str__(self) -> str:
+        """A rational prints as a fraction.  Any other x in Q(zeta_9) prints as
+        c*omega^2, c*zeta^7 or c*zeta^8 when it is such a monomial, and
+        otherwise as one term per nonzero coordinate in the basis
+        1, zeta, zeta^2, omega, zeta^4, zeta^5 (zeta = zeta_9).  Values outside
+        Q(zeta_9) print as their 12 numerators over the denominator.
+        """
         if self.is_zero():
             return "0"
         if self.is_rational():
             return str(Fraction(self._num[0], self._den))
-        terms = self._symbolic_terms()
-        if terms is not None:
-            out = ""
-            for coef, name in terms:
-                if name == "1":
-                    piece = str(abs(coef))
-                elif abs(coef) == 1:
-                    piece = name
-                else:
-                    piece = f"{abs(coef)}*{name}"
-                if not out:
-                    out = piece if coef > 0 else f"-{piece}"
-                else:
-                    out += f" + {piece}" if coef > 0 else f" - {piece}"
-            return out
-        body = ",".join(str(c) for c in self._num)
-        if self._den == 1:
-            return f"({body})"
-        return f"({body})/{self._den}"
-
-    def _symbolic_terms(self) -> list[tuple[Fraction, str]] | None:
-        """Terms over {1, omega, omega^2, zeta^k}, or None if not expressible."""
         d = self.zeta9_coords()
         if d is None:
-            return None
-        names = ["1", "zeta", "zeta^2", "omega", "zeta^4", "zeta^5"]
-        if d[1] == d[2] == d[4] == d[5] == 0:
-            # polynomial in omega alone: a + b*omega, with a = b meaning -omega^2
-            if d[0] == d[3]:
-                pairs = [(-d[0], "omega^2")]
-            else:
-                pairs = [(d[0], "1"), (d[3], "omega")]
+            body = ",".join(str(c) for c in self._num)
+            return f"({body})" if self._den == 1 else f"({body})/{self._den}"
+        for m, name in enumerate(("omega^2", "zeta^7", "zeta^8")):
+            # zeta_9**(6+m) = -zeta_9**m - zeta_9**(3+m)
+            if d == tuple(d[m] if i % 3 == m else 0 for i in range(6)):
+                terms = [(-d[m], name)]
+                break
         else:
-            # single higher zeta powers (zeta^6 = omega^2 is caught above):
-            # zeta^7 = -zeta-zeta^4, zeta^8 = -zeta^2-zeta^5
-            reductions = {
-                "zeta^7": (0, -1, 0, 0, -1, 0),
-                "zeta^8": (0, 0, -1, 0, 0, -1),
-            }
-            pairs = None
-            for name, pat in reductions.items():
-                idx = [k for k, p in enumerate(pat) if p]
-                if all(d[k] == 0 for k in range(6) if k not in idx):
-                    c = -d[idx[0]]
-                    if c and all(d[k] == -c for k in idx):
-                        pairs = [(c, name)]
-                        break
-            if pairs is None:
-                pairs = list(zip(d, names))
-        return [
-            (Fraction(c, self._den), name) for c, name in pairs if c
-        ] or None
+            terms = zip(d, ("1", "zeta", "zeta^2", "omega", "zeta^4", "zeta^5"))
+        out = ""
+        for c, name in terms:
+            if c:
+                q = Fraction(abs(c), self._den)
+                piece = str(q) if name == "1" else name if q == 1 else f"{q}*{name}"
+                if out:
+                    out += f" - {piece}" if c < 0 else f" + {piece}"
+                else:
+                    out = f"-{piece}" if c < 0 else piece
+        return out
 
 
 ZERO = Cyclo36()

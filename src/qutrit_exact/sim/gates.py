@@ -35,7 +35,7 @@ from functools import lru_cache
 from ..circuit.core import Circuit, Op, gate_facts
 from ..errors import RingError
 from ..rings.cyclo import Cyclo36, ONE, ZERO, OMEGA, OMEGA2
-from .matrix import UnitaryMatrix, controlled_target
+from .matrix import UnitaryMatrix, _block_diagonal
 
 __all__ = ["gate_matrix", "circuit_matrix", "gate_local", "phase_unit", "MAX_QUTRITS"]
 
@@ -53,6 +53,7 @@ _H = UnitaryMatrix(
     tuple(tuple(_H_PRE * Cyclo36.omega_pow(r * c) for c in range(3)) for r in range(3))
 )
 _DENSE: dict[str, _Rows] = {"H": _H.rows, "HDG": _H.dag().rows}
+_EYE = UnitaryMatrix.identity(3)
 
 
 @lru_cache(maxsize=None)
@@ -78,38 +79,24 @@ def phase_unit(phase: tuple[int, int] | None) -> Cyclo36:
 
 
 def gate_local(op: Op) -> tuple[_Rows, tuple[int, ...]]:
-    """The local matrix of a gate and the wires it acts on (in digit order)."""
-    if op.kind == "CX":
-        rows = [[ZERO] * 9 for _ in range(9)]
-        for i in range(3):
-            for j in range(3):
-                rows[3 * i + (i + j) % 3][3 * i + j] = ONE
-        return tuple(tuple(r) for r in rows), op.wires
-    if op.kind == "C2":
-        inner = UnitaryMatrix(gate_local(op.inner)[0])
-        block = controlled_target(inner, phase_unit(op.phase))
-        return block.rows, (op.wires[0], op.inner.wires[0])
-    if op.kind == "LAMBDA":
-        inner, _ = gate_local(op.inner)
-        sq = (UnitaryMatrix(inner) @ UnitaryMatrix(inner)).rows
-        rows = [[ZERO] * 9 for _ in range(9)]
-        for r in range(3):
-            rows[r][r] = ONE
-            for c in range(3):
-                rows[3 + r][3 + c] = inner[r][c]
-                rows[6 + r][6 + c] = sq[r][c]
-        return tuple(tuple(r) for r in rows), (op.wires[0], op.inner.wires[0])
-    return _named_rows(op.kind, op.params), op.wires
+    """The local matrix of a gate and the wires it acts on (in digit order).
+
+    A two-qutrit gate is block diagonal over the control digit j: LAMBDA[g]
+    applies g**j, CX is LAMBDA[X] (CX|j,t> = |j,t+j>), and C2[g] applies
+    phase*g when j = 2 and the identity otherwise.
+    """
+    if op.kind not in ("CX", "C2", "LAMBDA"):
+        return _named_rows(op.kind, op.params), op.wires
+    g = UnitaryMatrix(_named_rows("X", ()) if op.kind == "CX" else gate_local(op.inner)[0])
+    blocks = (_EYE, _EYE, g.scale(phase_unit(op.phase))) if op.kind == "C2" else (_EYE, g, g @ g)
+    return _block_diagonal(blocks).rows, op.all_wires()
 
 
 # -- gates as integer data ------------------------------------------------
 
 
-# coordinates of zeta_9**j; zeta_9**(6+m) = -zeta_9**(3+m) - zeta_9**m
-_UNITS = tuple(
-    tuple(int(i == j) - int(j >= 6 and i in (j - 3, j - 6)) for i in range(6))
-    for j in range(9)
-)
+# coordinates of zeta_9**j
+_UNITS = tuple(Cyclo36.zeta9_pow(j).zeta9_coords() for j in range(9))
 
 
 def _terms(coords: tuple[int, ...]) -> _Terms:

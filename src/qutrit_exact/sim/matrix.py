@@ -100,12 +100,6 @@ class UnitaryMatrix:
         c = _coerce(c)
         return UnitaryMatrix(tuple(tuple(_times(c, e) for e in row) for row in self._rows))
 
-    def trace(self) -> Cyclo36:
-        acc = ZERO
-        for i in range(self.dim):
-            acc = acc + self._rows[i][i]
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitaryMatrix):
             return NotImplemented
@@ -128,45 +122,37 @@ def equal_exact(a: UnitaryMatrix, b: UnitaryMatrix) -> bool:
 def equal_up_to_phase(a: UnitaryMatrix, b: UnitaryMatrix) -> Cyclo36 | None:
     """The unit c with a == c*b, or None when there is none.
 
-    The candidate is fixed by the first nonzero entry of b and then verified
-    against every entry, so a positive answer is a proof.
+    The candidate is a/b at the first nonzero entry of b (1 when b == 0) and
+    is then verified against every entry, so a positive answer is a proof.
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"{a.dim} vs {b.dim}")
-    witness: Cyclo36 | None = None
-    for r in range(b.dim):
-        for c in range(b.dim):
-            e = b.entry(r, c)
-            if not e.is_zero():
-                num = a.entry(r, c)
-                if num.is_zero():
-                    return None
-                witness = num * e.inverse()
-                break
-        if witness is not None:
-            break
-    if witness is None:  # b == 0; only a == 0 matches, with phase 1
-        return ONE if all(e.is_zero() for row in a.rows for e in row) else None
+    pairs = [(x, y) for arow, brow in zip(a.rows, b.rows) for x, y in zip(arow, brow)]
+    x, y = next(((x, y) for x, y in pairs if not y.is_zero()), (ONE, ONE))
+    witness = x * y.inverse()
     if witness * witness.conjugate() != ONE:
         return None
-    for arow, brow in zip(a.rows, b.rows):
-        for ae, be in zip(arow, brow):
-            if be.is_zero():
-                if not ae.is_zero():
-                    return None
-            elif ae != witness * be:
-                return None
+    for x, y in pairs:
+        if (x != witness * y) if not y.is_zero() else not x.is_zero():
+            return None
     return witness
+
+
+def _block_diagonal(blocks: Sequence[UnitaryMatrix]) -> UnitaryMatrix:
+    """The matrix with ``blocks`` along its diagonal and ZERO elsewhere."""
+    dim = sum(block.dim for block in blocks)
+    out = [[ZERO] * dim for _ in range(dim)]
+    at = 0
+    for block in blocks:
+        for r, row in enumerate(block.rows):
+            out[at + r][at:at + block.dim] = row
+        at += block.dim
+    return UnitaryMatrix(out)
 
 
 def controlled_target(inner: UnitaryMatrix, phase: Cyclo36 = ONE) -> UnitaryMatrix:
     """blockdiag(I, I, phase*inner): apply phase*inner when the control holds 2."""
     if inner.dim != 3:
         raise DimMismatchError("controlled target must be a single-qutrit matrix")
-    out = [[ZERO] * 9 for _ in range(9)]
-    for k in range(6):
-        out[k][k] = ONE
-    for r in range(3):
-        for c in range(3):
-            out[6 + r][6 + c] = phase * inner.entry(r, c)
-    return UnitaryMatrix(out)
+    eye = UnitaryMatrix.identity(3)
+    return _block_diagonal((eye, eye, inner.scale(phase)))

@@ -1,14 +1,16 @@
-"""Shared helpers: numeric oracles and seeded random circuit words.
+"""Shared helpers: numeric oracles, seeded random circuit words and a time limit.
 
 The package itself never touches floating point; tests may, as an
 independent oracle.  ``to_complex`` evaluates exact ring elements
 numerically, and the word builders draw reproducible random circuits.
+Every test fails once it runs past ``TIME_LIMIT`` seconds.
 """
 
 from __future__ import annotations
 
 import cmath
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,9 @@ from qutrit_exact.sim.matrix import UnitaryMatrix
 _Z36 = [cmath.exp(2j * cmath.pi * k / 36) for k in range(36)]
 
 TOL = 1e-9
+
+# seconds a single test may run; the slowest one takes under 2 s
+TIME_LIMIT = 60
 
 CLIFFORD_KINDS = ("H", "HDG", "S", "SDG", "X", "Z", "TAU")
 CT_KINDS = CLIFFORD_KINDS + ("T", "TDG")
@@ -68,3 +73,19 @@ def random_cyclo(rng: random.Random, span: int = 9) -> Cyclo36:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC1FF)
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TIME_LIMIT, where it would hang the suite."""
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran longer than {TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -98,6 +98,26 @@ class TestCycloArithmetic:
         assert str(Cyclo36.zeta9_pow(6)) == "omega^2"
         assert str(MINUS_ONE * Cyclo36.omega_pow(2)) == "-omega^2"
         assert str(Cyclo36.zeta9_pow(7)) == "zeta^7"
+        z9, omega = Cyclo36.zeta9_pow, Cyclo36.omega_pow(1)
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        # c*zeta_9**k for k = 6, 7, 8 is one term; every other value is a
+        # sum over the basis 1, zeta, zeta^2, omega, zeta^4, zeta^5
+        assert str(z9(8) * 3) == "3*zeta^8"
+        assert str(z9(7) * -2 * third) == "-2/3*zeta^7"
+        assert str(z9(6) * half) == "1/2*omega^2"
+        assert str(z9(6) * -4 * third) == "-4/3*omega^2"
+        assert str(omega * -3 + 2) == "2 - 3*omega"
+        assert str(omega * 5 * half * third - 1) == "-1 + 5/6*omega"
+        assert str((z9(1) * 3 - z9(4) + z9(5) * 7) * half + third) == (
+            "1/3 + 3/2*zeta - 1/2*zeta^4 + 7/2*zeta^5"
+        )
+        assert str(z9(2) * Fraction(-2, 5) + omega) == "-2/5*zeta^2 + omega"
+        # outside Q(zeta_9): the 12 numerators over the denominator
+        assert str(Cyclo36.zeta_pow(1)) == "(0,1,0,0,0,0,0,0,0,0,0,0)"
+        assert str((Cyclo36.zeta_pow(1) * 2 - Cyclo36.zeta_pow(9)) * half * third) == (
+            "(0,2,0,0,0,0,0,0,0,-1,0,0)/6"
+        )
+        assert str(Cyclo36.from_fraction(Fraction(-3, 4))) == "-3/4"
 
     def test_is_real_matches_conjugate(self, rng):
         outcomes = set()
@@ -285,6 +305,16 @@ class TestAlphaRing:
             assert to_alpha(x) == (0, c0.numerator * pow(c0.denominator, -1, 3) % 3)
             fx = sum(float(c) * alpha**k for k, c in enumerate(coeffs))
             assert abs(to_complex(x).real - fx) < 1e-8
+
+    def test_division_loop_is_bounded(self, monkeypatch):
+        # with a wrong 3/beta, beta seems to divide alpha/3 forever; as 3 does
+        # not divide its numerators, the sixth division raises, and not as a
+        # RingError, which ringcert would read as "not a member"
+        monkeypatch.setattr(
+            "qutrit_exact.rings.alpha._THREE_OVER_BETA", (0, 1, 0, 2, 0, 1, 0, -1, 0, -1, 0, 1)
+        )
+        with pytest.raises(AssertionError):
+            to_alpha(embed("alpha") * Fraction(1, 3))
 
     def test_to_alpha_rejects_imaginary_and_foreign_denominators(self):
         for x in (embed("i"), embed("omega")):

@@ -169,6 +169,9 @@ class TestGateOracles:
         assert_close(
             gate_matrix(Op("CX", wires), 2), _numeric_op(Op("CX", wires), 2)
         )
+        # CX|j,t> = |j,t+j> is LAMBDA[X]
+        lam = Op("LAMBDA", wires[:1], inner=Op("X", wires[1:]))
+        assert gate_matrix(Op("CX", wires), 2) == gate_matrix(lam, 2)
 
     def test_gate_placement_on_either_wire(self):
         for wire in (0, 1):
@@ -264,10 +267,16 @@ class TestComparisons:
         tau = gate_matrix(Op("TAU", (0,), ("12",)), 1)
         assert equal_up_to_phase(h @ h, tau) == MINUS_ONE
         assert equal_exact((h @ h), tau.scale(MINUS_ONE))
+        zeta = Cyclo36.zeta9_pow(1)
+        assert equal_up_to_phase(h.scale(zeta), h) == zeta
+        assert equal_up_to_phase(h, h.scale(zeta)) == zeta.conjugate()
 
     def test_phase_match_identity_is_one(self):
         t = gate_matrix(Op("T", (0,)), 1)
         assert equal_up_to_phase(t, t) == ONE
+        zero = t.scale(0)  # b == 0 matches only a == 0, with phase 1
+        assert equal_up_to_phase(zero, zero) == ONE
+        assert equal_up_to_phase(t, zero) is None
 
     def test_phase_match_rejects_unrelated(self):
         t = gate_matrix(Op("T", (0,)), 1)
