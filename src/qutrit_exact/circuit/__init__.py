@@ -6,7 +6,6 @@ from qutrit_exact.circuit.core import (
     Op,
     SINGLE_QUTRIT_KINDS,
     adjoint,
-    compose,
     op_text,
     print_circuit,
     tensor,
@@ -31,7 +30,6 @@ __all__ = [
     "TAU_LABELS",
     "adjoint",
     "circuits_dir",
-    "compose",
     "expand_macros",
     "load_named",
     "macro_names",

@@ -6,13 +6,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from ..errors import DimMismatchError
 from .perm import TAU_IMAGES, TAU_LABELS
 
 __all__ = [
     "Op",
     "Circuit",
-    "compose",
     "adjoint",
     "tensor",
     "print_circuit",
@@ -129,11 +127,12 @@ class Op:
             if self.inner.wires[0] == self.wires[0]:
                 raise ValueError("control and target wires must differ")
         elif self.kind == "CX":
-            if len(self.wires) != 2 or self.wires[0] == self.wires[1]:
-                raise ValueError("CX takes two distinct wires")
-        else:
-            if len(self.wires) != 1:
-                raise ValueError(f"{self.kind} takes one wire")
+            if len(self.wires) != 2:
+                raise ValueError("CX takes two wires")
+            if self.wires[0] == self.wires[1]:
+                raise ValueError("control and target wires must differ")
+        elif len(self.wires) != 1:
+            raise ValueError(f"{self.kind} takes one wire")
         if self.kind == "TAU":
             if len(self.params) != 1 or self.params[0] not in TAU_LABELS:
                 raise ValueError(f"TAU takes a cycle label from {TAU_LABELS}")
@@ -183,13 +182,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-
-def compose(first: Circuit, second: Circuit) -> Circuit:
-    """Run ``first`` then ``second``; the matrix is matrix(second) @ matrix(first)."""
-    if first.n != second.n:
-        raise DimMismatchError(f"{first.n} vs {second.n} qutrits")
-    return Circuit(first.n, first.ops + second.ops)
 
 
 def _adjoint_ops(op: Op) -> tuple[Op, ...]:

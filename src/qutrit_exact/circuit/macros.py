@@ -131,12 +131,13 @@ def _c2_obstruction(op: Op) -> str | None:
     )
 
 
-def _zphase_ops(wire: int, a: Fraction, b: Fraction) -> list[Op]:
+def _zphase_ops(kind: str, wire: int, a: Fraction, b: Fraction) -> list[Op]:
     """Z(a, b) = T**j * Z**za * S**(zb - 2za) exactly (exponents mod 3), with j
-    the balanced residue of 3a, za = a - j/3 and zb = b + j/3."""
+    the balanced residue of 3a, za = a - j/3 and zb = b + j/3; ``kind`` names
+    the ZPHASE or XPHASE op being expanded in the UNEXPANDABLE text."""
     if (a + b) % 1 != 0:
         raise UnexpandableError(
-            f"ZPHASE {a} {b} has determinant zeta^{int(3 * ((a + b) % 3))}, "
+            f"{kind} {a} {b} has determinant zeta^{int(3 * ((a + b) % 3))}, "
             "not reachable over the base set"
         )
     m = int(3 * a)
@@ -169,11 +170,11 @@ def _expand_op(op: Op, n: int, out: list[Op]) -> None:
         return
     w = op.wires[0]
     if k == "ZPHASE":
-        out.extend(_zphase_ops(w, *op.params))
+        out.extend(_zphase_ops(k, w, *op.params))
         return
     if k == "XPHASE":
         out.append(Op("HDG", (w,)))
-        out.extend(_zphase_ops(w, *op.params))
+        out.extend(_zphase_ops(k, w, *op.params))
         out.append(Op("H", (w,)))
         return
     if k == "LAMBDA":

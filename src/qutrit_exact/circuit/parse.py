@@ -201,29 +201,20 @@ def parse_circuit(text: str) -> Circuit:
             toks.finish()
             continue
         head = tok.upper()
-        if head in ("C0", "C1", "C2", "LAMBDA"):
-            try:
+        try:
+            if head in ("C0", "C1", "C2", "LAMBDA"):
                 ops.extend(_parse_controlled(toks, n, head, col))
-            except ValueError as exc:
-                if isinstance(exc, ParseError):
-                    raise
-                raise ParseError(str(exc), line_no, col) from None
-        elif head == "CX":
-            control = _parse_wire(toks, n)
-            target = _parse_wire(toks, n)
-            if control == target:
-                raise ParseError("control and target wires must differ", line_no, col)
-            toks.finish()
-            ops.append(Op("CX", (control, target)))
-        else:
-            toks.pos = 0
-            try:
+            elif head == "CX":
+                control = _parse_wire(toks, n)
+                ops.append(Op("CX", (control, _parse_wire(toks, n))))
+            else:
+                toks.pos = 0
                 ops.append(_parse_simple_gate(toks, n))
-            except ValueError as exc:
-                if isinstance(exc, ParseError):
-                    raise
-                raise ParseError(str(exc), line_no, col) from None
             toks.finish()
+        except ParseError:
+            raise
+        except ValueError as exc:  # Op's own checks, such as the wires of CX 1 1
+            raise ParseError(str(exc), line_no, col) from None
     if n is None:
         raise ParseError("empty circuit text", 1, 1)
     return Circuit(n, tuple(ops))

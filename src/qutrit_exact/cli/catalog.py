@@ -148,9 +148,7 @@ def _claim_cubic() -> str:
 
 def _claim_t_refuted(ancilla: bool) -> Callable[[], str]:
     def run() -> str:
-        m = _g("T")
-        if ancilla:
-            m = m.tensor(UnitaryMatrix.identity(3))
+        m = gate_matrix(Op("T", (0,)), 2 if ancilla else 1)
         ref = refute_phase_membership(m, RingTag.TOMEGA)
         _require(ref.refuted, "refutation expected")
         a, b = ref.pair

@@ -11,7 +11,9 @@ Grammar (tokens separated by whitespace; brackets may hug):
 'I' is the 3 x 3 identity, 'zeta' the primitive ninth root of unity, and
 'omega' the primitive cube root; k may be negative.  C2[g] is the two-qutrit
 gate applying g (times the optional phase) when the control qutrit is in
-state 2.  A target acts on at most ``MAX_QUTRITS`` qutrits, as circuits do.
+state 2.  A target is simulated as one circuit: its terms sit on consecutive
+qutrits, the leftmost term on qutrit 0, and each '-' flips one overall sign.
+A target acts on at most ``MAX_QUTRITS`` qutrits, as circuits do.
 Tokens, gate names and phases are read exactly as in circuit files
 (``qutrit_exact.circuit.parse``), so names are case-insensitive; a lone 'x'
 between two terms is the tensor separator, and the gate X anywhere else.
@@ -19,11 +21,11 @@ between two terms is the tensor separator, and the gate X anywhere else.
 
 from __future__ import annotations
 
-from qutrit_exact.circuit.core import Op
+from qutrit_exact.circuit.core import Circuit, Op, tensor
 from qutrit_exact.circuit.parse import Tokens, parse_gate_name, parse_phase, parse_third
 from qutrit_exact.errors import DimMismatchError, ParseError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE
-from qutrit_exact.sim.gates import MAX_QUTRITS, gate_matrix, phase_unit
+from qutrit_exact.sim.gates import MAX_QUTRITS, circuit_matrix, phase_unit
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
@@ -36,12 +38,12 @@ def parse_phase_value(text: str) -> Cyclo36:
     return phase_unit(phase)
 
 
-def _gate(tok: str, col: int) -> Op:
+def _gate(tok: str, col: int, wire: int) -> Op:
     kind, args = parse_gate_name(tok, 1, col)
     if kind in ("ZPHASE", "XPHASE") and args is not None:
         args = tuple(parse_third(a, 1, col) for a in args)
     try:
-        return Op(kind, (0,), args or ())
+        return Op(kind, (wire,), args or ())
     except ValueError as e:
         raise ParseError(str(e), 1, col) from None
 
@@ -59,29 +61,21 @@ def _negated(s: Tokens) -> bool:
     return True
 
 
-def _parse_atom(s: Tokens) -> UnitaryMatrix:
+def _parse_atom(s: Tokens) -> Circuit:
     tok, col = s.take("a gate")
     name = tok.upper()
     if name == "I":
-        return UnitaryMatrix.identity(3)
+        return Circuit(1)
     if name == "CX":
-        return gate_matrix(Op("CX", (0, 1)), 2)
+        return Circuit(2, (Op("CX", (0, 1)),))
     if name == "C2":
         s.expect("[")
         sign = -1 if _negated(s) else 1
-        inner_tok, inner_col = s.take("a target gate")
-        inner = _gate(inner_tok, inner_col)
+        inner = _gate(*s.take("a target gate"), 1)
         s.expect("]")
         psign, e = s.take_phase() or (1, 0)
-        op = Op("C2", (0,), inner=inner.remap(lambda _: 1), phase=(sign * psign, e))
-        return gate_matrix(op, 2)
-    return gate_matrix(_gate(tok, col), 1)
-
-
-def _parse_term(s: Tokens) -> UnitaryMatrix:
-    if _negated(s):
-        return _parse_atom(s).scale(MINUS_ONE)
-    return _parse_atom(s)
+        return Circuit(2, (Op("C2", (0,), inner=inner, phase=(sign * psign, e)),))
+    return Circuit(1, (_gate(tok, col, 0),))
 
 
 def parse_target(text: str) -> UnitaryMatrix:
@@ -89,15 +83,18 @@ def parse_target(text: str) -> UnitaryMatrix:
     s = Tokens(text, 1)
     if s.peek() is None:
         raise ParseError("empty target expression", 1, 1)
-    out = _parse_term(s)
+    negative = _negated(s)
+    circ = _parse_atom(s)
     while s.peek() is not None:
         tok, col = s.take("'x'")
         if tok != "x":
             raise ParseError(
                 f"expected tensor separator 'x', got {tok!r}", 1, col
             )
-        term = _parse_term(s)
-        if out.dim * term.dim > 3**MAX_QUTRITS:
+        negative ^= _negated(s)
+        term = _parse_atom(s)
+        if circ.n + term.n > MAX_QUTRITS:
             raise DimMismatchError(f"the target acts on more than {MAX_QUTRITS} qutrits")
-        out = out.tensor(term)
-    return out
+        circ = tensor(circ, term)
+    m = circuit_matrix(circ)
+    return m.scale(MINUS_ONE) if negative else m

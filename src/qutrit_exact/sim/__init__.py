@@ -1,18 +1,12 @@
 """Exact unitary simulation."""
 
 from .gates import circuit_matrix, gate_local, gate_matrix, MAX_QUTRITS
-from .matrix import (
-    UnitaryMatrix,
-    controlled_target,
-    equal_exact,
-    equal_up_to_phase,
-)
+from .matrix import UnitaryMatrix, equal_exact, equal_up_to_phase
 
 __all__ = [
     "MAX_QUTRITS",
     "UnitaryMatrix",
     "circuit_matrix",
-    "controlled_target",
     "equal_exact",
     "equal_up_to_phase",
     "gate_local",

@@ -8,12 +8,7 @@ from typing import Iterable, Sequence
 from ..errors import DimMismatchError
 from ..rings.cyclo import Cyclo36, ONE, ZERO
 
-__all__ = [
-    "UnitaryMatrix",
-    "equal_exact",
-    "equal_up_to_phase",
-    "controlled_target",
-]
+__all__ = ["UnitaryMatrix", "equal_exact", "equal_up_to_phase"]
 
 
 def _coerce(entry) -> Cyclo36:
@@ -89,13 +84,6 @@ class UnitaryMatrix:
             )
         )
 
-    def tensor(self, other: UnitaryMatrix) -> UnitaryMatrix:
-        out = []
-        for arow in self._rows:
-            for brow in other._rows:
-                out.append(tuple(_times(a, b) for a in arow for b in brow))
-        return UnitaryMatrix(out)
-
     def scale(self, c) -> UnitaryMatrix:
         c = _coerce(c)
         return UnitaryMatrix(tuple(tuple(_times(c, e) for e in row) for row in self._rows))
@@ -148,11 +136,3 @@ def _block_diagonal(blocks: Sequence[UnitaryMatrix]) -> UnitaryMatrix:
             out[at + r][at:at + block.dim] = row
         at += block.dim
     return UnitaryMatrix(out)
-
-
-def controlled_target(inner: UnitaryMatrix, phase: Cyclo36 = ONE) -> UnitaryMatrix:
-    """blockdiag(I, I, phase*inner): apply phase*inner when the control holds 2."""
-    if inner.dim != 3:
-        raise DimMismatchError("controlled target must be a single-qutrit matrix")
-    eye = UnitaryMatrix.identity(3)
-    return _block_diagonal((eye, eye, inner.scale(phase)))

@@ -2,7 +2,9 @@
 
 The package itself never touches floating point; tests may, as an
 independent oracle.  ``to_complex`` evaluates exact ring elements
-numerically, and the word builders draw reproducible random circuits.
+numerically; ``numeric_gate`` and ``numeric_op`` build float gate matrices
+from the gate definitions alone, and ``assert_close`` compares an exact matrix
+with one.  The word builders draw reproducible random circuits.
 Every test fails once it runs past ``TIME_LIMIT`` seconds.
 """
 
@@ -13,6 +15,7 @@ import random
 import signal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qutrit_exact.circuit.core import Circuit, Op
@@ -42,6 +45,97 @@ def mat_complex(m: UnitaryMatrix) -> list[list[complex]]:
 
 def approx_equal(a: complex, b: complex) -> bool:
     return abs(a - b) < TOL
+
+
+W = cmath.exp(2j * cmath.pi / 3)
+Z9 = cmath.exp(2j * cmath.pi / 9)
+
+
+def numeric_gate(kind: str, params=()) -> np.ndarray:
+    if kind == "X":
+        return np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
+    if kind == "Z":
+        return np.diag([1, W, W * W])
+    if kind == "S":
+        return np.diag([1, 1, W])
+    if kind == "SDG":
+        return numeric_gate("S").conj().T
+    if kind == "T":
+        return np.diag([1, Z9, Z9**8])
+    if kind == "TDG":
+        return numeric_gate("T").conj().T
+    if kind == "H":
+        return ((W - W * W) / 3) * np.array(
+            [[1, 1, 1], [1, W, W * W], [1, W * W, W]], dtype=complex
+        )
+    if kind == "HDG":
+        return numeric_gate("H").conj().T
+    if kind == "R":
+        return np.diag([1, 1, -1]).astype(complex)
+    if kind == "TAU":
+        images = {
+            "01": (1, 0, 2), "02": (2, 1, 0), "12": (0, 2, 1),
+            "012": (1, 2, 0), "021": (2, 0, 1),
+        }[params[0]]
+        m = np.zeros((3, 3), dtype=complex)
+        for c, r in enumerate(images):
+            m[r][c] = 1
+        return m
+    if kind == "ZPHASE":
+        a, b = (Fraction(p) for p in params)
+        return np.diag([1, cmath.exp(2j * cmath.pi * a / 3),
+                        cmath.exp(2j * cmath.pi * b / 3)])
+    if kind == "XPHASE":
+        h = numeric_gate("H")
+        return h @ numeric_gate("ZPHASE", params) @ h.conj().T
+    raise AssertionError(kind)
+
+
+def _digits(idx: int, n: int) -> list[int]:
+    return [(idx // 3 ** (n - 1 - w)) % 3 for w in range(n)]
+
+
+def _index(digits: list[int], n: int) -> int:
+    return sum(d * 3 ** (n - 1 - w) for w, d in enumerate(digits))
+
+
+def numeric_op(op: Op, n: int) -> np.ndarray:
+    if op.kind == "CX":
+        c, t = op.wires
+        m = np.zeros((3**n, 3**n), dtype=complex)
+        for idx in range(3**n):
+            digits = _digits(idx, n)
+            digits[t] = (digits[t] + digits[c]) % 3
+            m[_index(digits, n)][idx] = 1
+        return m
+    if op.kind in ("C2", "LAMBDA"):
+        # C2[g] applies phase * g when the control holds 2; LAMBDA[g] applies
+        # g**j when it holds j
+        c, t = op.wires[0], op.inner.wires[0]
+        g = numeric_gate(op.inner.kind, op.inner.params)
+        if op.kind == "C2":
+            sign, e = op.phase or (1, 0)
+            blocks = (np.eye(3), np.eye(3), sign * Z9**e * g)
+        else:
+            blocks = (np.eye(3), g, g @ g)
+        m = np.zeros((3**n, 3**n), dtype=complex)
+        for idx in range(3**n):
+            digits = _digits(idx, n)
+            block, col = blocks[digits[c]], digits[t]
+            for row in range(3):
+                digits[t] = row
+                m[_index(digits, n)][idx] = block[row][col]
+        return m
+    local = numeric_gate(op.kind, op.params)
+    acc = np.eye(1, dtype=complex)
+    for w in range(n):
+        acc = np.kron(acc, local if w == op.wires[0] else np.eye(3))
+    return acc
+
+
+def assert_close(exact: UnitaryMatrix, numeric: np.ndarray):
+    got = np.array(mat_complex(exact))
+    assert np.max(np.abs(got - numeric)) < TOL
 
 
 def random_op(rng: random.Random, kinds: tuple[str, ...], n: int) -> Op:

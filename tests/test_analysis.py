@@ -446,9 +446,7 @@ class TestRingVerdicts:
 
     def test_t_gate_refuted_in_omega_ring(self):
         for n_ancilla in (0, 1):
-            m = _gate("T")
-            if n_ancilla:
-                m = m.tensor(UnitaryMatrix.identity(3))
+            m = gate_matrix(Op("T", (0,)), 1 + n_ancilla)
             assert not matrix_ring_certificate(m, RingTag.TOMEGA).found
             ref = refute_phase_membership(m, RingTag.TOMEGA)
             assert ref.refuted

@@ -10,7 +10,6 @@ from qutrit_exact.circuit.core import (
     Op,
     adjoint,
     gate_facts,
-    compose,
     op_text,
     print_circuit,
     tensor,
@@ -20,6 +19,9 @@ from qutrit_exact.circuit.perm import TAU_LABELS
 from qutrit_exact.errors import ParseError
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact
+
+
+_CLASH = "line 2, col 1: control and target wires must differ"
 
 
 class TestParsing:
@@ -112,6 +114,11 @@ class TestParsing:
             ("qutrits 2\nC2[X 1] 0 junk\n", "trailing"),
             ("qutrits 2\nLAMBDA[X 1] 0 phase=zeta\n", "trailing"),
             ("qutrits 1\nH 0 0\n", "trailing"),
+            # the wire clash is reported before a bad phase or a trailing token
+            ("qutrits 2\nC2[TAU(12) 0] 0 junk\n", _CLASH),
+            ("qutrits 2\nC1[SDG 0] 0 phase=bogus\n", _CLASH),
+            ("qutrits 2\nLAMBDA[X 0] 0 phase=bogus\n", _CLASH),
+            ("qutrits 2\nCX 1 1 junk\n", _CLASH),
         ],
     )
     def test_rejects_malformed_input(self, bad, fragment):
@@ -141,10 +148,6 @@ class TestStructure:
             Op("ZPHASE", (0,), (Fraction(1, 2), Fraction(0)))
         with pytest.raises(ValueError):
             Op("C2", (0,), inner=Op("CX", (0, 1)))
-
-    def test_compose_requires_same_width(self):
-        with pytest.raises(ValueError):
-            compose(Circuit(1), Circuit(2))
 
     def test_tensor_shifts_bottom_wires(self):
         top = Circuit(1, (Op("H", (0,)),))

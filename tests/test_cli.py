@@ -7,13 +7,16 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qutrit_exact
+from conftest import assert_close, numeric_gate, numeric_op
 from qutrit_exact.analysis import is_clifford
 from qutrit_exact.circuit.core import Op
 from qutrit_exact.circuit.macros import DATA_ENV, circuits_dir
@@ -22,12 +25,17 @@ from qutrit_exact.cli import parse_phase_value, parse_target
 from qutrit_exact.cli.main import main
 from qutrit_exact.errors import DimMismatchError, ParseError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
-from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
-from qutrit_exact.sim.matrix import controlled_target, equal_exact
+from qutrit_exact.sim.gates import MAX_QUTRITS, circuit_matrix, gate_matrix
+from qutrit_exact.sim.matrix import equal_exact
 
 
 def _gate(kind: str, params: tuple = ()):
     return gate_matrix(Op(kind, (0,), params=params), 1)
+
+
+def _circuit(n: int, *lines: str):
+    """The matrix of circuit text: ``lines`` on ``n`` qutrits."""
+    return circuit_matrix(parse_circuit("\n".join([f"qutrits {n}", *lines])))
 
 
 _WIDE_CLIFFORD = "DIM_MISMATCH: expected between 1 and 2 qutrits, got dimension 27"
@@ -55,11 +63,11 @@ class TestTargetExpressions:
         assert equal_exact(i_r, gate_matrix(Op("R", (1,)), 2))
 
     def test_negation_binds_to_one_term(self):
-        neg = parse_target("-H x I")
-        direct = _gate("H").scale(MINUS_ONE).tensor(
-            gate_matrix(Op("Z", (0,)), 1) @ gate_matrix(Op("Z", (0,)), 1).dag()
-        )
-        assert equal_exact(neg, direct)
+        h_i = np.kron(numeric_gate("H"), np.eye(3))
+        assert_close(parse_target("-H x I"), -h_i)
+        assert_close(parse_target("H x -I"), -h_i)
+        assert_close(parse_target("-H x -I"), h_i)
+        assert equal_exact(parse_target("-H x I"), _circuit(2, "H 0").scale(MINUS_ONE))
 
     def test_spaced_and_hugged_negation_agree(self):
         assert equal_exact(parse_target("- H"), parse_target("-H"))
@@ -68,23 +76,20 @@ class TestTargetExpressions:
         assert equal_exact(parse_target("CX"), gate_matrix(Op("CX", (0, 1)), 2))
 
     def test_controlled_block_with_sign_and_phase(self):
-        inner = _gate("TAU", ("12",))
+        minus_swap = _circuit(2, "C2[TAU(12) 1] 0 phase=-1")
         for expr in ("C2[-TAU(12)]", "C2[ - TAU(12) ]", "C2[TAU(12)] phase=-1"):
-            assert equal_exact(parse_target(expr),
-                               controlled_target(inner, MINUS_ONE))
+            assert equal_exact(parse_target(expr), minus_swap)
         assert equal_exact(
-            parse_target("C2[SDG] phase=zeta"),
-            controlled_target(_gate("SDG"), Cyclo36.zeta9_pow(1)),
+            parse_target("C2[SDG] phase=zeta"), _circuit(2, "C2[SDG 1] 0 phase=zeta")
         )
         assert equal_exact(
-            parse_target("C2[-SDG] phase=zeta^4"),
-            controlled_target(_gate("SDG"),
-                              MINUS_ONE * Cyclo36.zeta9_pow(4)),
+            parse_target("C2[-SDG] phase=zeta^4"), _circuit(2, "C2[SDG 1] 0 phase=-zeta^4")
         )
+        # the numeric oracle: phase * g on the control's level-2 block
+        numeric = numeric_op(Op("C2", (0,), inner=Op("SDG", (1,)), phase=(-1, 4)), 2)
+        assert_close(parse_target("C2[-SDG] phase=zeta^4"), numeric)
 
     def test_parameterized_gates(self):
-        from fractions import Fraction
-
         assert equal_exact(
             parse_target("ZPHASE(1/3,-1/3)"),
             _gate("ZPHASE", (Fraction(1, 3), Fraction(-1, 3))),
@@ -512,6 +517,49 @@ _PHASES = ("", " phase=-1", " phase=zeta^4", " phase=-omega^2", " phase=zeta^-1"
 _TARGET_ATOMS = ("I", "CX", "H", "-HDG", "R", "T", "TAU(12)", "ZPHASE(1/3,2/3)",
                  "XPHASE(1,2)", "C2[H]", "C2[-TAU(12)] phase=zeta^2",
                  "C2[XPHASE(1/3,0)]", "C2[SDG] phase=omega")
+
+
+def _c2(kind: str, params: tuple = (), phase=None):
+    return numeric_op(Op("C2", (0,), inner=Op(kind, (1,), params), phase=phase), 2)
+
+
+# each atom's matrix from the numeric oracle, with its leading '-' if it has one
+_ATOM_ORACLE = {
+    "I": np.eye(3),
+    "CX": numeric_op(Op("CX", (0, 1)), 2),
+    "H": numeric_gate("H"),
+    "-HDG": -numeric_gate("HDG"),
+    "R": numeric_gate("R"),
+    "T": numeric_gate("T"),
+    "TAU(12)": numeric_gate("TAU", ("12",)),
+    "ZPHASE(1/3,2/3)": numeric_gate("ZPHASE", (Fraction(1, 3), Fraction(2, 3))),
+    "XPHASE(1,2)": numeric_gate("XPHASE", (1, 2)),
+    "C2[H]": _c2("H"),
+    "C2[-TAU(12)] phase=zeta^2": _c2("TAU", ("12",), (-1, 2)),
+    "C2[XPHASE(1/3,0)]": _c2("XPHASE", (Fraction(1, 3), 0)),
+    "C2[SDG] phase=omega": _c2("SDG", (), (1, 3)),
+}
+
+
+class TestTargetPlacement:
+    """A target is the Kronecker product of its terms, leftmost term on qutrit 0."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(terms=st.lists(st.tuples(st.sampled_from(_TARGET_ATOMS), st.booleans()),
+                          min_size=1, max_size=3))
+    def test_terms_match_the_kronecker_product(self, terms):
+        texts, numeric = [], np.eye(1)
+        for atom, flip in terms:
+            m = _ATOM_ORACLE[atom]
+            if flip:  # add a leading '-', or drop the one the atom has
+                atom, m = atom[1:] if atom.startswith("-") else "-" + atom, -m
+            texts.append(atom)
+            numeric = np.kron(numeric, m)
+        if len(numeric) > 3**MAX_QUTRITS:
+            with pytest.raises(DimMismatchError):
+                parse_target(" x ".join(texts))
+        else:
+            assert_close(parse_target(" x ".join(texts)), numeric)
 
 
 @st.composite

@@ -138,14 +138,15 @@ class TestExpansion:
         assert all(op.kind in BASE_KINDS for op in flat.ops)
         assert equal_exact(circuit_matrix(flat), circuit_matrix(circ))
         # every pair of thirds: exact when a + b is an integer, else refused
-        # with the determinant zeta^(3(a + b))
+        # with a text naming the op and its determinant zeta^(3(a + b))
         thirds = [Fraction(k, 3) for k in range(9)]
         for kind in ("ZPHASE", "XPHASE"):
             for a in thirds:
                 for b in thirds:
                     circ = Circuit(1, (Op(kind, (0,), (a, b)),))
                     if (a + b).denominator == 3:
-                        with pytest.raises(UnexpandableError, match=f"zeta\\^{3 * (a + b) % 9}"):
+                        det = f"{kind} {a} {b} has determinant zeta\\^{3 * (a + b) % 9}"
+                        with pytest.raises(UnexpandableError, match=det):
                             expand_macros(circ)
                         continue
                     flat = expand_macros(circ)

@@ -1,22 +1,20 @@
 """Exact simulation engine checked against independent numeric oracles."""
 
-import cmath
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import CT_KINDS, TOL, mat_complex, random_word
-from qutrit_exact.circuit.core import (
-    GATES,
-    SINGLE_QUTRIT_KINDS,
-    Circuit,
-    Op,
-    adjoint,
-    compose,
-    tensor,
+from conftest import (
+    CT_KINDS,
+    assert_close,
+    mat_complex,
+    numeric_gate,
+    numeric_op,
+    random_word,
 )
+from qutrit_exact.circuit.core import GATES, SINGLE_QUTRIT_KINDS, Circuit, Op, adjoint, tensor
 from qutrit_exact.circuit.macros import circuits_dir, expand_macros
 from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.circuit.perm import TAU_LABELS
@@ -24,115 +22,20 @@ from qutrit_exact.errors import DimMismatchError, RingError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE, ZERO
 from qutrit_exact.sim import gates
 from qutrit_exact.sim.gates import MAX_QUTRITS, circuit_matrix, gate_local, gate_matrix
-from qutrit_exact.sim.matrix import (
-    UnitaryMatrix,
-    controlled_target,
-    equal_exact,
-    equal_up_to_phase,
-)
-
-W = cmath.exp(2j * cmath.pi / 3)
-Z9 = cmath.exp(2j * cmath.pi / 9)
-
-
-def _numeric_gate(kind: str, params=()) -> np.ndarray:
-    if kind == "X":
-        return np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
-    if kind == "Z":
-        return np.diag([1, W, W * W])
-    if kind == "S":
-        return np.diag([1, 1, W])
-    if kind == "SDG":
-        return _numeric_gate("S").conj().T
-    if kind == "T":
-        return np.diag([1, Z9, Z9**8])
-    if kind == "TDG":
-        return _numeric_gate("T").conj().T
-    if kind == "H":
-        return ((W - W * W) / 3) * np.array(
-            [[1, 1, 1], [1, W, W * W], [1, W * W, W]], dtype=complex
-        )
-    if kind == "HDG":
-        return _numeric_gate("H").conj().T
-    if kind == "R":
-        return np.diag([1, 1, -1]).astype(complex)
-    if kind == "TAU":
-        images = {
-            "01": (1, 0, 2), "02": (2, 1, 0), "12": (0, 2, 1),
-            "012": (1, 2, 0), "021": (2, 0, 1),
-        }[params[0]]
-        m = np.zeros((3, 3), dtype=complex)
-        for c, r in enumerate(images):
-            m[r][c] = 1
-        return m
-    if kind == "ZPHASE":
-        a, b = (Fraction(p) for p in params)
-        return np.diag([1, cmath.exp(2j * cmath.pi * a / 3),
-                        cmath.exp(2j * cmath.pi * b / 3)])
-    if kind == "XPHASE":
-        h = _numeric_gate("H")
-        return h @ _numeric_gate("ZPHASE", params) @ h.conj().T
-    raise AssertionError(kind)
-
-
-def _digits(idx: int, n: int) -> list[int]:
-    return [(idx // 3 ** (n - 1 - w)) % 3 for w in range(n)]
-
-
-def _index(digits: list[int], n: int) -> int:
-    return sum(d * 3 ** (n - 1 - w) for w, d in enumerate(digits))
-
-
-def _numeric_op(op: Op, n: int) -> np.ndarray:
-    if op.kind == "CX":
-        c, t = op.wires
-        m = np.zeros((3**n, 3**n), dtype=complex)
-        for idx in range(3**n):
-            digits = _digits(idx, n)
-            digits[t] = (digits[t] + digits[c]) % 3
-            m[_index(digits, n)][idx] = 1
-        return m
-    if op.kind in ("C2", "LAMBDA"):
-        # C2[g] applies phase * g when the control holds 2; LAMBDA[g] applies
-        # g**j when it holds j
-        c, t = op.wires[0], op.inner.wires[0]
-        g = _numeric_gate(op.inner.kind, op.inner.params)
-        if op.kind == "C2":
-            sign, e = op.phase or (1, 0)
-            blocks = (np.eye(3), np.eye(3), sign * Z9**e * g)
-        else:
-            blocks = (np.eye(3), g, g @ g)
-        m = np.zeros((3**n, 3**n), dtype=complex)
-        for idx in range(3**n):
-            digits = _digits(idx, n)
-            block, col = blocks[digits[c]], digits[t]
-            for row in range(3):
-                digits[t] = row
-                m[_index(digits, n)][idx] = block[row][col]
-        return m
-    local = _numeric_gate(op.kind, op.params)
-    acc = np.eye(1, dtype=complex)
-    for w in range(n):
-        acc = np.kron(acc, local if w == op.wires[0] else np.eye(3))
-    return acc
-
-
-def assert_close(exact: UnitaryMatrix, numeric: np.ndarray):
-    got = np.array(mat_complex(exact))
-    assert np.max(np.abs(got - numeric)) < TOL
+from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact, equal_up_to_phase
 
 
 class TestGateOracles:
     @pytest.mark.parametrize("kind", ["X", "Z", "S", "SDG", "H", "HDG",
                                       "T", "TDG", "R"])
     def test_plain_gates(self, kind):
-        assert_close(gate_matrix(Op(kind, (0,)), 1), _numeric_gate(kind))
+        assert_close(gate_matrix(Op(kind, (0,)), 1), numeric_gate(kind))
 
     @pytest.mark.parametrize("label", ["01", "02", "12", "012", "021"])
     def test_level_permutations(self, label):
         assert_close(
             gate_matrix(Op("TAU", (0,), (label,)), 1),
-            _numeric_gate("TAU", (label,)),
+            numeric_gate("TAU", (label,)),
         )
 
     @pytest.mark.parametrize("a,b", [(0, 1), (1, 1), (2, 2),
@@ -142,11 +45,11 @@ class TestGateOracles:
         params = (Fraction(a), Fraction(b))
         assert_close(
             gate_matrix(Op("ZPHASE", (0,), params), 1),
-            _numeric_gate("ZPHASE", params),
+            numeric_gate("ZPHASE", params),
         )
         assert_close(
             gate_matrix(Op("XPHASE", (0,), params), 1),
-            _numeric_gate("XPHASE", params),
+            numeric_gate("XPHASE", params),
         )
 
     def test_x_gate_equals_its_phase_gate_form(self):
@@ -167,7 +70,7 @@ class TestGateOracles:
     @pytest.mark.parametrize("wires", [(0, 1), (1, 0)])
     def test_cx_both_orientations(self, wires):
         assert_close(
-            gate_matrix(Op("CX", wires), 2), _numeric_op(Op("CX", wires), 2)
+            gate_matrix(Op("CX", wires), 2), numeric_op(Op("CX", wires), 2)
         )
         # CX|j,t> = |j,t+j> is LAMBDA[X]
         lam = Op("LAMBDA", wires[:1], inner=Op("X", wires[1:]))
@@ -176,7 +79,7 @@ class TestGateOracles:
     def test_gate_placement_on_either_wire(self):
         for wire in (0, 1):
             op = Op("H", (wire,))
-            assert_close(gate_matrix(op, 2), _numeric_op(op, 2))
+            assert_close(gate_matrix(op, 2), numeric_op(op, 2))
 
     def test_width_limits(self):
         with pytest.raises(ValueError):
@@ -191,7 +94,7 @@ class TestCircuitMatrix:
                 circ = random_word(rng, CT_KINDS, n, 12)
                 numeric = np.eye(3**n, dtype=complex)
                 for op in circ.ops:
-                    numeric = _numeric_op(op, n) @ numeric
+                    numeric = numeric_op(op, n) @ numeric
                 assert_close(circuit_matrix(circ), numeric)
 
     def test_controlled_words_against_numeric_oracle(self):
@@ -203,7 +106,7 @@ class TestCircuitMatrix:
                 circ = Circuit(n, tuple(ops))
                 numeric = np.eye(3**n, dtype=complex)
                 for op in circ.ops:
-                    numeric = _numeric_op(op, n) @ numeric
+                    numeric = numeric_op(op, n) @ numeric
                 assert_close(circuit_matrix(circ), numeric)
 
     def test_words_are_exactly_unitary(self, rng):
@@ -223,7 +126,7 @@ class TestCircuitMatrix:
         a = random_word(rng, CT_KINDS, 2, 8)
         b = random_word(rng, CT_KINDS, 2, 8)
         assert equal_exact(
-            circuit_matrix(compose(a, b)),
+            circuit_matrix(Circuit(2, a.ops + b.ops)),
             circuit_matrix(b) @ circuit_matrix(a),
         )
 
@@ -240,19 +143,18 @@ class TestCircuitMatrix:
         a = random_word(rng, CT_KINDS, 1, 10)
         b = random_word(rng, CT_KINDS, 1, 10)
         ma, mb = circuit_matrix(a), circuit_matrix(b)
-        assert equal_exact(circuit_matrix(tensor(a, b)), ma.tensor(mb))
         assert_close(
-            ma.tensor(mb),
+            circuit_matrix(tensor(a, b)),
             np.kron(np.array(mat_complex(ma)), np.array(mat_complex(mb))),
         )
 
     def test_tensor_and_scale_keep_the_shared_zero(self):
-        t = gate_matrix(Op("T", (0,)), 1)
-        x = gate_matrix(Op("X", (0,)), 1)
-        for m in (t.tensor(x), x.tensor(t), t.scale(MINUS_ONE), t.scale(0)):
+        t, x = Circuit(1, (Op("T", (0,)),)), Circuit(1, (Op("X", (0,)),))
+        tx = circuit_matrix(tensor(t, x))
+        for m in (tx, circuit_matrix(tensor(x, t)), tx.scale(MINUS_ONE), tx.scale(0)):
             zeros = [e for row in m.rows for e in row if e.is_zero()]
             assert zeros and all(e is ZERO for e in zeros)
-        assert t.tensor(x) == gate_matrix(Op("T", (0,)), 2) @ gate_matrix(Op("X", (1,)), 2)
+        assert tx == gate_matrix(Op("T", (0,)), 2) @ gate_matrix(Op("X", (1,)), 2)
 
 
 class TestComparisons:
@@ -299,7 +201,8 @@ class TestControlledTarget:
     def test_block_structure(self):
         inner = gate_matrix(Op("SDG", (0,)), 1)
         phase = Cyclo36.zeta9_pow(1)
-        m = controlled_target(inner, phase)
+        (op,) = parse_circuit("qutrits 2\nC2[SDG 1] 0 phase=zeta\n").ops
+        m = gate_matrix(op, 2)
         assert m.dim == 9
         for r in range(6):
             for c in range(9):
@@ -309,11 +212,6 @@ class TestControlledTarget:
         for r in range(3):
             for c in range(3):
                 assert m.entry(6 + r, 6 + c) == inner.entry(r, c) * phase
-
-    def test_matches_gate_macro_semantics(self):
-        inner = gate_matrix(Op("X", (0,)), 1)
-        via_op = gate_matrix(Op("C2", (0,), inner=Op("X", (1,))), 2)
-        assert equal_exact(via_op, controlled_target(inner))
 
 
 def _reference_matrix(circ: Circuit) -> UnitaryMatrix:
