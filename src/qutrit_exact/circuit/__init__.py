@@ -5,6 +5,7 @@ from qutrit_exact.circuit.core import (
     Circuit,
     Op,
     SINGLE_QUTRIT_KINDS,
+    TAU_LABELS,
     adjoint,
     op_text,
     print_circuit,
@@ -19,7 +20,6 @@ from qutrit_exact.circuit.macros import (
     t_count,
 )
 from qutrit_exact.circuit.parse import parse_circuit
-from qutrit_exact.circuit.perm import TAU_LABELS
 
 __all__ = [
     "BASE_KINDS",

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .perm import TAU_IMAGES, TAU_LABELS
-
 __all__ = [
     "Op",
     "Circuit",
@@ -19,6 +17,7 @@ __all__ = [
     "gate_facts",
     "SINGLE_QUTRIT_KINDS",
     "BASE_KINDS",
+    "TAU_LABELS",
 ]
 
 
@@ -60,6 +59,17 @@ GATES: dict[str, GateFacts] = {
     "HDG": GateFacts(None, (0, 0, 0), ("H", ()), ("TAU", ("12",), (-1, 0)), True),
     "R": GateFacts(_ID, (0, 0, 9), ("R", ()), None, False),
 }
+
+# cycle label -> images: TAU(label) sends basis state c to images[c]
+TAU_IMAGES = {
+    "01": (1, 0, 2),
+    "02": (2, 1, 0),
+    "12": (0, 2, 1),
+    "012": (1, 2, 0),
+    "021": (2, 0, 1),
+}
+# cycle labels accepted by the circuit language
+TAU_LABELS = tuple(TAU_IMAGES)
 
 # single-qutrit gate kinds (usable as controlled targets)
 SINGLE_QUTRIT_KINDS = frozenset(GATES) | {"TAU", "ZPHASE", "XPHASE"}

@@ -39,26 +39,27 @@ __all__ = [
 DATA_ENV = "QUTRIT_EXACT_CIRCUITS"
 
 # The bundled constructions: (file stem, the op the file implements on two
-# qutrits as one circuit line, pinned T-count).  A one-wire op borrows wire 1,
-# which the file returns unchanged.
-CONSTRUCTIONS: tuple[tuple[str, str, int], ...] = (
-    ("c2x", "C2[X 1] 0", 3),
-    ("c2xdg", "C2[TAU(021) 1] 0", 3),
-    ("c2tau12", "C2[TAU(12) 1] 0", 15),
-    ("c2tau01", "C2[TAU(01) 1] 0", 15),
-    ("c2tau02", "C2[TAU(02) 1] 0", 15),
-    ("c2sdg_phase", "C2[SDG 1] 0 phase=zeta", 8),
-    ("c2z11_phase", "C2[ZPHASE 1 1 1] 0 phase=zeta^7", 8),
-    ("c2neg_hdg", "C2[HDG 1] 0 phase=-1", 24),
-    ("c2neg_tau12", "C2[TAU(12) 1] 0 phase=-1", 24),
-    ("r_construction", "R 0", 39),
-    ("r_construction_naive", "R 0", 63),
+# qutrits as one circuit line, pinned T-count, name of its catalog claim
+# before the "-tcount-N" suffix).  A one-wire op borrows wire 1, which the
+# file returns unchanged.
+CONSTRUCTIONS: tuple[tuple[str, str, int, str], ...] = (
+    ("c2x", "C2[X 1] 0", 3, "ctrl-x"),
+    ("c2xdg", "C2[TAU(021) 1] 0", 3, "ctrl-x-inverse"),
+    ("c2tau12", "C2[TAU(12) 1] 0", 15, "ctrl-swap12"),
+    ("c2tau01", "C2[TAU(01) 1] 0", 15, "ctrl-swap01"),
+    ("c2tau02", "C2[TAU(02) 1] 0", 15, "ctrl-swap02"),
+    ("c2sdg_phase", "C2[SDG 1] 0 phase=zeta", 8, "ctrl-sdg-zeta-phase"),
+    ("c2z11_phase", "C2[ZPHASE 1 1 1] 0 phase=zeta^7", 8, "ctrl-zphase-ones"),
+    ("c2neg_hdg", "C2[HDG 1] 0 phase=-1", 24, "ctrl-neg-hdg"),
+    ("c2neg_tau12", "C2[TAU(12) 1] 0 phase=-1", 24, "ctrl-neg-swap12"),
+    ("r_construction", "R 0", 39, "r-construction"),
+    ("r_construction_naive", "R 0", 63, "r-construction-naive"),
 )
 
 
 def macro_names() -> tuple[str, ...]:
     """Stems of every circuit data file the package relies on."""
-    return tuple(stem for stem, _, _ in CONSTRUCTIONS)
+    return tuple(row[0] for row in CONSTRUCTIONS)
 
 
 def _canonical(op: Op) -> Op:
@@ -72,7 +73,7 @@ def _stems() -> dict[Op, str]:
     """Canonical op -> stem of its cheapest construction."""
     stems = {}
     # most T gates first, so the cheapest row of an op is written last and wins
-    for stem, line, _ in sorted(CONSTRUCTIONS, key=lambda row: -row[2]):
+    for stem, line, _, _ in sorted(CONSTRUCTIONS, key=lambda row: -row[2]):
         stems[parse_circuit(f"qutrits 2\n{line}\n").ops[0]] = stem
     stems[Op("C2", (0,), inner=Op("TAU", (1,), ("012",)))] = "c2x"  # X = TAU(012)
     return stems

@@ -1,4 +1,4 @@
-"""Text format for circuits.
+"""Circuit text: circuit files and the target expressions of ``verify``.
 
 A file is a ``qutrits N`` header followed by one gate per line; ``#`` starts
 a comment.  Wires are 0-based, qutrit 0 most significant.  Examples::
@@ -17,6 +17,19 @@ written ``[-](1|omega|zeta)[^k]`` (see ``parse_phase``).  ``C1[...]`` and
 ``C0[...]`` are sugar for conjugating the control by X so the trigger level
 moves to 1 or 0.
 ``LAMBDA[g t] c`` applies ``g`` once per control level.
+
+A target expression is one line in the same tokens (brackets may hug)::
+
+    EXPR  := TERM ('x' TERM)*            tensor product, left to right
+    TERM  := '-'? ATOM
+    ATOM  := 'I' | 'CX' | GATE | 'C2' '[' '-'? GATE ']' PHASE?
+    GATE  := name, optionally with parameters: TAU(12), ZPHASE(1/3,-1/3), ...
+    PHASE := 'phase=' PH
+
+'I' is the 3 x 3 identity and C2[g] the two-qutrit gate applying g (times the
+optional phase) when the control qutrit is in state 2.  A '-' may stand alone
+or hug the next token.  Names are case-insensitive, as in files; a lone 'x'
+between two terms is the tensor separator, and the gate X anywhere else.
 """
 
 from __future__ import annotations
@@ -24,12 +37,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from ..errors import ParseError
-from .core import Circuit, Op, SINGLE_QUTRIT_KINDS
-from .perm import TAU_LABELS
+from .core import Circuit, Op, SINGLE_QUTRIT_KINDS, TAU_LABELS
 
-__all__ = ["Tokens", "parse_circuit", "parse_gate_name", "parse_phase", "parse_third"]
+__all__ = ["parse_circuit", "parse_phase", "target_terms"]
 
 _TOKEN = re.compile(r"\[|\]|[^\s\[\]]+")
 _GATE_NAME = re.compile(r"([A-Z][A-Z0-9]*)(?:\(([^()]*)\))?\Z", re.IGNORECASE)
@@ -53,90 +66,12 @@ def parse_phase(text: str) -> tuple[int, int]:
     return (-1 if m.group(1) else 1, step * k % 9)
 
 
-class Tokens:
-    """The tokens of one line of text: brackets, and runs of other non-space."""
-
-    def __init__(self, text: str, line_no: int):
-        self.items = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(text)]
-        self.pos = 0
-        self.line_no = line_no
-        self.line_len = len(text)
-
-    def peek(self) -> tuple[str, int] | None:
-        if self.pos < len(self.items):
-            return self.items[self.pos]
-        return None
-
-    def take(self, what: str) -> tuple[str, int]:
-        item = self.peek()
-        if item is None:
-            raise ParseError(f"expected {what}", self.line_no, self.line_len + 1)
-        self.pos += 1
-        return item
-
-    def expect(self, literal: str) -> None:
-        tok, col = self.take(repr(literal))
-        if tok != literal:
-            raise ParseError(f"expected {literal!r}, got {tok!r}", self.line_no, col)
-
-    def take_phase(self) -> tuple[int, int] | None:
-        """An optional ``phase=PH`` token, read by ``parse_phase``."""
-        item = self.peek()
-        if item is None or not item[0].lower().startswith(_PHASE_KEY):
-            return None
-        self.pos += 1
-        tok, col = item
-        try:
-            return parse_phase(tok[len(_PHASE_KEY):])
-        except ValueError as exc:
-            raise ParseError(str(exc), self.line_no, col) from None
-
-    def finish(self) -> None:
-        """Reject any token left on the line."""
-        item = self.peek()
-        if item is not None:
-            raise ParseError(f"unexpected trailing token {item[0]!r}", self.line_no, item[1])
-
-
-def _parse_wire(toks: Tokens, n: int) -> int:
-    tok, col = toks.take("a wire index")
-    if not _INT.match(tok):
-        raise ParseError(f"expected a wire index, got {tok!r}", toks.line_no, col)
-    w = int(tok)
-    if not 0 <= w < n:
-        raise ParseError(f"wire {w} out of range for {n} qutrits", toks.line_no, col)
-    return w
-
-
-def parse_third(tok: str, line_no: int, col: int) -> Fraction:
-    """A phase exponent: an integer or ``k/3``; ParseError at (line_no, col) otherwise."""
-    if _INT.match(tok):
-        return Fraction(int(tok))
-    m = _THIRD.match(tok)
-    if m:
-        return Fraction(int(m.group(1)), 3)
-    raise ParseError(f"expected an integer or a multiple of 1/3, got {tok!r}", line_no, col)
-
-
-def _parse_third(toks: Tokens) -> Fraction:
-    tok, col = toks.take("a phase exponent")
-    return parse_third(tok, toks.line_no, col)
-
-
-def parse_gate_name(tok: str, line_no: int, col: int) -> tuple[str, tuple[str, ...] | None]:
-    """A single-qutrit gate token, such as ``t``, ``TAU(12)`` or ``zphase(1/3,-1/3)``,
-    as its upper-cased kind and its parenthesised arguments (None without).
-
-    Names are case-insensitive; TAU takes exactly one known cycle label.
-    """
-    gate = _gate_name(tok)
-    if gate is None:
-        raise ParseError(f"unknown gate {tok!r}", line_no, col)
-    return gate
-
-
 @lru_cache(maxsize=1024)  # a circuit file repeats a few gate tokens many times
 def _gate_name(tok: str) -> tuple[str, tuple[str, ...] | None] | None:
+    """A single-qutrit gate token, such as ``t``, ``TAU(12)`` or ``zphase(1/3,-1/3)``,
+    as its upper-cased kind and its parenthesised arguments (None without);
+    None if the token names no gate.  TAU takes exactly one known cycle label.
+    """
     m = _GATE_NAME.match(tok)
     if m is None:
         return None
@@ -147,28 +82,108 @@ def _gate_name(tok: str) -> tuple[str, tuple[str, ...] | None] | None:
     return kind, args
 
 
-def _parse_simple_gate(toks: Tokens, n: int) -> Op:
-    tok, col = toks.take("a gate name")
-    kind, args = parse_gate_name(tok, toks.line_no, col)
+class _Line:
+    """A cursor over the tokens of one line: brackets, and runs of other non-space."""
+
+    def __init__(self, text: str, line_no: int):
+        self._items = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(text)]
+        self._pos = 0
+        self._end = len(text) + 1
+        self.line_no = line_no
+
+    def peek(self) -> tuple[str, int] | None:
+        if self._pos < len(self._items):
+            return self._items[self._pos]
+        return None
+
+    def take(self, what: str) -> tuple[str, int]:
+        item = self.peek()
+        if item is None:
+            raise ParseError(f"expected {what}", self.line_no, self._end)
+        self._pos += 1
+        return item
+
+    def expect(self, literal: str) -> None:
+        tok, col = self.take(repr(literal))
+        if tok != literal:
+            raise ParseError(f"expected {literal!r}, got {tok!r}", self.line_no, col)
+
+    def minus(self) -> bool:
+        """Consume a leading '-', standing alone or hugging the next token."""
+        item = self.peek()
+        if item is None or not item[0].startswith("-"):
+            return False
+        tok, col = item
+        if tok == "-":
+            self._pos += 1
+        else:
+            self._items[self._pos] = (tok[1:], col + 1)
+        return True
+
+    def phase(self) -> tuple[int, int] | None:
+        """An optional ``phase=PH`` token, read by ``parse_phase``."""
+        item = self.peek()
+        if item is None or not item[0].lower().startswith(_PHASE_KEY):
+            return None
+        self._pos += 1
+        tok, col = item
+        try:
+            return parse_phase(tok[len(_PHASE_KEY):])
+        except ValueError as exc:
+            raise ParseError(str(exc), self.line_no, col) from None
+
+    def third(self, item: tuple[str, int] | None = None) -> Fraction:
+        """A phase exponent, an integer or ``k/3``: the next token, or ``item``."""
+        tok, col = item or self.take("a phase exponent")
+        if _INT.match(tok):
+            return Fraction(int(tok))
+        m = _THIRD.match(tok)
+        if m:
+            return Fraction(int(m.group(1)), 3)
+        raise ParseError(
+            f"expected an integer or a multiple of 1/3, got {tok!r}", self.line_no, col
+        )
+
+    def wire(self, n: int) -> int:
+        tok, col = self.take("a wire index")
+        if not _INT.match(tok):
+            raise ParseError(f"expected a wire index, got {tok!r}", self.line_no, col)
+        w = int(tok)
+        if not 0 <= w < n:
+            raise ParseError(f"wire {w} out of range for {n} qutrits", self.line_no, col)
+        return w
+
+    def finish(self) -> None:
+        """Reject any token left on the line."""
+        item = self.peek()
+        if item is not None:
+            raise ParseError(f"unexpected trailing token {item[0]!r}", self.line_no, item[1])
+
+
+def _simple_gate(line: _Line, n: int) -> Op:
+    tok, col = line.take("a gate name")
+    gate = _gate_name(tok)
+    # the exponents of ZPHASE and XPHASE follow the name in a file
+    if gate is None or (gate[0] in ("ZPHASE", "XPHASE") and gate[1] is not None):
+        raise ParseError(f"unknown gate {tok!r}", line.line_no, col)
+    kind, args = gate
     if kind in ("ZPHASE", "XPHASE"):
-        if args is not None:  # the exponents follow the name in a file
-            raise ParseError(f"unknown gate {tok!r}", toks.line_no, col)
-        args = (_parse_third(toks), _parse_third(toks))
-    return Op(kind, (_parse_wire(toks, n),), args or ())
+        args = (line.third(), line.third())
+    return Op(kind, (line.wire(n),), args or ())
 
 
-def _parse_controlled(toks: Tokens, n: int, head: str, col: int) -> list[Op]:
-    toks.expect("[")
-    inner = _parse_simple_gate(toks, n)
-    toks.expect("]")
-    control = _parse_wire(toks, n)
+def _controlled(line: _Line, n: int, head: str, col: int) -> list[Op]:
+    line.expect("[")
+    inner = _simple_gate(line, n)
+    line.expect("]")
+    control = line.wire(n)
     if control == inner.wires[0]:
-        raise ParseError("control and target wires must differ", toks.line_no, col)
+        raise ParseError("control and target wires must differ", line.line_no, col)
     if head == "LAMBDA":
-        toks.finish()
+        line.finish()
         return [Op("LAMBDA", (control,), inner=inner)]
-    phase = toks.take_phase()
-    toks.finish()
+    phase = line.phase()
+    line.finish()
     core = Op("C2", (control,), inner=inner, phase=phase)
     if head == "C2":
         return [core]
@@ -189,28 +204,29 @@ def parse_circuit(text: str) -> Circuit:
         body = raw.split("#", 1)[0]
         if not body.strip():
             continue
-        toks = Tokens(body, line_no)
-        tok, col = toks.take("a statement")
+        line = _Line(body, line_no)
+        tok, col = line.peek()
         if n is None:
             if tok.lower() != "qutrits":
                 raise ParseError("first statement must be 'qutrits N'", line_no, col)
-            count, ccol = toks.take("a qutrit count")
-            if not count.isdigit() or int(count) < 1:
+            line.take("a statement")
+            count, ccol = line.take("a qutrit count")
+            if not count.isdecimal() or int(count) < 1:  # as int() reads digits
                 raise ParseError(f"bad qutrit count {count!r}", line_no, ccol)
             n = int(count)
-            toks.finish()
+            line.finish()
             continue
         head = tok.upper()
         try:
             if head in ("C0", "C1", "C2", "LAMBDA"):
-                ops.extend(_parse_controlled(toks, n, head, col))
+                line.take("a statement")
+                ops.extend(_controlled(line, n, head, col))
             elif head == "CX":
-                control = _parse_wire(toks, n)
-                ops.append(Op("CX", (control, _parse_wire(toks, n))))
+                line.take("a statement")
+                ops.append(Op("CX", (line.wire(n), line.wire(n))))
             else:
-                toks.pos = 0
-                ops.append(_parse_simple_gate(toks, n))
-            toks.finish()
+                ops.append(_simple_gate(line, n))
+            line.finish()
         except ParseError:
             raise
         except ValueError as exc:  # Op's own checks, such as the wires of CX 1 1
@@ -218,3 +234,46 @@ def parse_circuit(text: str) -> Circuit:
     if n is None:
         raise ParseError("empty circuit text", 1, 1)
     return Circuit(n, tuple(ops))
+
+
+def _target_gate(line: _Line, tok: str, col: int, wire: int) -> Op:
+    gate = _gate_name(tok)
+    if gate is None:
+        raise ParseError(f"unknown gate {tok!r}", line.line_no, col)
+    kind, args = gate
+    if kind in ("ZPHASE", "XPHASE") and args is not None:
+        args = tuple(line.third((a, col)) for a in args)
+    try:
+        return Op(kind, (wire,), args or ())
+    except ValueError as e:
+        raise ParseError(str(e), line.line_no, col) from None
+
+
+def _atom(line: _Line) -> Circuit:
+    tok, col = line.take("a gate")
+    name = tok.upper()
+    if name == "I":
+        return Circuit(1)
+    if name == "CX":
+        return Circuit(2, (Op("CX", (0, 1)),))
+    if name == "C2":
+        line.expect("[")
+        sign = -1 if line.minus() else 1
+        inner = _target_gate(line, *line.take("a target gate"), 1)
+        line.expect("]")
+        psign, e = line.phase() or (1, 0)
+        return Circuit(2, (Op("C2", (0,), inner=inner, phase=(sign * psign, e)),))
+    return Circuit(1, (_target_gate(line, tok, col, 0),))
+
+
+def target_terms(text: str) -> Iterator[tuple[bool, Circuit]]:
+    """The terms of a target expression as (negated, circuit), read one at a time."""
+    line = _Line(text, 1)
+    if line.peek() is None:
+        raise ParseError("empty target expression", 1, 1)
+    yield line.minus(), _atom(line)
+    while line.peek() is not None:
+        tok, col = line.take("'x'")
+        if tok != "x":
+            raise ParseError(f"expected tensor separator 'x', got {tok!r}", 1, col)
+        yield line.minus(), _atom(line)

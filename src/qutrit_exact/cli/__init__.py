@@ -1,4 +1,4 @@
-"""Command-line interface: parsing of target expressions and subcommands."""
+"""Command-line interface: target matrices and subcommands."""
 
 from qutrit_exact.cli.catalog import CLAIMS, run_catalog
 from qutrit_exact.cli.target import parse_phase_value, parse_target

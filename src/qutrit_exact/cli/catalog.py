@@ -2,8 +2,9 @@
 
 Most claims are ``Equation`` rows, lhs = phase * rhs as circuit matrices,
 and one function, ``check_equation``, checks them all.  The single-qutrit
-relations are written below; the rows for the bundled data files are read
-from ``qutrit_exact.circuit.macros.CONSTRUCTIONS``, with their pinned T-counts.
+relations are written below; the rows for the bundled data files, with their
+claim names and pinned T-counts, are read from
+``qutrit_exact.circuit.macros.CONSTRUCTIONS``.
 The other claims (ring membership, the cubic, refutations, hierarchy level and
 the adjoint obstruction of R) are functions.  The runner prints one line per
 claim and succeeds only if every claim verifies.  File-backed claims read macro
@@ -24,7 +25,6 @@ from qutrit_exact.circuit.macros import CONSTRUCTIONS, load_named, macro_names, 
 from qutrit_exact.circuit.parse import parse_circuit, parse_phase
 from qutrit_exact.rings.cyclo import Cyclo36
 from qutrit_exact.rings.membership import RingTag, in_ring
-from qutrit_exact.rings.polynomials import has_rational_root
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix, phase_unit
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
@@ -102,22 +102,6 @@ _RELATIONS = (
              "ZPHASE(1,1) = omega * X SDG X^dag", phase="omega"),
 )
 
-# the claim name of each bundled data file, before its "-tcount-N" suffix
-_FILE_CLAIMS = {
-    "c2x": "ctrl-x",
-    "c2xdg": "ctrl-x-inverse",
-    "c2tau12": "ctrl-swap12",
-    "c2tau01": "ctrl-swap01",
-    "c2tau02": "ctrl-swap02",
-    "c2sdg_phase": "ctrl-sdg-zeta-phase",
-    "c2z11_phase": "ctrl-zphase-ones",
-    "c2neg_hdg": "ctrl-neg-hdg",
-    "c2neg_tau12": "ctrl-neg-swap12",
-    "r_construction": "r-construction",
-    "r_construction_naive": "r-construction-naive",
-}
-
-
 def _file_detail(line: str) -> str:
     if line.startswith("C2"):
         return "exact match"
@@ -126,9 +110,8 @@ def _file_detail(line: str) -> str:
 
 
 _FILE_EQUATIONS = tuple(
-    Equation(f"{_FILE_CLAIMS[stem]}-tcount-{tcount}", stem, line, _file_detail(line),
-             tcount=tcount)
-    for stem, line, tcount in CONSTRUCTIONS
+    Equation(f"{claim}-tcount-{tcount}", stem, line, _file_detail(line), tcount=tcount)
+    for stem, line, tcount, claim in CONSTRUCTIONS
 )
 
 
@@ -140,8 +123,9 @@ def _claim_zeta_ring() -> str:
 
 
 def _claim_cubic() -> str:
+    # by the rational root theorem, a rational root of this monic cubic divides 1
     return _require(
-        not has_rational_root(1, 0, -3, 1),
+        all(x**3 - 3 * x + 1 != 0 for x in (1, -1)),
         "x^3 - 3x + 1 has no rational root",
     )
 

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-__all__ = ["Cyclo36", "ZERO", "ONE", "MINUS_ONE", "OMEGA", "OMEGA2", "ZETA9", "embed"]
+__all__ = ["Cyclo36", "ZERO", "ONE", "MINUS_ONE", "OMEGA", "OMEGA2"]
 
 _DEGREE = 12
 
@@ -317,23 +317,3 @@ ONE = Cyclo36.from_int(1)
 MINUS_ONE = Cyclo36.from_int(-1)
 OMEGA = Cyclo36.zeta_pow(12)
 OMEGA2 = Cyclo36.zeta_pow(24)
-ZETA9 = Cyclo36.zeta_pow(4)
-
-_EMBED = {
-    "omega": OMEGA,
-    "zeta9": ZETA9,
-    "i": Cyclo36.zeta_pow(9),
-    "sqrt3_times_i": OMEGA - OMEGA2,
-    "alpha": (Cyclo36.zeta_pow(5) - Cyclo36.zeta_pow(13)) * Fraction(1, 2),
-}
-
-
-def embed(symbol: str) -> Cyclo36:
-    """Return the canonical image of a named constant in Q(zeta_36).
-
-    Known symbols: omega, zeta9, i, sqrt3_times_i, alpha (= sin(2*pi/9)).
-    """
-    try:
-        return _EMBED[symbol]
-    except KeyError:
-        raise ValueError(f"unknown embedding symbol: {symbol!r}") from None

@@ -18,12 +18,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qutrit_exact.circuit.core import Circuit, Op
-from qutrit_exact.circuit.perm import TAU_LABELS
+from qutrit_exact.circuit.core import TAU_LABELS, Circuit, Op
 from qutrit_exact.rings.cyclo import Cyclo36
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 _Z36 = [cmath.exp(2j * cmath.pi * k / 36) for k in range(36)]
+
+# alpha = sin(2*pi/9) = (zeta^5 - zeta^13)/2 and i = zeta^9, with zeta = exp(2*pi*i/36)
+ALPHA = (Cyclo36.zeta_pow(5) - Cyclo36.zeta_pow(13)) * Fraction(1, 2)
+IMAG = Cyclo36.zeta_pow(9)
 
 TOL = 1e-9
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CLIFFORD_KINDS, CT_KINDS, random_word
+from conftest import ALPHA, CLIFFORD_KINDS, CT_KINDS, random_word
 from qutrit_exact.adjoint import (
     BORDERED_ONES,
     BORDERED_TWOS,
@@ -31,7 +31,7 @@ from qutrit_exact.circuit.core import Op, adjoint
 from qutrit_exact.circuit.macros import load_named
 from qutrit_exact.cli.catalog import CLAIMS, check_equation
 from qutrit_exact.rings.alpha import to_alpha
-from qutrit_exact.rings.cyclo import ZERO, embed
+from qutrit_exact.rings.cyclo import ZERO
 from qutrit_exact.rings.membership import RingTag
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix
@@ -104,7 +104,7 @@ def test_criterion_09_property_suites():
 
     # (e) the residue map is a ring homomorphism on 500 random pairs of
     # elements sum(c_k alpha^k) with dyadic c_k, which all have LDE 0
-    powers = [embed("alpha") ** k for k in range(6)]
+    powers = [ALPHA ** k for k in range(6)]
 
     def residue(x) -> int:
         lde, r = to_alpha(x)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CT_KINDS, random_word
+from qutrit_exact.circuit import TAU_LABELS
 from qutrit_exact.circuit.core import (
     Circuit,
     Op,
@@ -15,7 +16,6 @@ from qutrit_exact.circuit.core import (
     tensor,
 )
 from qutrit_exact.circuit.parse import parse_circuit
-from qutrit_exact.circuit.perm import TAU_LABELS
 from qutrit_exact.errors import ParseError
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact
@@ -104,6 +104,9 @@ class TestParsing:
         [
             ("H 0\n", "qutrits"),
             ("qutrits 0\nH 0\n", "qutrit count"),
+            # digits that str.isdigit accepts but int() does not
+            ("qutrits \u00b2\nH 0\n", "line 1, col 9: bad qutrit count '\u00b2'"),
+            ("qutrits \u2460\nH 0\n", "line 1, col 9: bad qutrit count '\u2460'"),
             ("qutrits 1\nQ 0\n", "unknown gate"),
             ("qutrits 1\nH 3\n", "wire"),
             ("qutrits 1\nH x\n", "wire"),

@@ -44,6 +44,29 @@ _WIDE_HIERARCHY = (
 )
 
 
+# malformed target expressions and their errors, after "line 1, "
+_TARGET_ERRORS = {
+    "": "col 1: empty target expression",
+    "H y H": "col 3: expected tensor separator 'x', got 'y'",
+    "C2[H": "col 5: expected ']'",
+    "C2 H]": "col 4: expected '[', got 'H'",
+    "C2[]": "col 4: unknown gate ']'",
+    "Q": "col 1: unknown gate 'Q'",
+    "TAU(9)": "col 1: unknown gate 'TAU(9)'",
+    "H x": "col 4: expected a gate",
+    "C2[H] phase=seven": "col 7: bad phase value 'seven'",
+    "ZPHASE(1/2,0)": "col 1: expected an integer or a multiple of 1/3, got '1/2'",
+    "-": "col 2: expected a gate",
+    "H H": "col 3: expected tensor separator 'x', got 'H'",
+    "ZPHASE(2/6,0)": "col 1: expected an integer or a multiple of 1/3, got '2/6'",
+    "ZPHASE(1e0,0)": "col 1: expected an integer or a multiple of 1/3, got '1e0'",
+    # a '-' hugging a token takes one character off it
+    "--H": "col 2: unknown gate '-H'",
+    "C2[--H]": "col 5: unknown gate '-H'",
+    "H -x I": "col 3: expected tensor separator 'x', got '-x'",
+}
+
+
 class TestTargetExpressions:
     def test_single_gates(self):
         assert equal_exact(parse_target("H"), _gate("H"))
@@ -54,6 +77,9 @@ class TestTargetExpressions:
         assert parse_target("CX x I").dim == 27
         with pytest.raises(DimMismatchError):
             parse_target("I x CX x C2[H]")
+        # terms are read one at a time: C2[H] overflows before the bad term Q is read
+        with pytest.raises(DimMismatchError):
+            parse_target("I x CX x C2[H] x Q")
 
     def test_identity_and_tensor(self):
         r_i = parse_target("R x I")
@@ -105,15 +131,11 @@ class TestTargetExpressions:
     def test_gate_names_are_case_insensitive(self, text, upper):
         assert parse_target(text) == parse_target(upper)
 
-    @pytest.mark.parametrize(
-        "bad",
-        ["", "H y H", "C2[H", "C2 H]", "C2[]", "Q", "TAU(9)", "H x",
-         "C2[H] phase=seven", "ZPHASE(1/2,0)", "-", "H H",
-         "ZPHASE(2/6,0)", "ZPHASE(1e0,0)"],
-    )
+    @pytest.mark.parametrize("bad", list(_TARGET_ERRORS))
     def test_malformed_expressions(self, bad):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_target(bad)
+        assert str(err.value) == f"line 1, {_TARGET_ERRORS[bad]}"
 
     def test_phase_values(self):
         assert parse_phase_value("1") == ONE

@@ -1,5 +1,6 @@
 """Every name a module lists in ``__all__`` exists, so no re-export outlives its definition;
-and the private layout of ``rings.cyclo`` stays behind the modules that are measured to need it."""
+the private layout of ``rings.cyclo`` stays behind the modules that are measured to need it,
+and the text cursor of ``circuit.parse`` inside that module."""
 
 import ast
 import importlib
@@ -49,18 +50,33 @@ def _imported_names(path: Path, package: str):
                 yield module, alias.name
 
 
-def test_cyclo_internals_stay_in_rings_and_the_adjoint_traces():
-    """Only ``rings/`` and ``adjoint/rep.py`` import the 12-numerator helpers of ``rings.cyclo``."""
+def _private_imports(module: str, allowed) -> list[str]:
+    """``path: name`` for each ``_``-prefixed name imported from ``module`` by a package
+    file for which ``allowed(root, path)`` is false."""
     root = Path(qutrit_exact.__file__).resolve().parent
-    allowed = {root / "adjoint" / "rep.py"}
     offenders = []
     for path in sorted(root.rglob("*.py")):
-        if path in allowed or (root / "rings") in path.parents:
+        if allowed(root, path):
             continue
         package = ".".join(("qutrit_exact",) + path.relative_to(root).parent.parts)
         offenders += [
             f"{path.relative_to(root)}: {name}"
-            for module, name in _imported_names(path, package)
-            if module == "qutrit_exact.rings.cyclo" and name.startswith("_")
+            for imported, name in _imported_names(path, package)
+            if imported == module and name.startswith("_")
         ]
+    return offenders
+
+
+def test_cyclo_internals_stay_in_rings_and_the_adjoint_traces():
+    """Only ``rings/`` and ``adjoint/rep.py`` import the 12-numerator helpers of ``rings.cyclo``."""
+    offenders = _private_imports(
+        "qutrit_exact.rings.cyclo",
+        lambda root, path: path == root / "adjoint" / "rep.py" or (root / "rings") in path.parents,
+    )
+    assert not offenders, offenders
+
+
+def test_parse_internals_stay_in_parse():
+    """No module imports the line cursor or the other private names of ``circuit.parse``."""
+    offenders = _private_imports("qutrit_exact.circuit.parse", lambda root, path: False)
     assert not offenders, offenders

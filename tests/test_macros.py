@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qutrit_exact.circuit import TAU_LABELS
 from qutrit_exact.circuit.core import (
     BASE_KINDS,
     SINGLE_QUTRIT_KINDS,
@@ -26,7 +27,6 @@ from qutrit_exact.circuit.macros import (
     t_count,
 )
 from qutrit_exact.circuit.parse import parse_circuit
-from qutrit_exact.circuit.perm import TAU_LABELS
 from qutrit_exact.cli.catalog import check_equation
 from qutrit_exact.errors import UnexpandableError, UnknownMacroError
 from qutrit_exact.rings.cyclo import Cyclo36
@@ -39,8 +39,10 @@ def _single(kind: str, params: tuple = ()) -> UnitaryMatrix:
 
 
 _REPO = Path(__file__).resolve().parents[1]
-_CONTROLLED = [row for row in CONSTRUCTIONS if row[1].startswith("C2")]
-_BORROWED = [(stem, tcount) for stem, line, tcount in CONSTRUCTIONS if line == "R 0"]
+_CONTROLLED = [
+    (stem, line, tcount) for stem, line, tcount, _ in CONSTRUCTIONS if line.startswith("C2")
+]
+_BORROWED = [(stem, tcount) for stem, line, tcount, _ in CONSTRUCTIONS if line == "R 0"]
 _ALIAS = "C2[TAU(012) 1] 0"  # the one op outside the table; it splices c2x, as X = TAU(012)
 
 
@@ -71,13 +73,13 @@ class TestDataFiles:
     def test_table_and_expander_agree(self):
         # an op expands to the file of its cheapest row
         cheapest = {}
-        for stem, line, tcount in sorted(CONSTRUCTIONS, key=lambda row: -row[2]):
+        for stem, line, _, _ in sorted(CONSTRUCTIONS, key=lambda row: -row[2]):
             cheapest[line] = stem
         assert cheapest["R 0"] == "r_construction"
         for line, stem in [*cheapest.items(), (_ALIAS, "c2x")]:
             flat = expand_macros(parse_circuit(f"qutrits 2\n{line}\n"))
             assert flat.ops == load_named(stem).ops, line
-        assert macro_names() == tuple(stem for stem, _, _ in CONSTRUCTIONS)
+        assert macro_names() == tuple(stem for stem, _, _, _ in CONSTRUCTIONS)
 
     def test_every_registered_name_loads(self):
         for stem in macro_names():
@@ -108,7 +110,7 @@ class TestDataFiles:
 
 class TestExpansion:
     def test_expansion_is_exact_for_every_registry_entry(self):
-        for line in [line for _, line, _ in CONSTRUCTIONS] + [_ALIAS]:
+        for line in [line for _, line, _, _ in CONSTRUCTIONS] + [_ALIAS]:
             circ = parse_circuit(f"qutrits 2\n{line}\n")
             flat = expand_macros(circ)
             assert all(op.kind in BASE_KINDS for op in flat.ops), line

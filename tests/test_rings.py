@@ -7,45 +7,31 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CT_KINDS, approx_equal, random_cyclo, random_word, to_complex
+from conftest import ALPHA, CT_KINDS, IMAG, approx_equal, random_cyclo, random_word, to_complex
 from qutrit_exact.adjoint import adjoint_of
 from qutrit_exact.circuit.core import Op
 from qutrit_exact.rings import NotInAError, NotRealError
 from qutrit_exact.rings.alpha import to_alpha
-from qutrit_exact.rings.cyclo import (
-    Cyclo36,
-    MINUS_ONE,
-    ONE,
-    ZERO,
-    embed,
-)
+from qutrit_exact.rings.cyclo import MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO, Cyclo36
 from qutrit_exact.rings.membership import RingTag, in_ring
-from qutrit_exact.rings.polynomials import has_rational_root
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 
 
 class TestCycloArithmetic:
     def test_embeddings_numeric(self):
-        assert approx_equal(to_complex(embed("omega")), cmath.exp(2j * cmath.pi / 3))
-        assert approx_equal(to_complex(embed("zeta9")), cmath.exp(2j * cmath.pi / 9))
-        assert approx_equal(to_complex(embed("i")), 1j)
-        assert approx_equal(to_complex(embed("alpha")), math.sin(2 * math.pi / 9))
-        assert approx_equal(
-            to_complex(embed("sqrt3_times_i")), math.sqrt(3) * 1j
-        )
-
-    def test_embed_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            embed("tau")
+        assert approx_equal(to_complex(OMEGA), cmath.exp(2j * cmath.pi / 3))
+        assert approx_equal(to_complex(Cyclo36.zeta9_pow(1)), cmath.exp(2j * cmath.pi / 9))
+        assert approx_equal(to_complex(IMAG), 1j)
+        assert approx_equal(to_complex(ALPHA), math.sin(2 * math.pi / 9))
+        assert approx_equal(to_complex(OMEGA - OMEGA2), math.sqrt(3) * 1j)
 
     def test_power_relations(self):
-        zeta = embed("zeta9")
-        omega = embed("omega")
-        assert zeta**3 == omega
+        zeta = Cyclo36.zeta9_pow(1)
+        assert zeta**3 == OMEGA
         assert zeta**9 == ONE
-        assert zeta**6 == omega * omega
-        assert omega**3 == ONE
-        assert embed("i") ** 2 == MINUS_ONE
+        assert zeta**6 == OMEGA * OMEGA
+        assert OMEGA**3 == ONE
+        assert IMAG**2 == MINUS_ONE
 
     def test_zeta9_coordinates_round_trip(self, rng):
         for k in range(9):
@@ -87,9 +73,9 @@ class TestCycloArithmetic:
     def test_rational_detection(self):
         x = Cyclo36.from_fraction(Fraction(-7, 9))
         assert x.is_rational() and x.as_fraction() == Fraction(-7, 9)
-        assert not embed("omega").is_rational()
-        assert embed("alpha").is_real()
-        assert not embed("i").is_real()
+        assert not OMEGA.is_rational()
+        assert ALPHA.is_real()
+        assert not IMAG.is_real()
 
     def test_str_named_forms(self):
         assert str(ONE) == "1"
@@ -143,16 +129,15 @@ class TestMembership:
             RingTag.parse("nope")
 
     def test_zeta_not_in_triadic_omega_ring(self):
-        assert not in_ring(embed("zeta9"), RingTag.TOMEGA)
+        assert not in_ring(Cyclo36.zeta9_pow(1), RingTag.TOMEGA)
 
     def test_omega_ring_members(self):
-        omega = embed("omega")
         third = Cyclo36.from_fraction(Fraction(1, 3))
-        assert in_ring(omega, RingTag.ZOMEGA)
-        assert in_ring(omega * 5 - 2, RingTag.ZOMEGA)
+        assert in_ring(OMEGA, RingTag.ZOMEGA)
+        assert in_ring(OMEGA * 5 - 2, RingTag.ZOMEGA)
         assert not in_ring(third, RingTag.ZOMEGA)
         assert in_ring(third, RingTag.TOMEGA)
-        assert in_ring(third * omega, RingTag.TOMEGA)
+        assert in_ring(third * OMEGA, RingTag.TOMEGA)
         assert not in_ring(Cyclo36.from_fraction(Fraction(1, 2)), RingTag.TOMEGA)
 
     def test_triadic_and_dyadic_rationals(self):
@@ -161,19 +146,18 @@ class TestMembership:
         assert in_ring(Cyclo36.from_fraction(Fraction(5, 8)), RingTag.D)
         assert not in_ring(Cyclo36.from_fraction(Fraction(5, 6)), RingTag.D)
         with pytest.raises(NotRealError):
-            in_ring(embed("i"), RingTag.D)
+            in_ring(IMAG, RingTag.D)
 
     def test_zeta_ring_contains_t_entries(self):
-        zeta = embed("zeta9")
+        zeta = Cyclo36.zeta9_pow(1)
         third = Cyclo36.from_fraction(Fraction(1, 3))
         assert in_ring(zeta, RingTag.TZETA)
         assert in_ring(zeta * third + zeta**8, RingTag.TZETA)
         assert not in_ring(Cyclo36.from_fraction(Fraction(1, 2)), RingTag.TZETA)
 
     def test_alpha_rings(self):
-        alpha = embed("alpha")
-        assert in_ring(alpha, RingTag.DALPHA)
-        assert in_ring(alpha, RingTag.A)
+        assert in_ring(ALPHA, RingTag.DALPHA)
+        assert in_ring(ALPHA, RingTag.A)
         third = Cyclo36.from_fraction(Fraction(1, 3))
         # 1/3 has positive alpha-denominator exponent but lies in the localization
         assert not in_ring(third, RingTag.DALPHA)
@@ -184,7 +168,7 @@ class TestMembership:
             assert in_ring(random_cyclo(rng), RingTag.Q36)
 
     def test_zeta9_coordinates_roundtrip(self):
-        zeta = embed("zeta9")
+        zeta = Cyclo36.zeta9_pow(1)
         x = zeta * 2 - zeta**4 * 7
         coords = x.zeta9_coords()
         assert coords is not None
@@ -194,35 +178,12 @@ class TestMembership:
         )
         assert recon * Fraction(1, x.denominator) == x
         # a value outside Q(zeta_9) has no such coordinates
-        assert embed("i").zeta9_coords() is None
-
-
-class TestPolynomials:
-    def test_cubic_without_rational_root(self):
-        assert not has_rational_root(1, 0, -3, 1)
-
-    def test_cubics_with_rational_roots(self):
-        assert has_rational_root(1, 0, 0, -1)  # r = 1
-        assert has_rational_root(1, -3, 0, 4)  # r = -1
-        assert has_rational_root(2, -1, 0, 0)  # r = 0 and r = 1/2
-
-    def test_random_planted_roots(self, rng):
-        for _ in range(50):
-            p, q = rng.randint(-9, 9), rng.randint(1, 9)
-            root = Fraction(p, q)
-            # (q x - p)(x^2 + u x + v) has the planted rational root p/q
-            u, v = rng.randint(-5, 5), rng.randint(-5, 5)
-            a3 = q
-            a2 = q * u - p
-            a1 = q * v - p * u
-            a0 = -p * v
-            assert has_rational_root(a3, a2, a1, a0)
+        assert IMAG.zeta9_coords() is None
 
 
 def _alpha_poly(coeffs) -> Cyclo36:
     """sum(coeffs[i] * alpha**i), evaluated in Q(zeta_36)."""
-    alpha = embed("alpha")
-    return sum((alpha**i * c for i, c in enumerate(coeffs)), ZERO)
+    return sum((ALPHA**i * c for i, c in enumerate(coeffs)), ZERO)
 
 
 def _dyadic(x: Cyclo36) -> bool:
@@ -236,18 +197,17 @@ def _check_pair(x: Cyclo36) -> None:
     alpha**l * x lies in Z[1/2][alpha] and, for l > 0, alpha**(l-1) * x does
     not; r is the one value with alpha**l * x - r in alpha * Z[1/2][alpha].
     """
-    alpha = embed("alpha")
     lde, r = to_alpha(x)
-    y = x * alpha**lde
+    y = x * ALPHA**lde
     assert _dyadic(y)
-    assert lde == 0 or not _dyadic(y * alpha**-1)
+    assert lde == 0 or not _dyadic(y * ALPHA**-1)
     for c in range(3):
-        assert _dyadic((y - c) * alpha**-1) == (c == r)
+        assert _dyadic((y - c) * ALPHA**-1) == (c == r)
 
 
 class TestAlphaRing:
     def test_alpha_satisfies_its_minimal_polynomial(self):
-        a = embed("alpha")
+        a = ALPHA
         a2 = a * a
         a4 = a2 * a2
         assert (a4 * a2 * 64 - a4 * 96 + a2 * 36 - 3).is_zero()
@@ -285,13 +245,12 @@ class TestAlphaRing:
             assert to_alpha(x * y) == (0, rx * ry % 3)
         assert to_alpha(ONE) == (0, 1)
         assert to_alpha(Cyclo36.from_fraction(Fraction(1, 2))) == (0, 2)
-        assert to_alpha(embed("alpha")) == (0, 0)
+        assert to_alpha(ALPHA) == (0, 0)
         assert to_alpha(Cyclo36.from_int(3)) == (0, 0)
 
     def test_lde_and_k_residue(self):
-        alpha = embed("alpha")
-        assert to_alpha(alpha**-1) == (1, 1)
-        assert to_alpha(alpha**-2 * Fraction(1, 2)) == (2, 2)
+        assert to_alpha(ALPHA**-1) == (1, 1)
+        assert to_alpha(ALPHA**-2 * Fraction(1, 2)) == (2, 2)
         # 3 = alpha^6 * unit, so 1/3 has alpha-denominator exponent 6
         assert to_alpha(Cyclo36.from_fraction(Fraction(1, 3))) == (6, 1)
         assert to_alpha(ZERO) == (0, 0)
@@ -314,10 +273,10 @@ class TestAlphaRing:
             "qutrit_exact.rings.alpha._THREE_OVER_BETA", (0, 1, 0, 2, 0, 1, 0, -1, 0, -1, 0, 1)
         )
         with pytest.raises(AssertionError):
-            to_alpha(embed("alpha") * Fraction(1, 3))
+            to_alpha(ALPHA * Fraction(1, 3))
 
     def test_to_alpha_rejects_imaginary_and_foreign_denominators(self):
-        for x in (embed("i"), embed("omega")):
+        for x in (IMAG, OMEGA):
             with pytest.raises(NotRealError):
                 to_alpha(x)
         with pytest.raises(NotInAError):
@@ -361,7 +320,7 @@ _T_PAIRS = {_Z: (0, 0), _ONE: (0, 1), _P: (2, 2), _Q: (2, 2),
 def _pinned_value(cell: str) -> Cyclo36:
     coeffs, exp = cell.split("/alpha^")
     num = _alpha_poly([Fraction(c) for c in coeffs.strip("()").split(",")])
-    return num * embed("alpha") ** -int(exp)
+    return num * ALPHA**-int(exp)
 
 
 class TestIntegerAlphaRing:

@@ -14,10 +14,10 @@ from conftest import (
     numeric_op,
     random_word,
 )
+from qutrit_exact.circuit import TAU_LABELS
 from qutrit_exact.circuit.core import GATES, SINGLE_QUTRIT_KINDS, Circuit, Op, adjoint, tensor
 from qutrit_exact.circuit.macros import circuits_dir, expand_macros
 from qutrit_exact.circuit.parse import parse_circuit
-from qutrit_exact.circuit.perm import TAU_LABELS
 from qutrit_exact.errors import DimMismatchError, RingError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE, ZERO
 from qutrit_exact.sim import gates

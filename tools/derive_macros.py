@@ -62,7 +62,7 @@ from qutrit_exact.sim import UnitaryMatrix, gate_matrix
 OUT_DIR = Path(__file__).resolve().parents[1] / "circuits"
 
 # file stem -> (the op the file implements, pinned T-count)
-TABLE = {stem: (line, tcount) for stem, line, tcount in CONSTRUCTIONS}
+TABLE = {stem: (line, tcount) for stem, line, tcount, _ in CONSTRUCTIONS}
 
 
 def say(msg: str) -> None:
