@@ -7,12 +7,13 @@ is the reversed product of the gate matrices.
 
 The simulator works on integers.  Every gate entry lies in Z[zeta_9][1/s] with
 s = omega - omega^2 (s^2 = -3), so a circuit matrix is held as rows / s**d for
-one shared exponent d.  A basis row is a pair (e, planes): a pending factor
-zeta_18**e and six planes, plane i holding the zeta_9**i coordinate (power
-basis mod Phi_9 = x^6 + x^3 + 1) of every entry of the row as one int with a
-signed W-bit lane per column.  A monomial gate (one +-zeta_9**k per column)
-only permutes rows and adds to e; a dense gate sets each row to a sum of
-rotated source planes and adds its own s-exponent to d.  The matrix over
+one shared exponent d.  The matrix is two lists over the basis rows: a
+pending factor zeta_18**e per row, and six planes per row, plane i holding
+the zeta_9**i coordinate (power basis mod Phi_9 = x^6 + x^3 + 1) of every
+entry of the row as one int with a signed W-bit lane per column.  A
+monomial gate (one +-zeta_9**k per column) only permutes rows and adds to
+e, as one cached gather of both lists; a dense gate sets each row to a sum
+of rotated source planes and adds its own s-exponent to d.  The matrix over
 Q(zeta_36) is decoded once, at the end.
 
 W, the least multiple of 8 with W >= d + 4, is wide enough.  Packing is
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, itemgetter
 
 from ..circuit.core import Circuit, Op, gate_facts
 from ..errors import RingError
@@ -219,41 +221,43 @@ def _combine(sources) -> tuple:
     return tuple(acc[:6])
 
 
-def _permute(rows: list, images: tuple, exps: tuple, layout) -> list:
-    """Rows after a monomial gate: moved, with the gate's exponents added."""
-    local, base, offsets = layout
-    out: list = [None] * len(rows)
-    for r, (e, planes) in enumerate(rows):
-        idx = local[r]
-        out[base[r] + offsets[images[idx]]] = (e + exps[idx], planes)
-    return out
+@lru_cache(maxsize=None)
+def _gather(n: int, wires: tuple[int, ...], images: tuple, exps: tuple):
+    """A monomial gate as a gather: an itemgetter of the source row of every
+    row, and the exponent every row gains (None when all are 0)."""
+    local, base, offsets = _layout(n, wires)
+    source, gain = [0] * 3**n, [0] * 3**n
+    for r, idx in enumerate(local):
+        out = base[r] + offsets[images[idx]]
+        source[out], gain[out] = r, exps[idx]
+    return itemgetter(*source), (tuple(gain) if any(gain) else None)
 
 
-def _mix(rows: list, terms: tuple, layout) -> list:
-    """Rows after a dense gate, before its s-exponent is added to d."""
+def _mix(exps, planes, terms: tuple, layout) -> list:
+    """Planes after a dense gate, before its s-exponent is added to d."""
     local, base, offsets = layout
     out = []
-    for r in range(len(rows)):
+    for r in range(len(planes)):
         b = base[r]
         sources = [
-            (t, *rows[b + off]) for off, t in zip(offsets, terms[local[r]]) if t
+            (t, exps[b + off], planes[b + off]) for off, t in zip(offsets, terms[local[r]]) if t
         ]
-        out.append((0, _combine(sources)))
+        out.append(_combine(sources))
     return out
 
 
-def _to_matrix(rows: list, d: int, width: int) -> UnitaryMatrix:
+def _to_matrix(exps, planes, d: int, width: int) -> UnitaryMatrix:
     # rows / s**d = rows * s**(d % 2) / (-3)**ceil(d / 2), and s = zeta_9^3 - zeta_9^6
     scale = ((1, 3), (-1, 6)) if d % 2 else ((1, 0),)
     den = (-3) ** ((d + 1) // 2)
-    dim, step = len(rows), width // 8
+    dim, step = len(planes), width // 8
     # adding 2**(width-1) to every lane makes each lane c, |c| < 2**(width-1), unsigned
     half, bias = 1 << (width - 1), int.from_bytes((bytes(step - 1) + b"\x80") * dim, "little")
     size, zeros = dim * step, (0,) * dim
     out = []
-    for e, planes in rows:
+    for e, row in zip(exps, planes):
         lanes = []
-        for p in _combine(((scale, e, planes),)):
+        for p in _combine(((scale, e, row),)):
             if not p:
                 lanes.append(zeros)
                 continue
@@ -278,17 +282,23 @@ def circuit_matrix(circ: Circuit) -> UnitaryMatrix:
     for op in circ.ops:
         inner = (op.inner.kind, op.inner.params) if op.inner else (None, ())
         mono, dense = _compiled(op.kind, op.params, op.phase, *inner)
-        steps.append((mono, dense, _layout(n, op.all_wires())))
-        if dense is not None:
+        if dense is None:
+            steps.append((_gather(n, op.all_wires(), *mono), None))
+        else:
+            steps.append((None, (dense[1], _layout(n, op.all_wires()))))
             d += dense[0]
     width = 8 * ((d + 11) // 8)
-    rows = [(0, (1 << (width * r), 0, 0, 0, 0, 0)) for r in range(dim)]
-    for mono, dense, layout in steps:
-        if mono is not None:
-            rows = _permute(rows, *mono, layout)
+    exps = zeros = (0,) * dim
+    planes = [(1 << (width * r), 0, 0, 0, 0, 0) for r in range(dim)]
+    for gather, mix in steps:
+        if gather is not None:
+            move, gain = gather
+            exps, planes = move(exps), move(planes)
+            if gain is not None:
+                exps = tuple(map(add, exps, gain))
         else:
-            rows = _mix(rows, dense[1], layout)
-    return _to_matrix(rows, d, width)
+            planes, exps = _mix(exps, planes, *mix), zeros
+    return _to_matrix(exps, planes, d, width)
 
 
 def _check_width(n: int) -> None:

@@ -17,6 +17,7 @@ from qutrit_exact.adjoint import (
     residue_pattern,
     single_qutrit_ct_obstruction,
 )
+from qutrit_exact.adjoint.rep import _conj, _lane_width, _times_i
 from qutrit_exact.circuit.core import Circuit, Op
 from qutrit_exact.errors import DimMismatchError
 from qutrit_exact.rings import KTooSmallError, NotInAError
@@ -77,6 +78,23 @@ def _exact_basis() -> list[UnitaryMatrix]:
     return [combine(p, 1) for p in words] + [combine(p, -1).scale(i) for p in words]
 
 
+_SIXTH = Cyclo36.from_fraction(Fraction(1, 6))
+
+
+def _assert_exact_traces(u: UnitaryMatrix) -> None:
+    """All 64 entries of adjoint_of(u) equal Tr(m_i U m_j U^dag) / 6, from exact matrices."""
+    basis = _exact_basis()
+    adj = adjoint_of(u)
+    images = [u @ mj @ u.dag() for mj in basis]
+    for i, mi in enumerate(basis):
+        for j, w in enumerate(images):
+            trace = sum(
+                (mi.entry(a, b) * w.entry(b, a) for a in range(3) for b in range(3)),
+                Cyclo36.from_int(0),
+            )
+            assert adj.entry(i, j) == trace * _SIXTH, (i, j)
+
+
 def _numeric_basis() -> list[np.ndarray]:
     """P + P^dag, then i(P - P^dag), for P = Z, X, XZ, XZ^2, in complex floats."""
     x = np.roll(np.eye(3), 1, axis=0)  # |c> -> |c + 1>
@@ -135,21 +153,62 @@ class TestAdjointMap:
     def test_exact_action_oracle(self, rng):
         # all 64 entries equal Tr(m_i U m_j U^dag) / 6 exactly, with the basis
         # built as exact matrices from its definition
-        basis = _exact_basis()
-        sixth = Cyclo36.from_fraction(Fraction(1, 6))
         words = [_phased_word(rng, 10) for _ in range(5)]
         inputs = words + [w.scale(Cyclo36.zeta_pow(rng.randrange(1, 36))) for w in words]
         inputs.append(_fifth_rotation())
         for u in inputs:
-            adj = adjoint_of(u)
-            images = [u @ mj @ u.dag() for mj in basis]
-            for i, mi in enumerate(basis):
-                for j, w in enumerate(images):
-                    trace = sum(
-                        (mi.entry(a, b) * w.entry(b, a) for a in range(3) for b in range(3)),
-                        Cyclo36.from_int(0),
-                    )
-                    assert adj.entry(i, j) == trace * sixth, (i, j)
+            _assert_exact_traces(u)
+
+    @pytest.mark.parametrize(
+        "bound", [1, 2**20 - 1, 2**40, 3**30], ids=["1", "2^20-1", "2^40", "3^30"]
+    )
+    def test_widest_lanes(self, rng, bound):
+        # non-unitary inputs whose entries have all 12 numerators at +-B with one
+        # sign, over mixed denominators (so over their common denominator they
+        # grow further), with zero entries: products whose lanes add up with one
+        # sign
+        dens = (1, 2, 3, 5, 9, 27, 4 * 81)
+        for trial in range(4):
+            rows = [
+                [Cyclo36([rng.choice((1, -1)) * bound] * 12, rng.choice(dens)) for _ in range(3)]
+                for _ in range(3)
+            ]
+            if trial:
+                for _ in range(trial):
+                    rows[rng.randrange(3)][rng.randrange(3)] = Cyclo36()
+            _assert_exact_traces(UnitaryMatrix(rows))
+        # one sign everywhere, over one denominator
+        _assert_exact_traces(UnitaryMatrix([[Cyclo36([bound] * 12)] * 3] * 3))
+
+    def test_long_words(self, rng):
+        # 200 gates with at least 50 T: denominators and numerators as large
+        # as a word makes them
+        for _ in range(3):
+            kinds = [rng.choice(CT_KINDS) for _ in range(150)] + ["T"] * 50
+            rng.shuffle(kinds)
+            ops = tuple(random_op(rng, (kind,), 1) for kind in kinds)
+            _assert_exact_traces(circuit_matrix(Circuit(1, ops)))
+
+    def test_lane_width_is_the_least_that_holds_the_bound(self):
+        # a lane is at most 12 B^2 per product, times 9 products per trace, 2 for
+        # s +- d and 2 for each of the two folds (module docstring of adjoint.rep);
+        # the oracle tests above reach lanes of about 63 B^2, so a width up to 3
+        # bits short still passes them, and this test pins the width to the proof
+        for bound in (0, 1, 2, 3, 2**20 - 1, 2**40, 3**30):
+            top = 12 * 9 * 2 * 2 * 2 * bound * bound
+            width = _lane_width(bound)
+            assert top < 2 ** (width - 1)
+            assert bound == 0 or top >= 2 ** (width - 2)
+
+    def test_coordinate_maps(self):
+        # conjugation and the factor i on the unpacked lanes, against Cyclo36
+        imag = Cyclo36.zeta_pow(9)
+        for k in range(12):
+            basis = [0] * 12
+            basis[k] = 1
+            x = Cyclo36(basis)
+            assert _times_i(basis) == list((x * imag).numerators), k
+            assert _conj(basis) == list(x.conjugate().numerators), k
 
     def test_ct_words_lie_in_alpha_ring(self, rng):
         for _ in range(10):
