@@ -16,36 +16,14 @@ times powers of omega read off the words, so the products are formed once
 and bucketed by omega power.  This holds for any 3x3 input, with or without
 a global phase.
 
-The traces are computed on packed integers (Kronecker substitution: a
-polynomial is evaluated at 2^L).  U's entries are brought to one common
-denominator D, and each entry's 12 numerators, and those of its conjugate,
-become one Python int sum(c_k * 2^(L*k)) with one signed L-bit lane per
-coordinate.  Each of the 81 products is then one int product (a polynomial
-of degree 22 in x = 2^L, not yet reduced), the omega buckets of a trace are
-int sums, and with omega = x^12 and omega^2 = -1 - omega a trace is
-b0 - b2 + (b1 - b2) << 12L, of degree 34.  s + d and s - d are reduced on
-the packed int by two folds, x^18 = -1 (lanes 18.. are subtracted from
-lanes 0..) and then x^12 = x^6 - 1; a fold splits the int at lane 18 or 12,
-rounding so that the low part keeps its signed lanes.  Only then are the 12
-lanes read, so there are 32 unpacks per matrix.  Conjugation and the factor
-i are maps of coordinates on the unpacked lanes, and each entry is built
-once as a ``Cyclo36`` over 6 D^2.
-
-Lane width.  Let B be the largest |numerator| of the 18 packed inputs; then
-L = bitlen(864 B^2) + 1 keeps every lane c that is split or read within
-|c| < 2^(L-1), where adding 2^(L-1) to each lane turns it into an L-bit
-digit, so both the rounding split and the read are exact:
-
-- lane m of a product x * y is the sum of x_a y_b over a + b = m; for each
-  a at most one b in 0..11 has a + b = m or a + b = m - 12, so lanes m and
-  m - 12 of one product hold together at most 12 B^2;
-- lane m of a trace takes, from each of its 9 products, lane m, lane m - 12
-  or (for omega^2) minus both, so it is at most 9 * 12 B^2 = 108 B^2, and a
-  lane of s + d or s - d is at most 216 B^2;
-- the first fold makes each lane m < 18 the difference of lanes m and
-  m + 18, at most 432 B^2; the second makes lane m < 6 the difference of
-  lanes m and m + 12 and lane 6 <= m < 12 the sum of lanes m and m + 6, at
-  most 864 B^2.
+The traces run on the packed-integer kernel of ``rings.packed``.  U's
+entries over their common denominator D, and their conjugates, are packed
+once; each of the 81 products is one int product, the omega buckets of a
+trace are int sums, and with omega = x^12 and omega^2 = -1 - omega a trace
+is b0 - b2 + (b1 - b2) << 12L.  s + d and s - d are sums of 18 such
+products, read as 12 reduced lanes each (32 reads per matrix).  Conjugation
+(``rings.cyclo.conjugate_coords``) and the factor i are maps of coordinates
+on the read lanes, and each entry is built once as a ``Cyclo36`` over 6 D^2.
 
 ``AdjointMatrix`` is an 8 x 8 ``UnitaryMatrix`` (product, equality and
 hashing are the matrix's own) that adds the view the T-count obstruction
@@ -61,12 +39,12 @@ and, only when it gets that far, block C.
 
 from __future__ import annotations
 
-import math
-from operator import lshift
+from itertools import starmap
 
 from qutrit_exact.errors import DimMismatchError
 from qutrit_exact.rings.alpha import denominator_exponents, to_alpha
-from qutrit_exact.rings.cyclo import Cyclo36
+from qutrit_exact.rings.cyclo import Cyclo36, conjugate_coords
+from qutrit_exact.rings.packed import lane_width, lanes, over_common_denominator
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 _BLOCK_SLICES = {
@@ -133,22 +111,6 @@ class AdjointMatrix(UnitaryMatrix):
         return block
 
 
-def _lane_width(bound: int) -> int:
-    """The least L with 864 * bound^2 < 2^(L-1): every lane fits (module docstring)."""
-    return (864 * bound * bound).bit_length() + 1
-
-
-def _conj(v: list[int]) -> list[int]:
-    """Complex conjugate of v as a map of coordinates.
-
-    zeta^j goes to zeta^-j = -zeta^(18-j), and zeta^(18-j) = zeta^(12-j) - zeta^(6-j)
-    for 1 <= j <= 6.
-    """
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = v
-    return [a0 + a6, a5, a4, a3, a2, a1,
-            -a6, -a5 - a11, -a4 - a10, -a3 - a9, -a2 - a8, -a1 - a7]
-
-
 def _times_i(v: list[int]) -> list[int]:
     """i * v as a map of coordinates, with no product.
 
@@ -166,41 +128,25 @@ def adjoint_of(u: UnitaryMatrix) -> AdjointMatrix:
         raise DimMismatchError(
             f"adjoint representation expects a 3 x 3 matrix, got {u.dim} x {u.dim}"
         )
-    flat = [e for row in u.rows for e in row]
-    den = math.lcm(*(e.denominator for e in flat))
-    nums = [[c * (den // e.denominator) for c in e.numerators] if e else None for e in flat]
-    conj = [_conj(n) if n else None for n in nums]
-    bound = max((abs(c) for v in nums + conj if v for c in v), default=0)
-    width = _lane_width(bound)
-    shifts = [width * k for k in range(12)]
-    packed = [sum(map(lshift, v, shifts)) if v else 0 for v in nums + conj]
-    products = [x * y for x in packed[:9] for y in packed[9:]]
-    product = products.__getitem__
-    shift6, shift12, shift18 = 6 * width, 12 * width, 18 * width
-    # 2**(width-1) in each of 18 lanes: adding it makes every signed lane a digit
-    bias18 = ((1 << shift18) - 1) // ((1 << width) - 1) << (width - 1)
-    bias12 = bias18 & ((1 << shift12) - 1)
-    mask, half = (1 << width) - 1, 1 << (width - 1)
+    den, bound, terms = over_common_denominator([e for row in u.rows for e in row])
+    # a conjugate coordinate is a sum of at most two coordinates
+    width = lane_width(18, bound, 2 * bound)
+    pack, read = lanes(width)
+    conj = [pack(s, conjugate_coords(v)) for s, v in terms]
+    products = [x * y for x in starmap(pack, terms) for y in conj]
+    product, shift12 = products.__getitem__, 12 * width
 
     def twisted(buckets) -> int:
         # b0 + omega b1 + omega^2 b2 with omega = x^12 and omega^2 = -1 - omega
         b0, b1, b2 = (sum(map(product, idx)) for idx in buckets)
         return b0 - b2 + ((b1 - b2) << shift12)
 
-    def lanes(x: int) -> list[int]:
-        hi = (x + bias18) >> shift18
-        x -= (hi << shift18) + hi  # x^18 = -1
-        hi = (x + bias12) >> shift12
-        x += (hi << shift6) - (hi << shift12) - hi  # x^12 = x^6 - 1
-        x += bias12
-        return [((x >> k) & mask) - half for k in shifts]
-
     scale = 6 * den * den
     rows = [[None] * 8 for _ in range(8)]
     for i, j, s_buckets, d_buckets in _PAIRS:
         s, d = twisted(s_buckets), twisted(d_buckets)
-        plus, minus = lanes(s + d), lanes(s - d)
-        plus_c, minus_c = _conj(plus), _conj(minus)
+        plus, minus = read(s + d), read(s - d)
+        plus_c, minus_c = conjugate_coords(plus), conjugate_coords(minus)
         rows[i][j] = Cyclo36([a + b for a, b in zip(plus, plus_c)], scale)
         rows[i][j + 4] = Cyclo36(_times_i([a - b for a, b in zip(minus, minus_c)]), scale)
         rows[i + 4][j] = Cyclo36(_times_i([a - b for a, b in zip(plus, plus_c)]), scale)

@@ -43,11 +43,20 @@ def _reduced_power(e: int) -> tuple[int, ...]:
 
 _POWER_TABLE: tuple[tuple[int, ...], ...] = tuple(_reduced_power(e) for e in range(36))
 # sigma_k: zeta -> zeta^k as the images of the basis powers zeta^j -> zeta^(j*k),
-# for the Galois group (Z/36)* = {1, 35} x {1, 17} x {1, 13, 25}; sigma_35 is
-# complex conjugation.
-_SIGMA = {
-    k: tuple(_POWER_TABLE[j * k % 36] for j in range(_DEGREE)) for k in (35, 17, 13, 25)
-}
+# for the Galois group (Z/36)* = {1, 35} x {1, 17} x {1, 13, 25}; sigma_35,
+# complex conjugation, is the coordinate map ``conjugate_coords``.
+_SIGMA = {k: tuple(_POWER_TABLE[j * k % 36] for j in range(_DEGREE)) for k in (17, 13, 25)}
+
+
+def conjugate_coords(v) -> tuple[int, ...]:
+    """Complex conjugate of 12 numerators as a map of coordinates.
+
+    zeta^j goes to zeta^-j = -zeta^(18-j), and zeta^(18-j) = zeta^(12-j) - zeta^(6-j)
+    for 1 <= j <= 6.
+    """
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = v
+    return (a0 + a6, a5, a4, a3, a2, a1,
+            -a6, -a5 - a11, -a4 - a10, -a3 - a9, -a2 - a8, -a1 - a7)
 
 
 def _galois_image(nums: tuple[int, ...], sigma: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -162,11 +171,11 @@ class Cyclo36:
         return Fraction(self._num[0], self._den)
 
     def conjugate(self) -> Cyclo36:
-        return Cyclo36(_galois_image(self._num, _SIGMA[35]), self._den)
+        return Cyclo36(conjugate_coords(self._num), self._den)
 
     def is_real(self) -> bool:
         # conjugation is unimodular, so the conjugate keeps the reduced denominator
-        return tuple(_galois_image(self._num, _SIGMA[35])) == self._num
+        return conjugate_coords(self._num) == self._num
 
     # -- arithmetic --------------------------------------------------------
 
@@ -251,7 +260,7 @@ class Cyclo36:
             q = self.as_fraction()
             return Cyclo36.from_fraction(1 / q)
         n = self._num
-        c1 = _galois_image(n, _SIGMA[35])
+        c1 = conjugate_coords(n)
         n1 = _mul_vectors(n, c1)
         c2 = _galois_image(n1, _SIGMA[17])
         n2 = _mul_vectors(n1, c2)

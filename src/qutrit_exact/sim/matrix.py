@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap
+from operator import mul
 from typing import Iterable, Sequence
 
 from ..errors import DimMismatchError
 from ..rings.cyclo import Cyclo36, ONE, ZERO
+from ..rings.packed import lane_width, lanes, over_common_denominator
 
 __all__ = ["UnitaryMatrix", "equal_exact", "equal_up_to_phase"]
 
@@ -56,25 +59,17 @@ class UnitaryMatrix:
     def __matmul__(self, other: UnitaryMatrix) -> UnitaryMatrix:
         if self.dim != other.dim:
             raise DimMismatchError(f"{self.dim} vs {other.dim}")
-        # each factor's nonzero entries are found once per product, not once
-        # per term, and a sum starts from its first term rather than ZERO
-        rows = [[(k, a) for k, a in enumerate(row) if not a.is_zero()] for row in self._rows]
-        cols = [
-            {k: b for k, b in enumerate(col) if not b.is_zero()}
-            for col in zip(*other._rows)
-        ]
-        out = []
-        for row in rows:
-            out_row = []
-            for col in cols:
-                acc = None
-                for k, a in row:
-                    if k in col:
-                        term = a * col[k]
-                        acc = term if acc is None else acc + term
-                out_row.append(ZERO if acc is None else acc)
-            out.append(tuple(out_row))
-        return UnitaryMatrix(out)
+        n = self.dim
+        den_a, bound_a, a = over_common_denominator([e for row in self._rows for e in row])
+        den_b, bound_b, b = over_common_denominator([e for row in other._rows for e in row])
+        pack, read = lanes(lane_width(n, bound_a, bound_b))
+        a, b, den = [*starmap(pack, a)], [*starmap(pack, b)], den_a * den_b
+        rows = [a[i:i + n] for i in range(0, n * n, n)]
+        cols = [b[j::n] for j in range(n)]
+        return UnitaryMatrix(
+            [Cyclo36(read(x), den) if (x := sum(map(mul, row, col))) else ZERO for col in cols]
+            for row in rows
+        )
 
     def dag(self) -> UnitaryMatrix:
         return UnitaryMatrix(

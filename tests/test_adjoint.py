@@ -6,7 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import CT_KINDS, approx_equal, mat_complex, random_op, random_word, to_complex
+from conftest import (
+    CT_KINDS,
+    approx_equal,
+    mat_complex,
+    random_cyclo,
+    random_op,
+    random_word,
+    to_complex,
+)
 from qutrit_exact.adjoint import (
     BORDERED_ONES,
     BORDERED_TWOS,
@@ -17,11 +25,12 @@ from qutrit_exact.adjoint import (
     residue_pattern,
     single_qutrit_ct_obstruction,
 )
-from qutrit_exact.adjoint.rep import _conj, _lane_width, _times_i
+from qutrit_exact.adjoint.rep import _times_i
 from qutrit_exact.circuit.core import Circuit, Op
 from qutrit_exact.errors import DimMismatchError
 from qutrit_exact.rings import KTooSmallError, NotInAError
-from qutrit_exact.rings.cyclo import Cyclo36
+from qutrit_exact.rings.cyclo import Cyclo36, conjugate_coords
+from qutrit_exact.rings.packed import lane_width
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
@@ -190,25 +199,33 @@ class TestAdjointMap:
             _assert_exact_traces(circuit_matrix(Circuit(1, ops)))
 
     def test_lane_width_is_the_least_that_holds_the_bound(self):
-        # a lane is at most 12 B^2 per product, times 9 products per trace, 2 for
-        # s +- d and 2 for each of the two folds (module docstring of adjoint.rep);
-        # the oracle tests above reach lanes of about 63 B^2, so a width up to 3
-        # bits short still passes them, and this test pins the width to the proof
-        for bound in (0, 1, 2, 3, 2**20 - 1, 2**40, 3**30):
-            top = 12 * 9 * 2 * 2 * 2 * bound * bound
-            width = _lane_width(bound)
-            assert top < 2 ** (width - 1)
-            assert bound == 0 or top >= 2 ** (width - 2)
+        # a lane of a signed sum of n products is at most 12 A B per product, times n,
+        # and 2 for each of the two folds (module docstring of rings.packed); the
+        # exact-oracle tests of `@` and `adjoint_of` still pass with a width one bit
+        # short, so this test pins the width to the proof
+        bounds = (0, 1, 2, 3, 2**20 - 1, 2**40, 3**30)
+        for n in (1, 3, 9, 18, 27):
+            for a, b in itertools.product(bounds, repeat=2):
+                top = 12 * n * 2 * 2 * a * b
+                width = lane_width(n, a, b)
+                assert top < 2 ** (width - 1), (n, a, b)
+                assert top == 0 or top >= 2 ** (width - 2), (n, a, b)
 
-    def test_coordinate_maps(self):
-        # conjugation and the factor i on the unpacked lanes, against Cyclo36
+    def test_coordinate_maps(self, rng):
+        # conjugation sends zeta^k to zeta^-k and agrees with the numeric conjugate;
+        # the factor i on the unpacked lanes agrees with a product by zeta^9
+        for k in range(36):
+            x = Cyclo36.zeta_pow(k)
+            assert conjugate_coords(x.numerators) == Cyclo36.zeta_pow(-k).numerators, k
+        for _ in range(50):
+            x = random_cyclo(rng)
+            conj = Cyclo36(conjugate_coords(x.numerators), x.denominator)
+            assert approx_equal(to_complex(conj), to_complex(x).conjugate())
         imag = Cyclo36.zeta_pow(9)
         for k in range(12):
             basis = [0] * 12
             basis[k] = 1
-            x = Cyclo36(basis)
-            assert _times_i(basis) == list((x * imag).numerators), k
-            assert _conj(basis) == list(x.conjugate().numerators), k
+            assert _times_i(basis) == list((Cyclo36(basis) * imag).numerators), k
 
     def test_ct_words_lie_in_alpha_ring(self, rng):
         for _ in range(10):

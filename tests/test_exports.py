@@ -1,6 +1,6 @@
 """Every name a module lists in ``__all__`` exists, so no re-export outlives its definition;
-the private layout of ``rings.cyclo`` stays behind the modules that are measured to need it,
-and the text cursor of ``circuit.parse`` inside that module."""
+the private layout of ``rings.cyclo`` and ``rings.packed`` stays inside ``rings/``, and the
+text cursor of ``circuit.parse`` inside that module."""
 
 import ast
 import importlib
@@ -67,12 +67,11 @@ def _private_imports(module: str, allowed) -> list[str]:
     return offenders
 
 
-def test_cyclo_internals_stay_in_rings_and_the_adjoint_traces():
-    """Only ``rings/`` and ``adjoint/rep.py`` import the 12-numerator helpers of ``rings.cyclo``."""
-    offenders = _private_imports(
-        "qutrit_exact.rings.cyclo",
-        lambda root, path: path == root / "adjoint" / "rep.py" or (root / "rings") in path.parents,
-    )
+@pytest.mark.parametrize("module", ["qutrit_exact.rings.cyclo", "qutrit_exact.rings.packed"])
+def test_ring_internals_stay_in_rings(module):
+    """Only ``rings/`` imports the ``_``-prefixed helpers of the 12-numerator arithmetic
+    and of the packed-integer kernel; the adjoint and the matrix product use public names."""
+    offenders = _private_imports(module, lambda root, path: (root / "rings") in path.parents)
     assert not offenders, offenders
 
 

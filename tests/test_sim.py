@@ -12,6 +12,7 @@ from conftest import (
     mat_complex,
     numeric_gate,
     numeric_op,
+    random_op,
     random_word,
 )
 from qutrit_exact.circuit import TAU_LABELS
@@ -155,6 +156,70 @@ class TestCircuitMatrix:
             zeros = [e for row in m.rows for e in row if e.is_zero()]
             assert zeros and all(e is ZERO for e in zeros)
         assert tx == gate_matrix(Op("T", (0,)), 2) @ gate_matrix(Op("X", (1,)), 2)
+
+
+def _schoolbook(a: UnitaryMatrix, b: UnitaryMatrix) -> tuple:
+    """The rows of a @ b from Cyclo36 ``*`` and ``+``, one entry at a time."""
+    n = a.dim
+    return tuple(
+        tuple(sum((a.entry(i, k) * b.entry(k, j) for k in range(n)), ZERO) for j in range(n))
+        for i in range(n)
+    )
+
+
+_THIRDS = tuple(Fraction(k, 3) for k in range(-3, 4))
+
+
+def _phased_word(rng: random.Random, n: int, length: int) -> UnitaryMatrix:
+    """A seeded n-qutrit word over Clifford+T, CX, R and ZPHASE/XPHASE with thirds,
+    times an odd power of zeta_36, so that odd coordinates occur."""
+    ops = [random_op(rng, CT_KINDS, n) for _ in range(length)]
+    for kind in ("R", "ZPHASE", "XPHASE") * 2:
+        params = (rng.choice(_THIRDS), rng.choice(_THIRDS)) if kind != "R" else ()
+        ops.insert(rng.randrange(len(ops) + 1), Op(kind, (rng.randrange(n),), params))
+    return circuit_matrix(Circuit(n, tuple(ops))).scale(Cyclo36.zeta_pow(rng.randrange(1, 36, 2)))
+
+
+class TestMatmul:
+    """``@`` against the schoolbook product it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_phased_words(self, rng, n):
+        for _ in range(3 if n < 3 else 1):
+            a, b = _phased_word(rng, n, 12), _phased_word(rng, n, 12)
+            assert any(c for row in a.rows for e in row for c in e.numerators[1::2])
+            assert (a @ b).rows == _schoolbook(a, b)
+
+    @pytest.mark.parametrize(
+        "bound", [1, 2**20 - 1, 2**40, 3**30], ids=["1", "2^20-1", "2^40", "3^30"]
+    )
+    def test_widest_lanes(self, rng, bound):
+        # non-unitary inputs whose entries have all 12 numerators at +-B with one
+        # sign, over mixed denominators (so over their common denominator they grow
+        # further), with zero entries; then one sign everywhere, over one denominator
+        dens = (1, 2, 3, 5, 9, 27, 4 * 81)
+
+        def entry():
+            if rng.random() < 0.2:
+                return ZERO
+            return Cyclo36([rng.choice((1, -1)) * bound] * 12, rng.choice(dens))
+
+        for dim in (3, 9, 27):
+            for _ in range(2 if dim < 27 else 1):
+                a, b = (UnitaryMatrix([[entry() for _ in range(dim)] for _ in range(dim)])
+                        for _ in range(2))
+                assert (a @ b).rows == _schoolbook(a, b), dim
+            full = UnitaryMatrix([[Cyclo36([bound] * 12)] * dim] * dim)
+            assert (full @ full).rows == _schoolbook(full, full), dim
+
+    def test_entry_without_a_term_is_the_shared_zero(self):
+        t, x = gate_matrix(Op("T", (0,)), 2), gate_matrix(Op("X", (1,)), 2)
+        zeros = [e for row in (t @ x).rows for e in row if e.is_zero()]
+        assert len(zeros) == 72 and all(e is ZERO for e in zeros)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimMismatchError, match="^DIM_MISMATCH: 3 vs 9$"):
+            UnitaryMatrix.identity(3) @ UnitaryMatrix.identity(9)
 
 
 class TestComparisons:
