@@ -19,7 +19,7 @@ from qutrit_exact.circuit.macros import (
     macro_names,
     t_count,
 )
-from qutrit_exact.circuit.parse import parse_circuit
+from qutrit_exact.circuit.parse import parse_circuit, parse_target
 
 __all__ = [
     "BASE_KINDS",
@@ -35,6 +35,7 @@ __all__ = [
     "macro_names",
     "op_text",
     "parse_circuit",
+    "parse_target",
     "print_circuit",
     "t_count",
     "tensor",

@@ -18,7 +18,11 @@ __all__ = [
     "SINGLE_QUTRIT_KINDS",
     "BASE_KINDS",
     "TAU_LABELS",
+    "MAX_QUTRITS",
 ]
+
+# the widest circuit, or verify target, that has a matrix
+MAX_QUTRITS = 3
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,10 @@ A target expression is one line in the same tokens (brackets may hug)::
 optional phase) when the control qutrit is in state 2.  A '-' may stand alone
 or hug the next token.  Names are case-insensitive, as in files; a lone 'x'
 between two terms is the tensor separator, and the gate X anywhere else.
+``parse_target`` reads a target as one circuit of at most ``MAX_QUTRITS``
+qutrits, its terms on consecutive qutrits from qutrit 0, and an overall sign:
+each '-' flips it.  No matrix is built here; ``verify`` simulates the file
+followed by the target's inverse and compares the result with +-I.
 """
 
 from __future__ import annotations
@@ -37,12 +41,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
-from ..errors import ParseError
-from .core import Circuit, Op, SINGLE_QUTRIT_KINDS, TAU_LABELS
+from ..errors import DimMismatchError, ParseError
+from .core import MAX_QUTRITS, Circuit, Op, SINGLE_QUTRIT_KINDS, TAU_LABELS, tensor
 
-__all__ = ["parse_circuit", "parse_phase", "target_terms"]
+__all__ = ["parse_circuit", "parse_phase", "parse_target"]
 
 _TOKEN = re.compile(r"\[|\]|[^\s\[\]]+")
 _GATE_NAME = re.compile(r"([A-Z][A-Z0-9]*)(?:\(([^()]*)\))?\Z", re.IGNORECASE)
@@ -50,7 +53,7 @@ _TAU_ARGS = [(label,) for label in TAU_LABELS]
 _PHASE = re.compile(r"(-?)(1|omega|zeta)(?:\^(-?\d+))?\Z", re.IGNORECASE)
 _PHASE_KEY = "phase="
 _INT = re.compile(r"[+-]?\d+\Z")
-_THIRD = re.compile(r"([+-]?\d+)/3\Z")
+_EXPONENT = re.compile(r"([+-]?\d+)(/3)?\Z")
 
 
 def parse_phase(text: str) -> tuple[int, int]:
@@ -135,11 +138,12 @@ class _Line:
     def third(self, item: tuple[str, int] | None = None) -> Fraction:
         """A phase exponent, an integer or ``k/3``: the next token, or ``item``."""
         tok, col = item or self.take("a phase exponent")
-        if _INT.match(tok):
-            return Fraction(int(tok))
-        m = _THIRD.match(tok)
-        if m:
-            return Fraction(int(m.group(1)), 3)
+        m = _EXPONENT.match(tok)
+        try:
+            if m:
+                return Fraction(int(m.group(1)), 3 if m.group(2) else 1)
+        except ValueError:  # more digits than int() converts
+            pass
         raise ParseError(
             f"expected an integer or a multiple of 1/3, got {tok!r}", self.line_no, col
         )
@@ -211,9 +215,12 @@ def parse_circuit(text: str) -> Circuit:
                 raise ParseError("first statement must be 'qutrits N'", line_no, col)
             line.take("a statement")
             count, ccol = line.take("a qutrit count")
-            if not count.isdecimal() or int(count) < 1:  # as int() reads digits
+            try:
+                n = int(count) if count.isdecimal() else 0  # as int() reads digits
+            except ValueError:  # more digits than int() converts
+                n = 0
+            if n < 1:
                 raise ParseError(f"bad qutrit count {count!r}", line_no, ccol)
-            n = int(count)
             line.finish()
             continue
         head = tok.upper()
@@ -266,14 +273,21 @@ def _atom(line: _Line) -> Circuit:
     return Circuit(1, (_target_gate(line, tok, col, 0),))
 
 
-def target_terms(text: str) -> Iterator[tuple[bool, Circuit]]:
-    """The terms of a target expression as (negated, circuit), read one at a time."""
+def parse_target(text: str) -> tuple[bool, Circuit]:
+    """A target expression as (negated, circuit): its terms on consecutive qutrits,
+    the leftmost on qutrit 0, negated when it holds an odd number of '-'."""
     line = _Line(text, 1)
     if line.peek() is None:
         raise ParseError("empty target expression", 1, 1)
-    yield line.minus(), _atom(line)
+    negated, circ = line.minus(), _atom(line)
     while line.peek() is not None:
         tok, col = line.take("'x'")
         if tok != "x":
             raise ParseError(f"expected tensor separator 'x', got {tok!r}", 1, col)
-        yield line.minus(), _atom(line)
+        negated ^= line.minus()
+        term = _atom(line)
+        # a target too wide fails before a later bad term is read
+        if circ.n + term.n > MAX_QUTRITS:
+            raise DimMismatchError(f"the target acts on more than {MAX_QUTRITS} qutrits")
+        circ = tensor(circ, term)
+    return negated, circ

@@ -1,11 +1,8 @@
-"""Command-line interface: target matrices and subcommands."""
+"""Command-line interface: the claim catalog; ``cli.main`` (not imported here) runs the commands."""
 
 from qutrit_exact.cli.catalog import CLAIMS, run_catalog
-from qutrit_exact.cli.target import parse_phase_value, parse_target
 
 __all__ = [
     "CLAIMS",
-    "parse_phase_value",
-    "parse_target",
     "run_catalog",
 ]

@@ -28,20 +28,29 @@ from qutrit_exact.analysis import (
     matrix_ring_certificate,
     refute_phase_membership,
 )
-from qutrit_exact.circuit.core import Circuit
+from qutrit_exact.circuit.core import Circuit, adjoint
 from qutrit_exact.circuit.macros import t_count
-from qutrit_exact.circuit.parse import parse_circuit
+from qutrit_exact.circuit.parse import parse_circuit, parse_phase, parse_target
 from qutrit_exact.cli.catalog import run_catalog
-from qutrit_exact.cli.target import parse_phase_value, parse_target
-from qutrit_exact.errors import DimMismatchError
+from qutrit_exact.errors import DimMismatchError, ParseError
+from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE, ZERO
 from qutrit_exact.rings.membership import RingTag
-from qutrit_exact.sim.gates import circuit_matrix
+from qutrit_exact.sim.gates import check_width, circuit_matrix, phase_unit
 from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact, equal_up_to_phase
 
 
 def _load_circuit(path: str) -> Circuit:
     text = Path(path).read_text(encoding="utf-8")
     return parse_circuit(text)
+
+
+def parse_phase_value(text: str) -> Cyclo36:
+    """'-zeta^2', 'omega', '1', ... as an exact unit."""
+    try:
+        phase = parse_phase(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), 1, 1) from None
+    return phase_unit(phase)
 
 
 def _print_matrix(m: UnitaryMatrix) -> None:
@@ -68,30 +77,38 @@ def _cmd_tcount(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     circ = _load_circuit(args.file)
-    m = circuit_matrix(circ)
-    target = parse_target(args.target)
-    if m.dim != target.dim:
+    check_width(circ.n)
+    negated, target = parse_target(args.target)
+    if circ.n != target.n:
         raise DimMismatchError(
-            f"circuit acts on a {m.dim}-dimensional space "
-            f"but the target acts on {target.dim} dimensions"
+            f"circuit acts on a {3**circ.n}-dimensional space "
+            f"but the target acts on {3**target.n} dimensions"
         )
     # parsed in every mode and before anything is printed, like classify's checks
     phase = None if args.phase is None else parse_phase_value(args.phase)
     if args.mode == "cphase" and phase is None:
         raise ValueError("--mode cphase requires --phase VALUE")
+    # U = c * (+-V) exactly when V^dag U = +-c * I: one simulation, no target matrix
+    m = circuit_matrix(Circuit(circ.n, circ.ops + adjoint(target).ops))
+    unit = MINUS_ONE if negated else ONE
+    if args.mode == "cphase":
+        unit *= phase
+    scalar = UnitaryMatrix(
+        [[unit if r == c else ZERO for c in range(m.dim)] for r in range(m.dim)]
+    )
     print(f"mode: {args.mode}")
     if args.mode == "exact":
-        ok = equal_exact(m, target)
+        ok = equal_exact(m, scalar)
         detail = "circuit matrix equals the target entrywise"
     elif args.mode == "phase":
-        witness = equal_up_to_phase(m, target)
+        witness = equal_up_to_phase(m, scalar)
         ok = witness is not None
         if ok:
             print(f"phase: {witness}")
         detail = "circuit matrix equals a unit multiple of the target"
     else:  # cphase
         print(f"phase: {phase}")
-        ok = equal_exact(m, target.scale(phase))
+        ok = equal_exact(m, scalar)
         detail = "circuit matrix equals phase * target entrywise"
     if ok:
         print(f"result: verified ({detail})")

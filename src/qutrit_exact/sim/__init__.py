@@ -1,6 +1,7 @@
 """Exact unitary simulation."""
 
-from .gates import circuit_matrix, gate_local, gate_matrix, MAX_QUTRITS
+from ..circuit.core import MAX_QUTRITS
+from .gates import circuit_matrix, gate_local, gate_matrix
 from .matrix import UnitaryMatrix, equal_exact, equal_up_to_phase
 
 __all__ = [

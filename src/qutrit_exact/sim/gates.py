@@ -34,14 +34,12 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, itemgetter
 
-from ..circuit.core import Circuit, Op, gate_facts
+from ..circuit.core import MAX_QUTRITS, Circuit, Op, gate_facts
 from ..errors import RingError
 from ..rings.cyclo import Cyclo36, ONE, ZERO, OMEGA, OMEGA2
 from .matrix import UnitaryMatrix, _block_diagonal
 
-__all__ = ["gate_matrix", "circuit_matrix", "gate_local", "phase_unit", "MAX_QUTRITS"]
-
-MAX_QUTRITS = 3
+__all__ = ["gate_matrix", "circuit_matrix", "check_width", "gate_local", "phase_unit"]
 
 _Rows = tuple[tuple[Cyclo36, ...], ...]
 # (coefficient, zeta_9 exponent) terms of one integral entry
@@ -276,7 +274,7 @@ def gate_matrix(op: Op, n: int) -> UnitaryMatrix:
 
 def circuit_matrix(circ: Circuit) -> UnitaryMatrix:
     """The exact unitary of a circuit (earlier gates act first)."""
-    _check_width(circ.n)
+    check_width(circ.n)
     n, dim = circ.n, 3**circ.n
     steps, d = [], 0
     for op in circ.ops:
@@ -301,6 +299,7 @@ def circuit_matrix(circ: Circuit) -> UnitaryMatrix:
     return _to_matrix(exps, planes, d, width)
 
 
-def _check_width(n: int) -> None:
+def check_width(n: int) -> None:
+    """Refuse a circuit width that has no matrix."""
     if not 1 <= n <= MAX_QUTRITS:
         raise ValueError(f"matrices are supported for 1..{MAX_QUTRITS} qutrits, got {n}")

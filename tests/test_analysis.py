@@ -1,12 +1,16 @@
 """Recognition: Pauli/Clifford certificates, hierarchy levels, ring verdicts."""
 
+import cmath
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
+import numpy as np
 import pytest
 
-from conftest import CLIFFORD_KINDS, CT_KINDS, random_cyclo, random_word
+from conftest import CLIFFORD_KINDS, CT_KINDS, numeric_op, random_cyclo, random_word
 from qutrit_exact.analysis import (
     PauliElement,
     WITNESS_UNITS,
@@ -425,6 +429,96 @@ class TestHierarchyOracle:
                 assert (hierarchy_level(c, 3).level is not None) == want, text
                 verdicts.add(want)
         assert verdicts == {True, False}
+
+
+# phase functions phi of diagonal gates diag(exp(2 pi i phi(x))), x in Z_3^n in basis order
+def _points(n: int) -> list[tuple[int, ...]]:
+    return list(product(range(3), repeat=n))
+
+
+def _affine(phi: tuple[Fraction, ...], n: int) -> bool:
+    """phi(x) = c + b.x/3 mod 1 for some c and b in Z_3^n: a phased diagonal Pauli."""
+    points, c = _points(n), phi[0]
+    b = [3 * (phi[3 ** (n - 1 - w)] - c) for w in range(n)]
+    return all(bw.denominator == 1 for bw in b) and all(
+        (v - c - sum(bw * xw for bw, xw in zip(b, x)) / 3) % 1 == 0
+        for x, v in zip(points, phi)
+    )
+
+
+def _difference(phi: tuple[Fraction, ...], a: tuple[int, ...], n: int) -> tuple:
+    """y -> phi(y) - phi(y - a): U X^a U^dag = diag(exp(2 pi i this)) X^a for diagonal U."""
+    points = _points(n)
+    index = {x: i for i, x in enumerate(points)}
+    return tuple(
+        (phi[i] - phi[index[tuple((xw - aw) % 3 for xw, aw in zip(x, a))]]) % 1
+        for i, x in enumerate(points)
+    )
+
+
+def _diagonal_at_most(phi: tuple, k: int, n: int, memo: dict) -> bool:
+    """Level <= k of a diagonal gate from its phase function alone (after
+    Cui-Gottesman-Krishna): level 1 is affine; U P U^dag is a diagonal gate
+    times a Pauli, and a level above 1 is closed under Pauli factors, so level
+    <= k iff every difference by a != 0 has level <= k-1.  No Pauli conjugation."""
+    key = (phi, k)
+    if key not in memo:
+        if k == 1:
+            memo[key] = _affine(phi, n)
+        else:
+            memo[key] = all(
+                _diagonal_at_most(_difference(phi, a, n), k - 1, n, memo)
+                for a in _points(n) if any(a)
+            )
+    return memo[key]
+
+
+def _diagonal_level(phi: tuple, n: int, cap: int) -> int | None:
+    memo: dict = {}
+    return next((k for k in range(1, cap + 1) if _diagonal_at_most(phi, k, n, memo)), None)
+
+
+def _numeric_phases(text: str, n: int) -> tuple[Fraction, ...]:
+    """The phase function of a diagonal circuit, read off the numpy oracle in 36ths."""
+    acc = np.eye(3**n, dtype=complex)
+    for op in parse_circuit(f"qutrits {n}\n{text}\n").ops:
+        acc = numeric_op(op, n) @ acc
+    assert np.allclose(acc, np.diag(np.diag(acc)))
+    turns = [cmath.phase(z) / (2 * cmath.pi) for z in np.diag(acc)]
+    phi = tuple(Fraction(round(36 * t) % 36, 36) for t in turns)
+    assert np.allclose(np.diag(acc), [cmath.exp(2j * cmath.pi * p) for p in phi])
+    return phi
+
+
+_DIAGONAL_LINES = (
+    "T 0", "T 1", "TDG 0", "TDG 1", "S 0", "S 1", "Z 0", "Z 1", "R 0", "R 1",
+    "LAMBDA[T 1] 0", "LAMBDA[T 0] 1", "C2[SDG 1] 0", "C2[SDG 0] 1", "C2[R 1] 0",
+    "C2[T 1] 0 phase=zeta", "C2[T 0] 1 phase=-omega", "C2[T 1] 0 phase=zeta^-1",
+)
+
+
+class TestDiagonalHierarchyOracle:
+    """hierarchy_level against a closed-form oracle for diagonal gates, which shares
+    no code with the search: from level 4 up the search conjugates all 80 (two-qutrit)
+    Paulis, which the all-Pauli oracle above repeats rather than checks."""
+
+    def test_every_zphase_of_thirds_at_cap_five(self):
+        levels = []
+        for a, b in product((Fraction(k, 3) for k in range(9)), repeat=2):
+            want = _diagonal_level((Fraction(0), a / 3 % 1, b / 3 % 1), 1, 5)
+            assert hierarchy_level(_gate("ZPHASE", (a, b)), 5).level == want, (a, b)
+            levels.append(want)
+        assert sorted(set(levels)) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_two_qutrit_diagonal_words_at_cap_four(self, seed):
+        rng, levels = random.Random(seed), set()
+        for _ in range(10):
+            text = "\n".join(rng.sample(_DIAGONAL_LINES, rng.randint(1, 3)))
+            want = _diagonal_level(_numeric_phases(text, 2), 2, 4)
+            assert hierarchy_level(_lines(2, text), 4).level == want, text
+            levels.add(want)
+        assert len(levels) >= 3
 
 
 class TestRingVerdicts:

@@ -107,6 +107,8 @@ class TestParsing:
             # digits that str.isdigit accepts but int() does not
             ("qutrits \u00b2\nH 0\n", "line 1, col 9: bad qutrit count '\u00b2'"),
             ("qutrits \u2460\nH 0\n", "line 1, col 9: bad qutrit count '\u2460'"),
+            # more digits than int() converts
+            (f"qutrits {'9' * 5000}\nH 0\n", "line 1, col 9: bad qutrit count '999"),
             ("qutrits 1\nQ 0\n", "unknown gate"),
             ("qutrits 1\nH 3\n", "wire"),
             ("qutrits 1\nH x\n", "wire"),

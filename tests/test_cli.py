@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -16,17 +17,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qutrit_exact
-from conftest import assert_close, numeric_gate, numeric_op
+import qutrit_exact.cli.main as cli_main
+import qutrit_exact.sim.gates as sim_gates
+from conftest import CT_KINDS, assert_close, numeric_gate, numeric_op, random_word
 from qutrit_exact.analysis import is_clifford
-from qutrit_exact.circuit.core import Op
+from qutrit_exact.circuit.core import Circuit, Op, adjoint, print_circuit
 from qutrit_exact.circuit.macros import DATA_ENV, circuits_dir
-from qutrit_exact.circuit.parse import parse_circuit
-from qutrit_exact.cli import parse_phase_value, parse_target
-from qutrit_exact.cli.main import main
+from qutrit_exact.circuit.parse import parse_circuit, parse_target
+from qutrit_exact.cli.main import main, parse_phase_value
 from qutrit_exact.errors import DimMismatchError, ParseError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
-from qutrit_exact.sim.gates import MAX_QUTRITS, circuit_matrix, gate_matrix
-from qutrit_exact.sim.matrix import equal_exact
+from qutrit_exact.sim.gates import MAX_QUTRITS, circuit_matrix, gate_matrix, phase_unit
+from qutrit_exact.sim.matrix import equal_exact, equal_up_to_phase
 
 
 def _gate(kind: str, params: tuple = ()):
@@ -38,12 +40,20 @@ def _circuit(n: int, *lines: str):
     return circuit_matrix(parse_circuit("\n".join([f"qutrits {n}", *lines])))
 
 
+def _target_matrix(text: str):
+    """The matrix of a target expression: its circuit's matrix, negated with its sign."""
+    negated, circ = parse_target(text)
+    m = circuit_matrix(circ)
+    return m.scale(MINUS_ONE) if negated else m
+
+
 _WIDE_CLIFFORD = "DIM_MISMATCH: expected between 1 and 2 qutrits, got dimension 27"
 _WIDE_HIERARCHY = (
     "DIM_MISMATCH: hierarchy search expects one or two qutrits, got dimension 27"
 )
 
 
+_LONG = "1" * 5000
 # malformed target expressions and their errors, after "line 1, "
 _TARGET_ERRORS = {
     "": "col 1: empty target expression",
@@ -64,17 +74,19 @@ _TARGET_ERRORS = {
     "--H": "col 2: unknown gate '-H'",
     "C2[--H]": "col 5: unknown gate '-H'",
     "H -x I": "col 3: expected tensor separator 'x', got '-x'",
+    # more digits than int() converts
+    f"ZPHASE({_LONG},0)": f"col 1: expected an integer or a multiple of 1/3, got '{_LONG}'",
 }
 
 
 class TestTargetExpressions:
     def test_single_gates(self):
-        assert equal_exact(parse_target("H"), _gate("H"))
-        assert equal_exact(parse_target("TAU(021)"), _gate("TAU", ("021",)))
-        assert equal_exact(parse_target("R"), _gate("R"))
+        assert equal_exact(_target_matrix("H"), _gate("H"))
+        assert equal_exact(_target_matrix("TAU(021)"), _gate("TAU", ("021",)))
+        assert equal_exact(_target_matrix("R"), _gate("R"))
 
     def test_target_wider_than_a_circuit_is_refused(self):
-        assert parse_target("CX x I").dim == 27
+        assert _target_matrix("CX x I").dim == 27
         with pytest.raises(DimMismatchError):
             parse_target("I x CX x C2[H]")
         # terms are read one at a time: C2[H] overflows before the bad term Q is read
@@ -82,45 +94,45 @@ class TestTargetExpressions:
             parse_target("I x CX x C2[H] x Q")
 
     def test_identity_and_tensor(self):
-        r_i = parse_target("R x I")
+        r_i = _target_matrix("R x I")
         assert r_i.dim == 9
         assert equal_exact(r_i, gate_matrix(Op("R", (0,)), 2))
-        i_r = parse_target("I x R")
+        i_r = _target_matrix("I x R")
         assert equal_exact(i_r, gate_matrix(Op("R", (1,)), 2))
 
     def test_negation_binds_to_one_term(self):
         h_i = np.kron(numeric_gate("H"), np.eye(3))
-        assert_close(parse_target("-H x I"), -h_i)
-        assert_close(parse_target("H x -I"), -h_i)
-        assert_close(parse_target("-H x -I"), h_i)
-        assert equal_exact(parse_target("-H x I"), _circuit(2, "H 0").scale(MINUS_ONE))
+        assert_close(_target_matrix("-H x I"), -h_i)
+        assert_close(_target_matrix("H x -I"), -h_i)
+        assert_close(_target_matrix("-H x -I"), h_i)
+        assert equal_exact(_target_matrix("-H x I"), _circuit(2, "H 0").scale(MINUS_ONE))
 
     def test_spaced_and_hugged_negation_agree(self):
-        assert equal_exact(parse_target("- H"), parse_target("-H"))
+        assert equal_exact(_target_matrix("- H"), _target_matrix("-H"))
 
     def test_cx_target(self):
-        assert equal_exact(parse_target("CX"), gate_matrix(Op("CX", (0, 1)), 2))
+        assert equal_exact(_target_matrix("CX"), gate_matrix(Op("CX", (0, 1)), 2))
 
     def test_controlled_block_with_sign_and_phase(self):
         minus_swap = _circuit(2, "C2[TAU(12) 1] 0 phase=-1")
         for expr in ("C2[-TAU(12)]", "C2[ - TAU(12) ]", "C2[TAU(12)] phase=-1"):
-            assert equal_exact(parse_target(expr), minus_swap)
+            assert equal_exact(_target_matrix(expr), minus_swap)
         assert equal_exact(
-            parse_target("C2[SDG] phase=zeta"), _circuit(2, "C2[SDG 1] 0 phase=zeta")
+            _target_matrix("C2[SDG] phase=zeta"), _circuit(2, "C2[SDG 1] 0 phase=zeta")
         )
         assert equal_exact(
-            parse_target("C2[-SDG] phase=zeta^4"), _circuit(2, "C2[SDG 1] 0 phase=-zeta^4")
+            _target_matrix("C2[-SDG] phase=zeta^4"), _circuit(2, "C2[SDG 1] 0 phase=-zeta^4")
         )
         # the numeric oracle: phase * g on the control's level-2 block
         numeric = numeric_op(Op("C2", (0,), inner=Op("SDG", (1,)), phase=(-1, 4)), 2)
-        assert_close(parse_target("C2[-SDG] phase=zeta^4"), numeric)
+        assert_close(_target_matrix("C2[-SDG] phase=zeta^4"), numeric)
 
     def test_parameterized_gates(self):
         assert equal_exact(
-            parse_target("ZPHASE(1/3,-1/3)"),
+            _target_matrix("ZPHASE(1/3,-1/3)"),
             _gate("ZPHASE", (Fraction(1, 3), Fraction(-1, 3))),
         )
-        assert equal_exact(parse_target("XPHASE(2,1)"), _gate("X"))
+        assert equal_exact(_target_matrix("XPHASE(2,1)"), _gate("X"))
 
     @pytest.mark.parametrize(
         "text,upper",
@@ -152,7 +164,7 @@ class TestTargetExpressions:
     @pytest.mark.parametrize("phase", ["zeta^-1", "-omega", "ZETA^4", "-1"])
     def test_target_and_circuit_phases_agree(self, phase):
         circ = parse_circuit(f"qutrits 2\nC2[SDG 1] 0 phase={phase}\n")
-        target = parse_target(f"C2[SDG] phase={phase}")
+        target = _target_matrix(f"C2[SDG] phase={phase}")
         assert equal_exact(target, circuit_matrix(circ))
 
 
@@ -457,6 +469,139 @@ class TestCommands:
         assert "error:" in capsys.readouterr().err
 
 
+# -- verify as one simulation, against the decoded two-matrix path -----------
+
+_VERIFY_ATOMS = ("I", "H", "HDG", "R", "T", "S", "TAU(12)", "ZPHASE(1/3,2/3)",
+                 "XPHASE(1,2)", "CX", "C2[H]", "C2[TAU(12)] phase=zeta^2",
+                 "C2[SDG] phase=omega", "C2[T]")
+# whole-circuit phases on qutrit 0: none, H H TAU(12) = -I and (S H)^3 = -omega I
+_GADGETS = ((), ("H 0", "H 0", "TAU(12) 0"), ("S 0", "H 0") * 3)
+_DETAILS = {
+    "exact": "circuit matrix equals the target entrywise",
+    "phase": "circuit matrix equals a unit multiple of the target",
+    "cphase": "circuit matrix equals phase * target entrywise",
+}
+
+
+def _decoded_verify(text: str, target: str, mode: str, phase: str | None):
+    """Exit code and stdout of verify the decoded way: the file's matrix and the
+    target's matrix, each simulated and decoded, compared entry by entry."""
+    m, t = circuit_matrix(parse_circuit(text)), _target_matrix(target)
+    out = [f"mode: {mode}"]
+    if mode == "exact":
+        ok = equal_exact(m, t)
+    elif mode == "phase":
+        witness = equal_up_to_phase(m, t)
+        ok = witness is not None
+        if ok:
+            out.append(f"phase: {witness}")
+    else:
+        unit = parse_phase_value(phase)
+        out.append(f"phase: {unit}")
+        ok = equal_exact(m, t.scale(unit))
+    out.append(f"result: verified ({_DETAILS[mode]})" if ok
+               else "result: refuted (the matrices differ)")
+    return (0 if ok else 1), "\n".join(out) + "\n"
+
+
+def _phase_text(unit) -> str:
+    """The ``[-]zeta^e`` text of a unit +-zeta_9**e."""
+    return next(f"{'-' if s < 0 else ''}zeta^{e}" for s in (1, -1) for e in range(9)
+                if phase_unit((s, e)) == unit)
+
+
+def _width(term: str) -> int:
+    return 2 if term.lstrip("-").startswith(("CX", "C2")) else 1
+
+
+def _near_misses(rng):
+    """(kind, file text, target): a seeded target and a file equal to it up to a
+    whole-circuit phase, then the same pair with one near miss each."""
+    n, terms = rng.randint(1, 3), []
+    while sum(map(_width, terms)) < n:
+        room = n - sum(map(_width, terms))
+        atom = rng.choice([a for a in _VERIFY_ATOMS if _width(a) <= room])
+        terms.append(("-" if rng.random() < 0.3 else "") + atom)
+    _, circ = parse_target(" x ".join(terms))
+    word = list(random_word(rng, CT_KINDS, n, 6).ops)
+    word.insert(rng.randrange(len(word) + 1), Op("T", (rng.randrange(n),)))
+    ops = word + list(adjoint(Circuit(n, tuple(word))).ops) + list(circ.ops)
+    gadget = rng.choice(_GADGETS)
+
+    def text(ops):
+        return print_circuit(Circuit(n, tuple(ops))) + "".join(f"{g}\n" for g in gadget)
+
+    yield "match", text(ops), " x ".join(terms)
+    t = rng.choice([i for i, op in enumerate(word) if op.kind in ("T", "TDG")])
+    yield "dropped T", text(ops[:t] + ops[t + 1:]), " x ".join(terms)
+    i = rng.randrange(len(ops) - 1)
+    yield "moved gate", text(ops[:i] + [ops[i + 1], ops[i]] + ops[i + 2:]), " x ".join(terms)
+    flip = list(terms)
+    k = rng.randrange(len(flip))
+    flip[k] = flip[k][1:] if flip[k].startswith("-") else "-" + flip[k]
+    yield "sign", text(ops), " x ".join(flip)
+    c2 = [k for k, term in enumerate(terms) if "C2" in term]
+    if c2:
+        off = list(terms)
+        k = rng.choice(c2)
+        head = off[k].split(" phase=")[0]
+        off[k] = head + " phase=-zeta^5" if off[k] == head else head
+        yield "phase", text(ops), " x ".join(off)
+    if len(terms) > 1:
+        yield "wire", text(ops), " x ".join(terms[1:] + terms[:1])
+
+
+class TestOneSimulation:
+    """verify simulates the file followed by the target's inverse once and compares
+    the result with +-I; the oracle compares the two decoded matrices."""
+
+    def _run(self, path: Path, text: str, argv: list[str], capsys):
+        path.write_text(text, encoding="utf-8")
+        code = main(["verify", str(path), *argv])
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("first", [0, 15])
+    def test_verdicts_match_the_decoded_path(self, first, tmp_path, capsys):
+        seen, path = set(), tmp_path / "pair.qc"
+        for seed in range(first, first + 15):
+            for kind, text, target in _near_misses(random.Random(seed)):
+                want = _decoded_verify(text, target, "phase", None)
+                witness = want[1].split("phase: ")[1].split("\n")[0] if want[0] == 0 else None
+                phases = ["-omega"] if witness is None else [
+                    _phase_text(parse_phase_value(witness) * Cyclo36.omega_pow(k))
+                    for k in (0, 1)]
+                runs = [("exact", None), ("phase", None)] + [("cphase", p) for p in phases]
+                for mode, phase in runs:
+                    argv = [f"--target={target}", "--mode", mode]
+                    argv += [] if phase is None else [f"--phase={phase}"]
+                    got = self._run(path, text, argv, capsys)
+                    assert got == _decoded_verify(text, target, mode, phase), (kind, argv)
+                    seen.add((kind, mode, got[0]))
+        for mode in ("exact", "phase", "cphase"):
+            assert {c for _, m, c in seen if m == mode} == {0, 1}, mode
+        assert {("match", "exact", 0), ("match", "exact", 1)} <= seen  # a whole-circuit phase
+        for kind in ("dropped T", "moved gate", "sign", "phase", "wire"):
+            assert (kind, "exact", 1) in seen, kind
+        assert ("sign", "phase", 0) in seen  # a '-' off is a phase of -1
+
+    def test_verify_simulates_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(circ):
+            calls.append(circ)
+            return circuit_matrix(circ)
+
+        monkeypatch.setattr(cli_main, "circuit_matrix", counted)
+        monkeypatch.setattr(sim_gates, "circuit_matrix", counted)
+        path = str(circuits_dir() / "r_construction.qc")
+        for options, code in ((["--mode", "exact"], 0), (["--mode", "phase"], 0),
+                              (["--mode", "cphase", "--phase", "omega"], 1)):
+            calls.clear()
+            assert main(["verify", path, "--target", "-R x -I", *options]) == code
+            assert len(calls) == 1, options
+        assert "phase: 1\n" in capsys.readouterr().out
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["qutrit_exact", "qutrit_exact.cli.main"])
     def test_python_dash_m_runs_the_command(self, module):
@@ -581,7 +726,7 @@ class TestTargetPlacement:
             with pytest.raises(DimMismatchError):
                 parse_target(" x ".join(texts))
         else:
-            assert_close(parse_target(" x ".join(texts)), numeric)
+            assert_close(_target_matrix(" x ".join(texts)), numeric)
 
 
 @st.composite
