@@ -46,7 +46,9 @@ class HierarchyReport:
 
 def _times_pauli(m: UnitaryMatrix, columns) -> UnitaryMatrix:
     """m @ P for the phase-free Pauli P with this column map: a relabel with omega phases."""
-    return UnitaryMatrix([row[src].times_omega(k) for src, k in columns] for row in m.rows)
+    return UnitaryMatrix._of(
+        tuple(tuple(row[src].times_omega(k) for src, k in columns) for row in m.rows)
+    )
 
 
 def _level_at_most(m: UnitaryMatrix, k: int, n: int, memo: dict):

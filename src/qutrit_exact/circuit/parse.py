@@ -18,6 +18,13 @@ written ``[-](1|omega|zeta)[^k]`` (see ``parse_phase``).  ``C1[...]`` and
 moves to 1 or 0.
 ``LAMBDA[g t] c`` applies ``g`` once per control level.
 
+Most lines have one of two plain shapes: ``NAME w`` for a gate without
+parameters or a TAU (``H 0``, ``tdg 2``, ``TAU(12) 1``) and ``CX c t``, in
+ASCII with spaces or tabs.  One regular expression reads such a line into
+its Op; any other line, or an invalid plain one, goes to the full grammar,
+which positions every error.  Within one call, a line text already read is
+not read again.
+
 A target expression is one line in the same tokens (brackets may hug)::
 
     EXPR  := TERM ('x' TERM)*            tensor product, left to right
@@ -54,6 +61,11 @@ _PHASE = re.compile(r"(-?)(1|omega|zeta)(?:\^(-?\d+))?\Z", re.IGNORECASE)
 _PHASE_KEY = "phase="
 _INT = re.compile(r"[+-]?\d+\Z")
 _EXPONENT = re.compile(r"([+-]?\d+)(/3)?\Z")
+# ``NAME w`` or ``NAME c t`` with an optional comment; the full grammar reads the rest
+_PLAIN = re.compile(
+    r"[ \t]*([A-Za-z]+(?:\([0-9]+\))?)[ \t]+([+-]?[0-9]{1,4})"
+    r"(?:[ \t]+([+-]?[0-9]{1,4}))?[ \t]*(?:#.*)?\Z"
+)
 
 
 def parse_phase(text: str) -> tuple[int, int]:
@@ -65,7 +77,10 @@ def parse_phase(text: str) -> tuple[int, int]:
     if m is None:
         raise ValueError(f"bad phase value {text!r}")
     step = {"1": 0, "omega": 3, "zeta": 1}[m.group(2).lower()]
-    k = 1 if m.group(3) is None else int(m.group(3))
+    try:
+        k = 1 if m.group(3) is None else int(m.group(3))
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"bad phase value {text!r}") from None
     return (-1 if m.group(1) else 1, step * k % 9)
 
 
@@ -152,7 +167,12 @@ class _Line:
         tok, col = self.take("a wire index")
         if not _INT.match(tok):
             raise ParseError(f"expected a wire index, got {tok!r}", self.line_no, col)
-        w = int(tok)
+        try:
+            w = int(tok)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(
+                f"wire {tok} out of range for {n} qutrits", self.line_no, col
+            ) from None
         if not 0 <= w < n:
             raise ParseError(f"wire {w} out of range for {n} qutrits", self.line_no, col)
         return w
@@ -200,44 +220,82 @@ def _controlled(line: _Line, n: int, head: str, col: int) -> list[Op]:
     return [xdg, core, x]
 
 
+def _plain(raw: str, n: int) -> Op | None:
+    """The Op of a valid plain line, ``NAME w`` or ``CX c t``; None for any other."""
+    m = _PLAIN.match(raw)
+    if m is None:
+        return None
+    name, a, b = m.groups()
+    w = int(a)
+    if not 0 <= w < n:
+        return None
+    if b is None:
+        gate = _gate_name(name)
+        # TAU alone takes an argument in its name; ZPHASE and XPHASE take exponents
+        if gate is None or gate[0] in ("ZPHASE", "XPHASE") or (gate[0] == "TAU") != ("(" in name):
+            return None
+        return Op(gate[0], (w,), gate[1] or ())
+    t = int(b)
+    return Op("CX", (w, t)) if name.upper() == "CX" and t != w and 0 <= t < n else None
+
+
+def _statement(raw: str, line_no: int, n: int) -> tuple[Op, ...]:
+    """The ops of one line after the header: none for a blank or comment line."""
+    op = _plain(raw, n)
+    if op is not None:
+        return (op,)
+    body = raw.split("#", 1)[0]
+    if not body.strip():
+        return ()
+    line = _Line(body, line_no)
+    tok, col = line.peek()
+    head = tok.upper()
+    try:
+        if head in ("C0", "C1", "C2", "LAMBDA"):
+            line.take("a statement")
+            ops = _controlled(line, n, head, col)
+        elif head == "CX":
+            line.take("a statement")
+            ops = [Op("CX", (line.wire(n), line.wire(n)))]
+        else:
+            ops = [_simple_gate(line, n)]
+        line.finish()
+    except ParseError:
+        raise
+    except ValueError as exc:  # Op's own checks, such as the wires of CX 1 1
+        raise ParseError(str(exc), line_no, col) from None
+    return tuple(ops)
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text; raises ParseError with line/col on bad input."""
     n: int | None = None
     ops: list[Op] = []
+    # the ops of each line text read so far in this call: repeated lines are common
+    known: dict[str, tuple[Op, ...]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        if n is not None:
+            line_ops = known.get(raw)
+            if line_ops is None:
+                line_ops = known[raw] = _statement(raw, line_no, n)
+            ops += line_ops
+            continue
         body = raw.split("#", 1)[0]
         if not body.strip():
             continue
         line = _Line(body, line_no)
         tok, col = line.peek()
-        if n is None:
-            if tok.lower() != "qutrits":
-                raise ParseError("first statement must be 'qutrits N'", line_no, col)
-            line.take("a statement")
-            count, ccol = line.take("a qutrit count")
-            try:
-                n = int(count) if count.isdecimal() else 0  # as int() reads digits
-            except ValueError:  # more digits than int() converts
-                n = 0
-            if n < 1:
-                raise ParseError(f"bad qutrit count {count!r}", line_no, ccol)
-            line.finish()
-            continue
-        head = tok.upper()
+        if tok.lower() != "qutrits":
+            raise ParseError("first statement must be 'qutrits N'", line_no, col)
+        line.take("a statement")
+        count, ccol = line.take("a qutrit count")
         try:
-            if head in ("C0", "C1", "C2", "LAMBDA"):
-                line.take("a statement")
-                ops.extend(_controlled(line, n, head, col))
-            elif head == "CX":
-                line.take("a statement")
-                ops.append(Op("CX", (line.wire(n), line.wire(n))))
-            else:
-                ops.append(_simple_gate(line, n))
-            line.finish()
-        except ParseError:
-            raise
-        except ValueError as exc:  # Op's own checks, such as the wires of CX 1 1
-            raise ParseError(str(exc), line_no, col) from None
+            n = int(count) if count.isdecimal() else 0  # as int() reads digits
+        except ValueError:  # more digits than int() converts
+            n = 0
+        if n < 1:
+            raise ParseError(f"bad qutrit count {count!r}", line_no, ccol)
+        line.finish()
     if n is None:
         raise ParseError("empty circuit text", 1, 1)
     return Circuit(n, tuple(ops))

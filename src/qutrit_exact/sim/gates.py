@@ -12,8 +12,11 @@ pending factor zeta_18**e per row, and six planes per row, plane i holding
 the zeta_9**i coordinate (power basis mod Phi_9 = x^6 + x^3 + 1) of every
 entry of the row as one int with a signed W-bit lane per column.  A
 monomial gate (one +-zeta_9**k per column) only permutes rows and adds to
-e, as one cached gather of both lists; a dense gate sets each row to a sum
-of rotated source planes and adds its own s-exponent to d.  The matrix over
+e, as one cached gather of both lists.  A dense gate is a program, cached per
+gate and wires: for each row, its (source row, c, x) terms of c * zeta_18**x.
+One kernel, ``_run``, sums the terms' sources rotated by zeta_18**(x + e)
+and folds the result into six planes; the gate then adds its own s-exponent
+to d, and the final s**(d % 2) runs on the same kernel.  The matrix over
 Q(zeta_36) is decoded once, at the end.
 
 W, the least multiple of 8 with W >= d + 4, is wide enough.  Packing is
@@ -184,39 +187,52 @@ def _layout(n: int, wires: tuple[int, ...]):
 # -- integer rows ---------------------------------------------------------
 
 
-# zeta_18**e as (sign, zeta_9 shift): zeta_9**(e/2), or -zeta_9**((e+9)/2) for odd e
-_ZETA18 = tuple((1, e // 2) if e % 2 == 0 else (-1, (e + 9) // 2) for e in range(18))
-# the planes that planes 0..5 land on after a zeta_9**s rotation, before the fold
-_SHIFTS = tuple(tuple((i + s) % 9 for i in range(6)) for s in range(9))
+# zeta_18**E as (negated, the planes that planes 0..5 land on before the fold)
+# for every E = x + e, x < 26 the zeta_18 exponent of a term and e < 18 a
+# row's pending one: zeta_9**(E/2), or -zeta_9**((E+9)/2) for odd E
+_ROTATE = tuple(
+    (E % 2 == 1, *((i + (E + 9 * (E % 2)) // 2) % 9 for i in range(6)))
+    for E in range(26 + 18)
+)
 
 
-def _combine(sources) -> tuple:
-    """Planes of sum(coef * zeta_9**j * zeta_18**e * planes) over
-    (terms, e, planes) sources."""
-    acc = [0] * 9
-    for terms, e, planes in sources:
-        sign, rot = _ZETA18[e % 18]
-        p0, p1, p2, p3, p4, p5 = planes
-        for coef, j in terms:
-            c = sign * coef
-            t0, t1, t2, t3, t4, t5 = _SHIFTS[(j + rot) % 9]
+def _run(program, exps, planes) -> list:
+    """Planes of every row of ``program``: the sum of c * zeta_18**(x + e) times
+    the planes of its (source, c, x) terms, e the source's pending exponent."""
+    out = []
+    for row in program:
+        acc = [0] * 9
+        for src, c, x in row:
+            neg, t0, t1, t2, t3, t4, t5 = _ROTATE[x + exps[src] % 18]
+            p0, p1, p2, p3, p4, p5 = planes[src]
             # unrolled over the six planes: this is the simulator's inner loop
-            if c == 1:
-                acc[t0] += p0; acc[t1] += p1; acc[t2] += p2
-                acc[t3] += p3; acc[t4] += p4; acc[t5] += p5
-            elif c == -1:
+            if c != 1:
+                c = -c if neg else c
+                acc[t0] += c * p0; acc[t1] += c * p1; acc[t2] += c * p2
+                acc[t3] += c * p3; acc[t4] += c * p4; acc[t5] += c * p5
+            elif neg:
                 acc[t0] -= p0; acc[t1] -= p1; acc[t2] -= p2
                 acc[t3] -= p3; acc[t4] -= p4; acc[t5] -= p5
             else:
-                acc[t0] += c * p0; acc[t1] += c * p1; acc[t2] += c * p2
-                acc[t3] += c * p3; acc[t4] += c * p4; acc[t5] += c * p5
-    # x^(6+m) = -x^(3+m) - x^m mod Phi_9
-    for m in range(3):
-        high = acc[6 + m]
-        if high:
-            acc[3 + m] -= high
-            acc[m] -= high
-    return tuple(acc[:6])
+                acc[t0] += p0; acc[t1] += p1; acc[t2] += p2
+                acc[t3] += p3; acc[t4] += p4; acc[t5] += p5
+        # x^(6+m) = -x^(3+m) - x^m mod Phi_9
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = acc
+        out.append((a0 - a6, a1 - a7, a2 - a8, a3 - a6, a4 - a7, a5 - a8))
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _program(n: int, wires: tuple[int, ...], *gate):
+    """A dense gate as a program: per row, the (source row, c, x) terms of
+    c * zeta_18**x; ``gate`` holds the fields of ``_compiled``."""
+    _, terms = _compiled(*gate)[1]
+    local, base, offsets = _layout(n, wires)
+    return tuple(
+        tuple((base[r] + off, abs(c), 2 * j + (9 if c < 0 else 0))
+              for off, t in zip(offsets, terms[local[r]]) for c, j in t)
+        for r in range(3**n)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -231,40 +247,30 @@ def _gather(n: int, wires: tuple[int, ...], images: tuple, exps: tuple):
     return itemgetter(*source), (tuple(gain) if any(gain) else None)
 
 
-def _mix(exps, planes, terms: tuple, layout) -> list:
-    """Planes after a dense gate, before its s-exponent is added to d."""
-    local, base, offsets = layout
-    out = []
-    for r in range(len(planes)):
-        b = base[r]
-        sources = [
-            (t, exps[b + off], planes[b + off]) for off, t in zip(offsets, terms[local[r]]) if t
-        ]
-        out.append(_combine(sources))
-    return out
-
-
 def _to_matrix(exps, planes, d: int, width: int) -> UnitaryMatrix:
-    # rows / s**d = rows * s**(d % 2) / (-3)**ceil(d / 2), and s = zeta_9^3 - zeta_9^6
-    scale = ((1, 3), (-1, 6)) if d % 2 else ((1, 0),)
+    # rows / s**d = rows * s**(d % 2) / (-3)**ceil(d / 2), and
+    # s = zeta_9^3 - zeta_9^6 = zeta_18^6 + zeta_18^21
+    scale = ((1, 6), (1, 21)) if d % 2 else ((1, 0),)
+    planes = _run([tuple((r, c, x) for c, x in scale) for r in range(len(planes))],
+                  exps, planes)
     den = (-3) ** ((d + 1) // 2)
     dim, step = len(planes), width // 8
     # adding 2**(width-1) to every lane makes each lane c, |c| < 2**(width-1), unsigned
     half, bias = 1 << (width - 1), int.from_bytes((bytes(step - 1) + b"\x80") * dim, "little")
     size, zeros = dim * step, (0,) * dim
     out = []
-    for e, row in zip(exps, planes):
+    for row in planes:
         lanes = []
-        for p in _combine(((scale, e, row),)):
+        for p in row:
             if not p:
                 lanes.append(zeros)
                 continue
             raw = (p + bias).to_bytes(size, "little")
             lanes.append([int.from_bytes(raw[i:i + step], "little") - half
                           for i in range(0, size, step)])
-        out.append([Cyclo36.from_zeta9_coords(c, den) if any(c) else ZERO
-                    for c in zip(*lanes)])
-    return UnitaryMatrix(out)
+        out.append(tuple(Cyclo36.from_zeta9_coords(c, den) if any(c) else ZERO
+                         for c in zip(*lanes)))
+    return UnitaryMatrix._of(tuple(out))
 
 
 def gate_matrix(op: Op, n: int) -> UnitaryMatrix:
@@ -279,23 +285,24 @@ def circuit_matrix(circ: Circuit) -> UnitaryMatrix:
     steps, d = [], 0
     for op in circ.ops:
         inner = (op.inner.kind, op.inner.params) if op.inner else (None, ())
-        mono, dense = _compiled(op.kind, op.params, op.phase, *inner)
+        gate = (op.kind, op.params, op.phase, *inner)
+        mono, dense = _compiled(*gate)
         if dense is None:
             steps.append((_gather(n, op.all_wires(), *mono), None))
         else:
-            steps.append((None, (dense[1], _layout(n, op.all_wires()))))
+            steps.append((None, _program(n, op.all_wires(), *gate)))
             d += dense[0]
     width = 8 * ((d + 11) // 8)
     exps = zeros = (0,) * dim
     planes = [(1 << (width * r), 0, 0, 0, 0, 0) for r in range(dim)]
-    for gather, mix in steps:
+    for gather, program in steps:
         if gather is not None:
             move, gain = gather
             exps, planes = move(exps), move(planes)
             if gain is not None:
                 exps = tuple(map(add, exps, gain))
         else:
-            planes, exps = _mix(exps, planes, *mix), zeros
+            planes, exps = _run(program, exps, planes), zeros
     return _to_matrix(exps, planes, d, width)
 
 

@@ -22,11 +22,6 @@ def _coerce(entry) -> Cyclo36:
     raise TypeError(f"cannot use {type(entry).__name__} as a matrix entry")
 
 
-def _times(a: Cyclo36, b: Cyclo36) -> Cyclo36:
-    """a * b, or the shared ZERO without a multiplication when a factor is zero."""
-    return ZERO if a.is_zero() or b.is_zero() else a * b
-
-
 class UnitaryMatrix:
     """A square matrix with entries in Q(zeta_36); equality is exact."""
 
@@ -40,8 +35,15 @@ class UnitaryMatrix:
         self._rows = rs
 
     @classmethod
+    def _of(cls, rows: tuple[tuple[Cyclo36, ...], ...]) -> UnitaryMatrix:
+        """The matrix of ``rows``, square tuples of Cyclo36 entries, taken as they are."""
+        m = object.__new__(cls)
+        m._rows = rows
+        return m
+
+    @classmethod
     def identity(cls, dim: int) -> UnitaryMatrix:
-        return cls(
+        return cls._of(
             tuple(tuple(ONE if r == c else ZERO for c in range(dim)) for r in range(dim))
         )
 
@@ -66,13 +68,14 @@ class UnitaryMatrix:
         a, b, den = [*starmap(pack, a)], [*starmap(pack, b)], den_a * den_b
         rows = [a[i:i + n] for i in range(0, n * n, n)]
         cols = [b[j::n] for j in range(n)]
-        return UnitaryMatrix(
-            [Cyclo36(read(x), den) if (x := sum(map(mul, row, col))) else ZERO for col in cols]
+        return UnitaryMatrix._of(tuple(
+            tuple(Cyclo36(read(x), den) if (x := sum(map(mul, row, col))) else ZERO
+                  for col in cols)
             for row in rows
-        )
+        ))
 
     def dag(self) -> UnitaryMatrix:
-        return UnitaryMatrix(
+        return UnitaryMatrix._of(
             tuple(
                 tuple(self._rows[c][r].conjugate() for c in range(self.dim))
                 for r in range(self.dim)
@@ -80,8 +83,15 @@ class UnitaryMatrix:
         )
 
     def scale(self, c) -> UnitaryMatrix:
+        """c times the matrix: the matrix itself for c = 1, and the shared ZERO
+        wherever a factor is zero."""
         c = _coerce(c)
-        return UnitaryMatrix(tuple(tuple(_times(c, e) for e in row) for row in self._rows))
+        if c == ONE:
+            return self
+        zero = c.is_zero()
+        return UnitaryMatrix._of(tuple(
+            tuple(ZERO if zero or e.is_zero() else c * e for e in row) for row in self._rows
+        ))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitaryMatrix):

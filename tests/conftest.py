@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qutrit_exact.circuit.core import TAU_LABELS, Circuit, Op
+from qutrit_exact.circuit.core import SINGLE_QUTRIT_KINDS, TAU_LABELS, Circuit, Op
 from qutrit_exact.rings.cyclo import Cyclo36
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
@@ -159,6 +159,37 @@ def random_word(
     rng: random.Random, kinds: tuple[str, ...], n: int, length: int
 ) -> Circuit:
     return Circuit(n, tuple(random_op(rng, kinds, n) for _ in range(length)))
+
+
+def random_single_op(rng: random.Random, wire: int) -> Op:
+    kind = rng.choice(sorted(SINGLE_QUTRIT_KINDS))
+    params: tuple = ()
+    if kind == "TAU":
+        params = (rng.choice(TAU_LABELS),)
+    elif kind in ("ZPHASE", "XPHASE"):
+        params = (Fraction(rng.randrange(9), 3), Fraction(rng.randrange(9), 3))
+    return Op(kind, (wire,), params)
+
+
+def random_any_op(rng: random.Random, n: int) -> Op:
+    """C2 (with or without a phase), LAMBDA, CX or a single-qutrit gate."""
+    wire = rng.randrange(n)
+    roll = rng.random() if n > 1 else 1.0
+    if roll < 0.45:
+        other = rng.choice([w for w in range(n) if w != wire])
+        if roll < 0.1:
+            return Op("CX", (wire, other))
+        if roll < 0.2:
+            return Op("LAMBDA", (wire,), inner=random_single_op(rng, other))
+        if roll < 0.3:  # a dense inner gate
+            kind = rng.choice(("H", "HDG", "XPHASE"))
+            params = (Fraction(rng.randrange(9), 3), Fraction(1, 3)) if kind == "XPHASE" else ()
+            inner = Op(kind, (other,), params)
+        else:
+            inner = random_single_op(rng, other)
+        phase = (rng.choice((1, -1)), rng.randrange(9)) if rng.random() < 0.7 else None
+        return Op("C2", (wire,), inner=inner, phase=phase)
+    return random_single_op(rng, wire)
 
 
 def random_cyclo(rng: random.Random, span: int = 9) -> Cyclo36:

@@ -2,9 +2,14 @@
 
 from fractions import Fraction
 
-import pytest
+import random
+import re
 
-from conftest import CT_KINDS, random_word
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import CT_KINDS, random_any_op, random_word
 from qutrit_exact.circuit import TAU_LABELS
 from qutrit_exact.circuit.core import (
     Circuit,
@@ -66,6 +71,18 @@ class TestParsing:
         circ = parse_circuit("# top\n\nqutrits 1\nH 0  # inline\n\n")
         assert len(circ.ops) == 1
 
+    @pytest.mark.parametrize(
+        "text,canonical",
+        [("h\t0", "H 0"), ("cx 0 1", "CX 0 1"), ("H +0", "H 0"), ("H -0", "H 0"),
+         ("T 0 # comment", "T 0"), ("  Tdg\t 1\t", "TDG 1"), ("cX\t1  +0#c", "CX 1 0"),
+         ("tau(021)\t+1", "TAU(021) 1"),
+         # shapes the plain reader leaves to the full grammar
+         ("H\u00a00", "H 0"), ("H 0001", "H 1"), ("CX 0 \u0661", "CX 0 1"),
+         ("C2[H 1] 0", "C2[H 1] 0")],
+    )
+    def test_accepted_spellings(self, text, canonical):
+        assert parse_circuit(f"qutrits 2\n{text}\n") == parse_circuit(f"qutrits 2\n{canonical}\n")
+
     def test_print_parse_roundtrip(self, rng):
         circ = random_word(rng, CT_KINDS, 2, 30)
         extra = (
@@ -77,6 +94,27 @@ class TestParsing:
         circ = Circuit(2, circ.ops + extra)
         text = print_circuit(circ, header=("roundtrip case",))
         assert parse_circuit(text) == circ
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_reader_round_trip_over_varied_text(self, seed):
+        """Printed circuits over every gate form, respelled as a person might
+        type them, read back as the same ops."""
+        rng = random.Random(seed)
+        n = rng.choice((1, 2, 3))
+        circ = Circuit(n, tuple(random_any_op(rng, n) for _ in range(rng.randint(0, 25))))
+        lines = []
+        for i, line in enumerate(print_circuit(circ).splitlines()):
+            line = "".join(c.swapcase() if rng.random() < 0.5 else c for c in line)
+            # after the header, a wire index or a whole exponent may carry a '+'
+            line = " ".join("+" + tok if i and re.fullmatch(r"\d+\]?", tok) and rng.random() < 0.3
+                            else tok for tok in line.split(" "))
+            line = re.sub(" ", lambda _: rng.choice((" ", "  ", "\t", " \t ")), line)
+            line = rng.choice(("", " ", "\t")) + line + rng.choice(("", " ", "\t", " # note", "#x"))
+            lines.append(line)
+            if rng.random() < 0.2:
+                lines.append(rng.choice(("", "   ", "# a comment", "\t# H 0")))
+        assert parse_circuit("\n".join(lines) + "\n") == circ
 
     def test_level_conjugated_controls(self):
         # C0/C1 trigger on |0> / |1> by conjugating the control wire
@@ -113,6 +151,11 @@ class TestParsing:
             ("qutrits 1\nH 3\n", "wire"),
             ("qutrits 1\nH x\n", "wire"),
             ("qutrits 1\nTAU(99) 0\n", "unknown gate"),
+            # more digits than int() converts, at the token's column
+            (f"qutrits 1\nH {'9' * 5000}\n",
+             f"line 2, col 3: wire {'9' * 5000} out of range for 1 qutrits"),
+            (f"qutrits 2\nC2[X 1] 0 phase=zeta^{'9' * 5000}\n",
+             f"line 2, col 11: bad phase value 'zeta^{'9' * 5000}'"),
             ("qutrits 1\nZPHASE 1/2 0 0\n", "multiple of 1/3"),
             ("qutrits 2\nC2[X 0] 0\n", "differ"),
             ("qutrits 2\nC2[CX 0 1] 0\n", "unknown gate"),
@@ -130,6 +173,32 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_circuit(bad)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            ("Q 0", "col 1: unknown gate 'Q'"),
+            ("H 3", "col 3: wire 3 out of range for 2 qutrits"),
+            ("H x", "col 3: expected a wire index, got 'x'"),
+            ("TAU(99) 0", "col 1: unknown gate 'TAU(99)'"),
+            ("H 0 0", "col 5: unexpected trailing token '0'"),
+            ("CX 1 1", "col 1: control and target wires must differ"),
+            ("CX 0 5", "col 6: wire 5 out of range for 2 qutrits"),
+            ("ZPHASE(1,2) 0", "col 1: unknown gate 'ZPHASE(1,2)'"),
+            # a non-ASCII digit is a wire index, read as int() reads it
+            ("H \u0663", "col 3: wire 3 out of range for 2 qutrits"),
+            ("T 0 0 # c", "col 5: unexpected trailing token '0'"),
+            ("h\t-1", "col 3: wire -1 out of range for 2 qutrits"),
+            ("cx 0 00002", "col 6: wire 2 out of range for 2 qutrits"),
+            ("H(1) 0", "col 1: H takes no parameters"),
+            ("TAU(0) 1", "col 1: unknown gate 'TAU(0)'"),
+        ],
+    )
+    def test_plain_shaped_lines_report_the_full_error(self, bad, error):
+        # a valid line first: the error names the line it is on
+        with pytest.raises(ParseError) as err:
+            parse_circuit(f"qutrits 2\nH 0\n{bad}\n")
+        assert str(err.value) == f"line 3, {error}"
 
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError) as err:

@@ -76,6 +76,7 @@ _TARGET_ERRORS = {
     "H -x I": "col 3: expected tensor separator 'x', got '-x'",
     # more digits than int() converts
     f"ZPHASE({_LONG},0)": f"col 1: expected an integer or a multiple of 1/3, got '{_LONG}'",
+    f"C2[H] phase=zeta^{_LONG}": f"col 7: bad phase value 'zeta^{_LONG}'",
 }
 
 
@@ -277,6 +278,8 @@ class TestCommands:
             ("cphase", ["--phase", "bogus"], bad),
             ("exact", ["--phase", "bogus"], bad),
             ("phase", ["--phase", "bogus"], bad),
+            ("cphase", ["--phase", f"zeta^{_LONG}"],
+             f"error: line 1, col 1: bad phase value 'zeta^{_LONG}'\n"),
         ):
             assert main(
                 ["verify", t_file, "--target", "T", "--mode", mode, *options]

@@ -12,11 +12,13 @@ from conftest import (
     mat_complex,
     numeric_gate,
     numeric_op,
+    random_any_op,
     random_op,
+    random_single_op,
     random_word,
 )
 from qutrit_exact.circuit import TAU_LABELS
-from qutrit_exact.circuit.core import GATES, SINGLE_QUTRIT_KINDS, Circuit, Op, adjoint, tensor
+from qutrit_exact.circuit.core import GATES, Circuit, Op, adjoint, tensor
 from qutrit_exact.circuit.macros import circuits_dir, expand_macros
 from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.errors import DimMismatchError, RingError
@@ -102,8 +104,8 @@ class TestCircuitMatrix:
         rng = random.Random(0xC2)
         for n in (2, 2, 2, 3):
             for _ in range(15):
-                ops = [_random_op(rng, n) for _ in range(8 if n == 2 else 4)]
-                ops.append(Op("LAMBDA", (0,), inner=_random_single(rng, n - 1)))
+                ops = [random_any_op(rng, n) for _ in range(8 if n == 2 else 4)]
+                ops.append(Op("LAMBDA", (0,), inner=random_single_op(rng, n - 1)))
                 circ = Circuit(n, tuple(ops))
                 numeric = np.eye(3**n, dtype=complex)
                 for op in circ.ops:
@@ -314,37 +316,6 @@ def _reference_matrix(circ: Circuit) -> UnitaryMatrix:
     return UnitaryMatrix(acc)
 
 
-def _random_single(rng: random.Random, wire: int) -> Op:
-    kind = rng.choice(sorted(SINGLE_QUTRIT_KINDS))
-    params: tuple = ()
-    if kind == "TAU":
-        params = (rng.choice(TAU_LABELS),)
-    elif kind in ("ZPHASE", "XPHASE"):
-        params = (Fraction(rng.randrange(9), 3), Fraction(rng.randrange(9), 3))
-    return Op(kind, (wire,), params)
-
-
-def _random_op(rng: random.Random, n: int) -> Op:
-    """C2 (with or without a phase), LAMBDA, CX or a single-qutrit gate."""
-    wire = rng.randrange(n)
-    roll = rng.random() if n > 1 else 1.0
-    if roll < 0.45:
-        other = rng.choice([w for w in range(n) if w != wire])
-        if roll < 0.1:
-            return Op("CX", (wire, other))
-        if roll < 0.2:
-            return Op("LAMBDA", (wire,), inner=_random_single(rng, other))
-        if roll < 0.3:  # a dense inner gate
-            kind = rng.choice(("H", "HDG", "XPHASE"))
-            params = (Fraction(rng.randrange(9), 3), Fraction(1, 3)) if kind == "XPHASE" else ()
-            inner = Op(kind, (other,), params)
-        else:
-            inner = _random_single(rng, other)
-        phase = (rng.choice((1, -1)), rng.randrange(9)) if rng.random() < 0.7 else None
-        return Op("C2", (wire,), inner=inner, phase=phase)
-    return _random_single(rng, wire)
-
-
 def _dense_op(rng: random.Random, n: int) -> Op:
     """H, HDG or an XPHASE with a third on one wire, or C2[H] or LAMBDA[XPHASE]
     on two: each adds 1 or 2 to the circuit's s-exponent d."""
@@ -358,6 +329,22 @@ def _dense_op(rng: random.Random, n: int) -> Op:
     if roll < 0.7:
         return Op("C2", (wire,), inner=Op("H", (other,)), phase=(-1, rng.randrange(9)))
     return Op("LAMBDA", (wire,), inner=Op("XPHASE", (other,), xphase))
+
+
+def _phased_dense_word(rng: random.Random, length: int = 40) -> Circuit:
+    """A 3-qutrit word in which T, Z and ``C2[...] phase=`` gates put different
+    pending exponents on the source rows of every following H, HDG or C2[H]."""
+    ops: list[Op] = []
+    while len(ops) < length:
+        w, other = rng.sample(range(3), 2)
+        ops.append(Op(rng.choice(("T", "TDG", "Z")), (w,)))
+        inner = Op(rng.choice(("T", "Z", "SDG", "X")), (rng.choice((w, 3 - w - other)),))
+        ops.append(Op("C2", (other,), inner=inner, phase=(rng.choice((1, -1)), rng.randrange(1, 9))))
+        if rng.random() < 0.5:
+            ops.append(Op(rng.choice(("H", "HDG")), (w,)))
+        else:
+            ops.append(Op("C2", (other,), inner=Op("H", (w,)), phase=(-1, rng.randrange(9))))
+    return Circuit(3, tuple(ops))
 
 
 class TestIntegerSimulator:
@@ -380,7 +367,13 @@ class TestIntegerSimulator:
         for _ in range(240):
             n = rng.choice((1, 1, 2, 2, 2, 3))
             length = rng.randint(1, 10 if n < 3 else 4)
-            circ = Circuit(n, tuple(_random_op(rng, n) for _ in range(length)))
+            circ = Circuit(n, tuple(random_any_op(rng, n) for _ in range(length)))
+            assert circuit_matrix(circ) == _reference_matrix(circ), circ
+
+    def test_pending_exponents_differ_across_dense_sources(self):
+        rng = random.Random(0x9E7D)
+        for _ in range(4):
+            circ = _phased_dense_word(rng)
             assert circuit_matrix(circ) == _reference_matrix(circ), circ
 
     @pytest.mark.parametrize("n,dense", [(1, 300), (2, 150), (3, 30)])
