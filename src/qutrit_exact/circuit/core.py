@@ -10,6 +10,7 @@ __all__ = [
     "Op",
     "Circuit",
     "adjoint",
+    "canonical",
     "tensor",
     "print_circuit",
     "GateFacts",
@@ -176,6 +177,12 @@ class Op:
     def remap(self, where: Callable[[int], int]) -> Op:
         inner = self.inner.remap(where) if self.inner is not None else None
         return replace(self, wires=tuple(where(w) for w in self.wires), inner=inner)
+
+
+def canonical(op: Op) -> Op:
+    """The op with its wires renumbered 0, 1, ... in ``all_wires`` order."""
+    where = {w: i for i, w in enumerate(op.all_wires())}
+    return op.remap(where.__getitem__)
 
 
 @dataclass(frozen=True)

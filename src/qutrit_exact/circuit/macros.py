@@ -23,7 +23,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from ..errors import UnexpandableError, UnknownMacroError
-from .core import BASE_KINDS, Circuit, Op, gate_facts, op_text
+from .core import BASE_KINDS, Circuit, Op, canonical, gate_facts, op_text
 from .parse import parse_circuit
 
 __all__ = [
@@ -60,12 +60,6 @@ CONSTRUCTIONS: tuple[tuple[str, str, int, str], ...] = (
 def macro_names() -> tuple[str, ...]:
     """Stems of every circuit data file the package relies on."""
     return tuple(row[0] for row in CONSTRUCTIONS)
-
-
-def _canonical(op: Op) -> Op:
-    """The op with its wires renumbered 0, 1, ... in ``all_wires`` order."""
-    where = {w: i for i, w in enumerate(op.all_wires())}
-    return op.remap(where.__getitem__)
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +196,7 @@ def _expand_op(op: Op, n: int, out: list[Op]) -> None:
         raise UnexpandableError(
             f"{k} on a lone qutrit: the construction borrows a second qutrit"
         )
-    key = _canonical(op)
+    key = canonical(op)
     stem = _stems().get(key)
     if stem is None:
         raise UnknownMacroError(f"no registered expansion for {op_text(key)}")

@@ -18,12 +18,8 @@ written ``[-](1|omega|zeta)[^k]`` (see ``parse_phase``).  ``C1[...]`` and
 moves to 1 or 0.
 ``LAMBDA[g t] c`` applies ``g`` once per control level.
 
-Most lines have one of two plain shapes: ``NAME w`` for a gate without
-parameters or a TAU (``H 0``, ``tdg 2``, ``TAU(12) 1``) and ``CX c t``, in
-ASCII with spaces or tabs.  One regular expression reads such a line into
-its Op; any other line, or an invalid plain one, goes to the full grammar,
-which positions every error.  Within one call, a line text already read is
-not read again.
+Within one ``parse_circuit`` call, a table of the line texts read so far
+hands a repeated line its ops without reading it again.
 
 A target expression is one line in the same tokens (brackets may hug)::
 
@@ -61,11 +57,6 @@ _PHASE = re.compile(r"(-?)(1|omega|zeta)(?:\^(-?\d+))?\Z", re.IGNORECASE)
 _PHASE_KEY = "phase="
 _INT = re.compile(r"[+-]?\d+\Z")
 _EXPONENT = re.compile(r"([+-]?\d+)(/3)?\Z")
-# ``NAME w`` or ``NAME c t`` with an optional comment; the full grammar reads the rest
-_PLAIN = re.compile(
-    r"[ \t]*([A-Za-z]+(?:\([0-9]+\))?)[ \t]+([+-]?[0-9]{1,4})"
-    r"(?:[ \t]+([+-]?[0-9]{1,4}))?[ \t]*(?:#.*)?\Z"
-)
 
 
 def parse_phase(text: str) -> tuple[int, int]:
@@ -220,30 +211,8 @@ def _controlled(line: _Line, n: int, head: str, col: int) -> list[Op]:
     return [xdg, core, x]
 
 
-def _plain(raw: str, n: int) -> Op | None:
-    """The Op of a valid plain line, ``NAME w`` or ``CX c t``; None for any other."""
-    m = _PLAIN.match(raw)
-    if m is None:
-        return None
-    name, a, b = m.groups()
-    w = int(a)
-    if not 0 <= w < n:
-        return None
-    if b is None:
-        gate = _gate_name(name)
-        # TAU alone takes an argument in its name; ZPHASE and XPHASE take exponents
-        if gate is None or gate[0] in ("ZPHASE", "XPHASE") or (gate[0] == "TAU") != ("(" in name):
-            return None
-        return Op(gate[0], (w,), gate[1] or ())
-    t = int(b)
-    return Op("CX", (w, t)) if name.upper() == "CX" and t != w and 0 <= t < n else None
-
-
 def _statement(raw: str, line_no: int, n: int) -> tuple[Op, ...]:
     """The ops of one line after the header: none for a blank or comment line."""
-    op = _plain(raw, n)
-    if op is not None:
-        return (op,)
     body = raw.split("#", 1)[0]
     if not body.strip():
         return ()

@@ -33,7 +33,7 @@ from qutrit_exact.circuit.macros import t_count
 from qutrit_exact.circuit.parse import parse_circuit, parse_phase, parse_target
 from qutrit_exact.cli.catalog import run_catalog
 from qutrit_exact.errors import DimMismatchError, ParseError
-from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE, ZERO
+from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
 from qutrit_exact.rings.membership import RingTag
 from qutrit_exact.sim.gates import check_width, circuit_matrix, phase_unit
 from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact, equal_up_to_phase
@@ -93,9 +93,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     unit = MINUS_ONE if negated else ONE
     if args.mode == "cphase":
         unit *= phase
-    scalar = UnitaryMatrix(
-        [[unit if r == c else ZERO for c in range(m.dim)] for r in range(m.dim)]
-    )
+    scalar = UnitaryMatrix.identity(m.dim, unit)
     print(f"mode: {args.mode}")
     if args.mode == "exact":
         ok = equal_exact(m, scalar)

@@ -10,14 +10,15 @@ s = omega - omega^2 (s^2 = -3), so a circuit matrix is held as rows / s**d for
 one shared exponent d.  The matrix is two lists over the basis rows: a
 pending factor zeta_18**e per row, and six planes per row, plane i holding
 the zeta_9**i coordinate (power basis mod Phi_9 = x^6 + x^3 + 1) of every
-entry of the row as one int with a signed W-bit lane per column.  A
-monomial gate (one +-zeta_9**k per column) only permutes rows and adds to
-e, as one cached gather of both lists.  A dense gate is a program, cached per
-gate and wires: for each row, its (source row, c, x) terms of c * zeta_18**x.
-One kernel, ``_run``, sums the terms' sources rotated by zeta_18**(x + e)
-and folds the result into six planes; the gate then adds its own s-exponent
-to d, and the final s**(d % 2) runs on the same kernel.  The matrix over
-Q(zeta_36) is decoded once, at the end.
+entry of the row as one int with a signed W-bit lane per column.  A gate
+runs as one cached step per width and op.  The step of a monomial gate (one
++-zeta_9**k per column) only permutes rows and adds to e, as one gather of
+both lists.  The step of a dense gate is a program: for each row, its
+(source row, c, x) terms of c * zeta_18**x.  One kernel, ``_run``, sums the
+terms' sources rotated by zeta_18**(x + e) and folds the result into six
+planes; the gate then adds its own s-exponent to d, and the final
+s**(d % 2) runs on the same kernel.  The matrix over Q(zeta_36) is decoded
+once, at the end.
 
 W, the least multiple of 8 with W >= d + 4, is wide enough.  Packing is
 Z-linear, so only the final lanes must satisfy |c| < 2**(W-1).  They are the
@@ -37,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, itemgetter
 
-from ..circuit.core import MAX_QUTRITS, Circuit, Op, gate_facts
+from ..circuit.core import MAX_QUTRITS, Circuit, Op, canonical, gate_facts
 from ..errors import RingError
 from ..rings.cyclo import Cyclo36, ONE, ZERO, OMEGA, OMEGA2
 from .matrix import UnitaryMatrix, _block_diagonal
@@ -134,14 +135,9 @@ def _dense(rows: _Rows) -> tuple[int, tuple[tuple[_Terms, ...], ...]]:
 
 
 @lru_cache(maxsize=256)
-def _compiled(
-    kind: str,
-    params: tuple,
-    phase: tuple[int, int] | None,
-    inner_kind: str | None,
-    inner_params: tuple,
-):
-    """(monomial data, None) or (None, dense data) of a gate, keyed without wires.
+def _compiled(op: Op):
+    """(monomial data, None) or (None, dense data) of a gate on its local wires;
+    ``_step`` passes ``canonical(op)``, so every placement shares one entry.
 
     Both forms come from the gate's ``gate_local`` rows.  The gate is monomial
     when the rows need no power of s and each column holds one +-zeta_9**j:
@@ -149,10 +145,6 @@ def _compiled(
     images[c], with exps[c] = 2j, plus 9 for a minus sign.  The rows are
     unitary, so the one term of a lone entry is such a unit.
     """
-    if inner_kind is None:
-        op = Op(kind, (0, 1) if kind == "CX" else (0,), params)
-    else:
-        op = Op(kind, (0,), inner=Op(inner_kind, (1,), inner_params), phase=phase)
     k, terms = _dense(gate_local(op)[0])
     images, exps = [], []
     for col in zip(*terms):
@@ -223,28 +215,27 @@ def _run(program, exps, planes) -> list:
 
 
 @lru_cache(maxsize=1024)
-def _program(n: int, wires: tuple[int, ...], *gate):
-    """A dense gate as a program: per row, the (source row, c, x) terms of
-    c * zeta_18**x; ``gate`` holds the fields of ``_compiled``."""
-    _, terms = _compiled(*gate)[1]
-    local, base, offsets = _layout(n, wires)
-    return tuple(
-        tuple((base[r] + off, abs(c), 2 * j + (9 if c < 0 else 0))
-              for off, t in zip(offsets, terms[local[r]]) for c, j in t)
-        for r in range(3**n)
-    )
-
-
-@lru_cache(maxsize=None)
-def _gather(n: int, wires: tuple[int, ...], images: tuple, exps: tuple):
-    """A monomial gate as a gather: an itemgetter of the source row of every
-    row, and the exponent every row gains (None when all are 0)."""
-    local, base, offsets = _layout(n, wires)
+def _step(n: int, op: Op):
+    """A gate on n qutrits as (gather, program, k), the power k of s that it
+    adds to d.  A monomial gate is a gather: an itemgetter of the source row
+    of every row, and the exponent every row gains (None when all are 0); its
+    program is None and k is 0.  A dense gate is a program: per row, the
+    (source row, c, x) terms of c * zeta_18**x; its gather is None."""
+    mono, dense = _compiled(canonical(op))
+    local, base, offsets = _layout(n, op.all_wires())
+    if dense is not None:
+        k, terms = dense
+        return None, tuple(
+            tuple((base[r] + off, abs(c), 2 * j + (9 if c < 0 else 0))
+                  for off, t in zip(offsets, terms[local[r]]) for c, j in t)
+            for r in range(3**n)
+        ), k
+    images, exps = mono
     source, gain = [0] * 3**n, [0] * 3**n
     for r, idx in enumerate(local):
         out = base[r] + offsets[images[idx]]
         source[out], gain[out] = r, exps[idx]
-    return itemgetter(*source), (tuple(gain) if any(gain) else None)
+    return (itemgetter(*source), tuple(gain) if any(gain) else None), None, 0
 
 
 def _to_matrix(exps, planes, d: int, width: int) -> UnitaryMatrix:
@@ -282,20 +273,12 @@ def circuit_matrix(circ: Circuit) -> UnitaryMatrix:
     """The exact unitary of a circuit (earlier gates act first)."""
     check_width(circ.n)
     n, dim = circ.n, 3**circ.n
-    steps, d = [], 0
-    for op in circ.ops:
-        inner = (op.inner.kind, op.inner.params) if op.inner else (None, ())
-        gate = (op.kind, op.params, op.phase, *inner)
-        mono, dense = _compiled(*gate)
-        if dense is None:
-            steps.append((_gather(n, op.all_wires(), *mono), None))
-        else:
-            steps.append((None, _program(n, op.all_wires(), *gate)))
-            d += dense[0]
+    steps = [_step(n, op) for op in circ.ops]
+    d = sum(k for _, _, k in steps)
     width = 8 * ((d + 11) // 8)
     exps = zeros = (0,) * dim
     planes = [(1 << (width * r), 0, 0, 0, 0, 0) for r in range(dim)]
-    for gather, program in steps:
+    for gather, program, _ in steps:
         if gather is not None:
             move, gain = gather
             exps, planes = move(exps), move(planes)

@@ -42,10 +42,15 @@ class UnitaryMatrix:
         return m
 
     @classmethod
-    def identity(cls, dim: int) -> UnitaryMatrix:
-        return cls._of(
-            tuple(tuple(ONE if r == c else ZERO for c in range(dim)) for r in range(dim))
-        )
+    def identity(cls, dim: int, unit: Cyclo36 = ONE) -> UnitaryMatrix:
+        """``unit`` times the identity: each row a copy of one row of the shared
+        ZERO with ``unit`` on the diagonal."""
+        row, rows = [ZERO] * dim, []
+        for r in range(dim):
+            row[r] = unit
+            rows.append(tuple(row))
+            row[r] = ZERO
+        return cls._of(tuple(rows))
 
     @property
     def dim(self) -> int:

@@ -397,8 +397,7 @@ class TestIntegerSimulator:
 
     def test_which_forms_compile_to_monomial_data(self):
         def monomial(op: Op) -> bool:
-            inner = (op.inner.kind, op.inner.params) if op.inner else (None, ())
-            return gates._compiled(op.kind, op.params, op.phase, *inner)[0] is not None
+            return gates._compiled(op)[0] is not None
 
         def controlled(g: Op) -> list[Op]:
             return [Op("LAMBDA", (0,), inner=g)] + [
