@@ -35,34 +35,26 @@ class GateFacts:
     is zeta18**sum(zeta18) up to sign.  A dense gate has ``images`` None and
     ``zeta18`` giving a diagonal gate of the same determinant up to sign: the
     one XPHASE conjugates by H, and the identity for H and HDG.
-    ``adjoint`` is the inverse as (kind, params); ``square`` is
-    (kind, params, controlled phase) with g^2 = phase * kind(params), or None
-    when g^2 = I; ``base`` says whether full expansion may emit the gate.
+    ``adjoint`` is the inverse as (kind, params).
     """
 
     images: tuple[int, int, int] | None
     zeta18: tuple[int, int, int]
     adjoint: tuple[str, tuple]
-    square: tuple[str, tuple, tuple[int, int] | None] | None
-    base: bool
 
 
 _ID = (0, 1, 2)
 # T = diag(1, zeta_9, zeta_9^8); R = diag(1, 1, -1) with -1 = zeta18**9
 GATES: dict[str, GateFacts] = {
-    "X": GateFacts((1, 2, 0), (0, 0, 0), ("TAU", ("021",)), ("TAU", ("021",), None), True),
-    "Z": GateFacts(_ID, (0, 6, 12), ("ZPHASE", (2, 1)), ("ZPHASE", (2, 1), None), True),
-    "S": GateFacts(_ID, (0, 0, 6), ("SDG", ()), ("SDG", (), None), True),
-    "SDG": GateFacts(_ID, (0, 0, 12), ("S", ()), ("S", (), None), True),
-    "T": GateFacts(
-        _ID, (0, 2, 16), ("TDG", ()), ("ZPHASE", (Fraction(2, 3), Fraction(7, 3)), None), True
-    ),
-    "TDG": GateFacts(
-        _ID, (0, 16, 2), ("T", ()), ("ZPHASE", (Fraction(7, 3), Fraction(2, 3)), None), True
-    ),
-    "H": GateFacts(None, (0, 0, 0), ("HDG", ()), ("TAU", ("12",), (-1, 0)), True),
-    "HDG": GateFacts(None, (0, 0, 0), ("H", ()), ("TAU", ("12",), (-1, 0)), True),
-    "R": GateFacts(_ID, (0, 0, 9), ("R", ()), None, False),
+    "X": GateFacts((1, 2, 0), (0, 0, 0), ("TAU", ("021",))),
+    "Z": GateFacts(_ID, (0, 6, 12), ("ZPHASE", (2, 1))),
+    "S": GateFacts(_ID, (0, 0, 6), ("SDG", ())),
+    "SDG": GateFacts(_ID, (0, 0, 12), ("S", ())),
+    "T": GateFacts(_ID, (0, 2, 16), ("TDG", ())),
+    "TDG": GateFacts(_ID, (0, 16, 2), ("T", ())),
+    "H": GateFacts(None, (0, 0, 0), ("HDG", ())),
+    "HDG": GateFacts(None, (0, 0, 0), ("H", ())),
+    "R": GateFacts(_ID, (0, 0, 9), ("R", ())),
 }
 
 # cycle label -> images: TAU(label) sends basis state c to images[c]
@@ -79,7 +71,7 @@ TAU_LABELS = tuple(TAU_IMAGES)
 # single-qutrit gate kinds (usable as controlled targets)
 SINGLE_QUTRIT_KINDS = frozenset(GATES) | {"TAU", "ZPHASE", "XPHASE"}
 # the base set that full expansion is allowed to emit
-BASE_KINDS = frozenset(k for k, facts in GATES.items() if facts.base) | {"TAU", "CX"}
+BASE_KINDS = frozenset(GATES) - {"R"} | {"TAU", "CX"}
 _ALL_KINDS = SINGLE_QUTRIT_KINDS | {"CX", "C2", "LAMBDA"}
 
 
@@ -89,18 +81,13 @@ def gate_facts(kind: str, params: tuple) -> GateFacts:
         images = TAU_IMAGES[params[0]]
         inverse = tuple(images.index(k) for k in range(3))
         label = next(lab for lab, img in TAU_IMAGES.items() if img == inverse)
-        # a transposition squares to I; a 3-cycle squares to its inverse
-        square = None if label == params[0] else ("TAU", (label,), None)
-        return GateFacts(images, (0, 0, 0), ("TAU", (label,)), square, True)
+        return GateFacts(images, (0, 0, 0), ("TAU", (label,)))
     if kind in ("ZPHASE", "XPHASE"):
         a, b = params
-        sq = ((2 * a) % 3, (2 * b) % 3)
         return GateFacts(
             _ID if kind == "ZPHASE" else None,
             (0, int(6 * a), int(6 * b)),
             (kind, (-a % 3, -b % 3)),
-            None if sq == (0, 0) else (kind, sq, None),
-            False,
         )
     return GATES[kind]
 

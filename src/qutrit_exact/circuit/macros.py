@@ -142,15 +142,6 @@ def _zphase_ops(kind: str, wire: int, a: Fraction, b: Fraction) -> list[Op]:
     return ops + [Op("Z", (wire,))] * (za % 3) + [Op("S", (wire,))] * ((zb - 2 * za) % 3)
 
 
-def _square_c2(op: Op) -> Op | None:
-    """C2 applying inner^2 (with controlled phase where needed), or None if inner^2 = I."""
-    square = gate_facts(op.inner.kind, op.inner.params).square
-    if square is None:
-        return None
-    kind, params, phase = square
-    return Op("C2", op.wires, inner=Op(kind, op.inner.wires, params), phase=phase)
-
-
 @lru_cache(maxsize=None)
 def _spliced(path: Path, wire0: int, wire1: int) -> tuple[Op, ...]:
     """The ops of a two-qutrit data file with its wires 0 and 1 mapped as given."""
@@ -180,13 +171,14 @@ def _expand_op(op: Op, n: int, out: list[Op]) -> None:
         if cx_count and not any(facts.zeta18):
             out.extend([Op("CX", (c, t))] * cx_count)
             return
-        # level-1 trigger: conjugate the control by X so 1 -> 2
+        # LAMBDA[g] applies g on control 1 and g^2 on control 2; X C2[g] X^dag
+        # is the first half, and the whole op because the phase-free C2 rows
+        # left in CONSTRUCTIONS are transpositions, g^2 = I (any other C2[g]
+        # is refused).  A row for a C2[g] with g^2 != I must add a C2[g^2]
+        # step here, or the exhaustive test_expansion_is_exact_or_refused fails.
         out.append(Op("X", (c,)))
         _expand_op(Op("C2", (c,), inner=op.inner), n, out)
         out.append(Op("TAU", (c,), ("021",)))
-        square = _square_c2(op)
-        if square is not None:
-            _expand_op(square, n, out)
         return
     if k == "C2":
         reason = _c2_obstruction(op)

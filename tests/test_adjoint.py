@@ -426,6 +426,32 @@ class TestObstructionVerdicts:
         assert verdict.is_obstructed()
         assert verdict.kind == "not_in_ring"
 
+    def test_diagonal_phase_outside_the_ring(self):
+        i = Cyclo36.zeta_pow(9)
+        phase = (Cyclo36.from_int(3) + i * 4) * Cyclo36.from_fraction(Fraction(1, 5))
+        one, zero = Cyclo36.from_int(1), Cyclo36.from_int(0)
+        u = UnitaryMatrix(((one, zero, zero), (zero, one, zero), (zero, zero, phase)))
+        verdict = single_qutrit_ct_obstruction(u)
+        assert verdict.kind == "not_in_ring"
+        assert verdict.text().startswith(
+            "obstructed: adjoint entry falls outside the alpha ring (NOT_IN_A:"
+        )
+
+    def test_lde_zero_but_not_clifford(self):
+        # the rotation by 120 degrees of basis states 0 and 1, with
+        # sqrt(3) = -i (omega - omega^2)
+        sqrt3 = -Cyclo36.zeta_pow(9) * (Cyclo36.omega_pow(1) - Cyclo36.omega_pow(2))
+        half = Cyclo36.from_fraction(Fraction(1, 2))
+        c, s = -half, sqrt3 * half
+        one, zero = Cyclo36.from_int(1), Cyclo36.from_int(0)
+        verdict = single_qutrit_ct_obstruction(
+            UnitaryMatrix(((c, -s, zero), (s, c, zero), (zero, zero, one)))
+        )
+        assert verdict.kind == "obstructed"
+        assert verdict.lde_a == 0
+        assert "denominator exponent 0" in verdict.reason
+        assert "not Clifford" in verdict.reason
+
     def test_random_ct_words_are_never_obstructed(self, rng):
         for _ in range(25):
             m = circuit_matrix(random_word(rng, CT_KINDS, 1, 14))

@@ -167,6 +167,9 @@ class TestParsing:
             ("qutrits 2\nC1[SDG 0] 0 phase=bogus\n", _CLASH),
             ("qutrits 2\nLAMBDA[X 0] 0 phase=bogus\n", _CLASH),
             ("qutrits 2\nCX 1 1 junk\n", _CLASH),
+            # no statement at all
+            ("", "line 1, col 1: empty circuit text"),
+            ("# a comment only\n\n", "line 1, col 1: empty circuit text"),
         ],
     )
     def test_rejects_malformed_input(self, bad, fragment):

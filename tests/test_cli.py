@@ -471,6 +471,16 @@ class TestCommands:
         assert main(["verify", t_file, "--target", "T k I"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_target_gate_with_parameters_is_an_error(self, t_file, capsys):
+        assert main(["verify", t_file, "--target", "T(1)"]) == 2
+        assert capsys.readouterr().err == "error: line 1, col 1: T takes no parameters\n"
+
+    def test_circuit_file_without_statements_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.qc"
+        path.write_text("# no statements\n")
+        assert main(["tcount", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 1, col 1: empty circuit text\n"
+
 
 # -- verify as one simulation, against the decoded two-matrix path -----------
 

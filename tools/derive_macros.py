@@ -288,8 +288,9 @@ def build_c2tau12(c2x_ops: list[Op], affine_words: dict[Perm, list[Op]]) -> list
 # Clifford-class search for the -tau12 block
 
 
-def clifford_words_mod_phase() -> dict[tuple, list[Op]]:
-    """Shortest S/H word for each single-qutrit Clifford mod global phase."""
+def clifford_words_mod_phase() -> list[tuple[UnitaryMatrix, list[Op]]]:
+    """Each single-qutrit Clifford mod global phase as (exact matrix, shortest
+    S/H word); the matrix is the word's product, phase included."""
     gens = [Op(k, (0,)) for k in ("S", "SDG", "H", "HDG")]
     gen_mats = [gate1(op.kind) for op in gens]
 
@@ -318,7 +319,7 @@ def clifford_words_mod_phase() -> dict[tuple, list[Op]]:
                 words[nkey] = (nxt, word + [op])
                 queue.append(nkey)
     assert len(words) == 216, len(words)
-    return {k: v[1] for k, v in words.items()}
+    return list(words.values())
 
 
 def build_c2neg_tau12(c2sdg_ops: list[Op]) -> list[Op]:
@@ -328,10 +329,7 @@ def build_c2neg_tau12(c2sdg_ops: list[Op]) -> list[Op]:
 
     # conjugacy classes of Sdg and S with a shortest conjugator word each
     class_dn: dict[tuple, tuple[UnitaryMatrix, list[Op]]] = {}
-    for word in cliffords.values():
-        u = UnitaryMatrix.identity(3)
-        for op in word:
-            u = gate1(op.kind) @ u
+    for u, word in cliffords:
         v = u @ sdg @ u.dag()
         if v.rows not in class_dn or len(word) < len(class_dn[v.rows][1]):
             class_dn[v.rows] = (v, word)
