@@ -135,6 +135,8 @@ class Op:
                 raise ValueError("control and target wires must differ")
         elif len(self.wires) != 1:
             raise ValueError(f"{self.kind} takes one wire")
+        if self.inner is not None and self.kind not in ("C2", "LAMBDA"):
+            raise ValueError(f"{self.kind} takes no target gate")
         if self.kind == "TAU":
             if len(self.params) != 1 or self.params[0] not in TAU_LABELS:
                 raise ValueError(f"TAU takes a cycle label from {TAU_LABELS}")
@@ -152,6 +154,8 @@ class Op:
             s, e = self.phase
             if s not in (1, -1):
                 raise ValueError("phase sign must be +1 or -1")
+            if not isinstance(e, int):
+                raise ValueError("phase exponent must be an integer")
             object.__setattr__(self, "phase", (s, e % 9))
             if self.phase == (1, 0):
                 object.__setattr__(self, "phase", None)

@@ -10,15 +10,17 @@ s = omega - omega^2 (s^2 = -3), so a circuit matrix is held as rows / s**d for
 one shared exponent d.  The matrix is two lists over the basis rows: a
 pending factor zeta_18**e per row, and six planes per row, plane i holding
 the zeta_9**i coordinate (power basis mod Phi_9 = x^6 + x^3 + 1) of every
-entry of the row as one int with a signed W-bit lane per column.  A gate
-runs as one cached step per width and op.  The step of a monomial gate (one
-+-zeta_9**k per column) only permutes rows and adds to e, as one gather of
-both lists.  The step of a dense gate is a program: for each row, its
+entry of the row as one int with a signed W-bit lane per column.  Every gate
+compiles to one form: the least power k of s that makes its local rows
+integral, and the terms of their entries.  A gate runs as one cached step
+per width and op, built from that form as a program: for each row, its
 (source row, c, x) terms of c * zeta_18**x.  One kernel, ``_run``, sums the
 terms' sources rotated by zeta_18**(x + e) and folds the result into six
-planes; the gate then adds its own s-exponent to d, and the final
-s**(d % 2) runs on the same kernel.  The matrix over Q(zeta_36) is decoded
-once, at the end.
+planes; the gate then adds k to d, and the final s**(d % 2) runs on the
+same kernel.  A monomial gate, whose program has k = 0 and one term with
+c = 1 per row, runs on a fast path read off that program: one gather of
+both lists, which permutes the rows and adds each x to its row's e.  The
+matrix over Q(zeta_36) is decoded once, at the end.
 
 W, the least multiple of 8 with W >= d + 4, is wide enough.  Packing is
 Z-linear, so only the final lanes must satisfy |c| < 2**(W-1).  They are the
@@ -41,7 +43,7 @@ from operator import add, itemgetter
 from ..circuit.core import MAX_QUTRITS, Circuit, Op, canonical, gate_facts
 from ..errors import RingError
 from ..rings.cyclo import Cyclo36, ONE, ZERO, OMEGA, OMEGA2
-from .matrix import UnitaryMatrix, _block_diagonal
+from .matrix import UnitaryMatrix
 
 __all__ = ["gate_matrix", "circuit_matrix", "check_width", "gate_local", "phase_unit"]
 
@@ -60,7 +62,6 @@ _DENSE: dict[str, _Rows] = {"H": _H.rows, "HDG": _H.dag().rows}
 _EYE = UnitaryMatrix.identity(3)
 
 
-@lru_cache(maxsize=None)
 def _named_rows(kind: str, params: tuple) -> _Rows:
     if kind == "XPHASE":
         z = UnitaryMatrix(_named_rows("ZPHASE", params))
@@ -93,7 +94,9 @@ def gate_local(op: Op) -> tuple[_Rows, tuple[int, ...]]:
         return _named_rows(op.kind, op.params), op.wires
     g = UnitaryMatrix(_named_rows("X", ()) if op.kind == "CX" else gate_local(op.inner)[0])
     blocks = (_EYE, _EYE, g.scale(phase_unit(op.phase))) if op.kind == "C2" else (_EYE, g, g @ g)
-    return _block_diagonal(blocks).rows, op.all_wires()
+    pad = (ZERO,) * 3
+    return tuple(pad * j + row + pad * (2 - j)
+                 for j, block in enumerate(blocks) for row in block.rows), op.all_wires()
 
 
 # -- gates as integer data ------------------------------------------------
@@ -135,29 +138,12 @@ def _dense(rows: _Rows) -> tuple[int, tuple[tuple[_Terms, ...], ...]]:
 
 
 @lru_cache(maxsize=256)
-def _compiled(op: Op):
-    """(monomial data, None) or (None, dense data) of a gate on its local wires;
-    ``_step`` passes ``canonical(op)``, so every placement shares one entry.
-
-    Both forms come from the gate's ``gate_local`` rows.  The gate is monomial
-    when the rows need no power of s and each column holds one +-zeta_9**j:
-    local column c then goes to zeta_18**exps[c] times local basis state
-    images[c], with exps[c] = 2j, plus 9 for a minus sign.  The rows are
-    unitary, so the one term of a lone entry is such a unit.
-    """
-    k, terms = _dense(gate_local(op)[0])
-    images, exps = [], []
-    for col in zip(*terms):
-        entries = [(r, t) for r, t in enumerate(col) if t]
-        if k or len(entries) != 1 or len(entries[0][1]) != 1:
-            return None, (k, terms)
-        row, ((coef, j),) = entries[0]
-        images.append(row)
-        exps.append(2 * j + (9 if coef < 0 else 0))
-    return (tuple(images), tuple(exps)), None
+def _compiled(op: Op) -> tuple[int, tuple[tuple[_Terms, ...], ...]]:
+    """``_dense`` of the gate's ``gate_local`` rows; ``_step`` passes
+    ``canonical(op)``, so every placement shares one entry."""
+    return _dense(gate_local(op)[0])
 
 
-@lru_cache(maxsize=None)
 def _layout(n: int, wires: tuple[int, ...]):
     """Per basis row: its local index on ``wires`` and the row with those digits
     cleared; per local index: the row with that index and every other digit 0."""
@@ -217,25 +203,24 @@ def _run(program, exps, planes) -> list:
 @lru_cache(maxsize=1024)
 def _step(n: int, op: Op):
     """A gate on n qutrits as (gather, program, k), the power k of s that it
-    adds to d.  A monomial gate is a gather: an itemgetter of the source row
-    of every row, and the exponent every row gains (None when all are 0); its
-    program is None and k is 0.  A dense gate is a program: per row, the
-    (source row, c, x) terms of c * zeta_18**x; its gather is None."""
-    mono, dense = _compiled(canonical(op))
+    adds to d.  The program holds, per row, the (source row, c, x) terms of
+    c * zeta_18**x, a minus sign folded into x.  When k is 0 and every row is
+    one term with c = 1, the step is a gather instead, with program None: an
+    itemgetter of the rows' sources, and their x as the exponents the rows
+    gain (None when all are 0).  The sources then form a permutation: the
+    local rows are unitary, so two rows that each hold one unit are
+    orthogonal only if their units sit in different columns."""
+    k, terms = _compiled(canonical(op))
     local, base, offsets = _layout(n, op.all_wires())
-    if dense is not None:
-        k, terms = dense
-        return None, tuple(
-            tuple((base[r] + off, abs(c), 2 * j + (9 if c < 0 else 0))
-                  for off, t in zip(offsets, terms[local[r]]) for c, j in t)
-            for r in range(3**n)
-        ), k
-    images, exps = mono
-    source, gain = [0] * 3**n, [0] * 3**n
-    for r, idx in enumerate(local):
-        out = base[r] + offsets[images[idx]]
-        source[out], gain[out] = r, exps[idx]
-    return (itemgetter(*source), tuple(gain) if any(gain) else None), None, 0
+    program = tuple(
+        tuple((base[r] + off, abs(c), 2 * j + (9 if c < 0 else 0))
+              for off, t in zip(offsets, terms[local[r]]) for c, j in t)
+        for r in range(3**n)
+    )
+    if k or any(len(row) != 1 or row[0][1] != 1 for row in program):
+        return None, program, k
+    source, _, gain = zip(*(row[0] for row in program))
+    return (itemgetter(*source), gain if any(gain) else None), None, 0
 
 
 def _to_matrix(exps, planes, d: int, width: int) -> UnitaryMatrix:

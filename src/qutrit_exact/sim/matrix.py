@@ -135,14 +135,3 @@ def equal_up_to_phase(a: UnitaryMatrix, b: UnitaryMatrix) -> Cyclo36 | None:
             return None
     return witness
 
-
-def _block_diagonal(blocks: Sequence[UnitaryMatrix]) -> UnitaryMatrix:
-    """The matrix with ``blocks`` along its diagonal and ZERO elsewhere."""
-    dim = sum(block.dim for block in blocks)
-    out = [[ZERO] * dim for _ in range(dim)]
-    at = 0
-    for block in blocks:
-        for r, row in enumerate(block.rows):
-            out[at + r][at:at + block.dim] = row
-        at += block.dim
-    return UnitaryMatrix(out)

@@ -4,7 +4,8 @@ The package itself never touches floating point; tests may, as an
 independent oracle.  ``to_complex`` evaluates exact ring elements
 numerically; ``numeric_gate`` and ``numeric_op`` build float gate matrices
 from the gate definitions alone, and ``assert_close`` compares an exact matrix
-with one.  The word builders draw reproducible random circuits.
+with one.  The word builders draw reproducible random circuits, and
+``every_controlled_op`` lists 1,760 controlled one-op circuits on two qutrits.
 Every test fails once it runs past ``TIME_LIMIT`` seconds.
 """
 
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qutrit_exact.circuit.core import SINGLE_QUTRIT_KINDS, TAU_LABELS, Circuit, Op
+from qutrit_exact.circuit.core import GATES, SINGLE_QUTRIT_KINDS, TAU_LABELS, Circuit, Op
 from qutrit_exact.rings.cyclo import Cyclo36
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
@@ -190,6 +191,21 @@ def random_any_op(rng: random.Random, n: int) -> Op:
         phase = (rng.choice((1, -1)), rng.randrange(9)) if rng.random() < 0.7 else None
         return Op("C2", (wire,), inner=inner, phase=phase)
     return random_single_op(rng, wire)
+
+
+def every_controlled_op():
+    """LAMBDA[g], and C2[g] with no phase, zeta, zeta^7 or -1, on both wire
+    orders of two qutrits: g is every table kind, every TAU and every
+    ZPHASE/XPHASE with exponents in thirds 0..8/3 (1,760 ops)."""
+    thirds = [Fraction(k, 3) for k in range(9)]
+    forms = [(kind, ()) for kind in sorted(GATES)] + [("TAU", (lab,)) for lab in TAU_LABELS]
+    forms += [(kind, (a, b)) for kind in ("ZPHASE", "XPHASE") for a in thirds for b in thirds]
+    for c, t in ((0, 1), (1, 0)):
+        for kind, params in forms:
+            inner = Op(kind, (t,), params)
+            yield Circuit(2, (Op("LAMBDA", (c,), inner=inner),))
+            for phase in (None, (1, 1), (1, 7), (-1, 0)):
+                yield Circuit(2, (Op("C2", (c,), inner=inner, phase=phase),))
 
 
 def random_cyclo(rng: random.Random, span: int = 9) -> Cyclo36:

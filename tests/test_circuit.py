@@ -225,6 +225,12 @@ class TestStructure:
             Op("ZPHASE", (0,), (Fraction(1, 2), Fraction(0)))
         with pytest.raises(ValueError):
             Op("C2", (0,), inner=Op("CX", (0, 1)))
+        with pytest.raises(ValueError, match="T takes no target gate"):
+            Op("T", (0,), inner=Op("X", (1,)))
+        with pytest.raises(ValueError, match="CX takes no target gate"):
+            Op("CX", (0, 1), inner=Op("X", (1,)))
+        with pytest.raises(ValueError, match="phase exponent must be an integer"):
+            Op("C2", (0,), inner=Op("X", (1,)), phase=(1, 1.5))
 
     def test_tensor_shifts_bottom_wires(self):
         top = Circuit(1, (Op("H", (0,)),))

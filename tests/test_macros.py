@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import every_controlled_op
 from qutrit_exact.circuit import TAU_LABELS
 from qutrit_exact.circuit.core import (
     BASE_KINDS,
-    GATES,
     SINGLE_QUTRIT_KINDS,
     Circuit,
     Op,
@@ -278,21 +278,6 @@ def _random_words(count: int):
         yield Circuit(n, tuple(_random_gate(rng, n) for _ in range(rng.randint(1, 3))))
 
 
-def _every_controlled_op():
-    """LAMBDA[g], and C2[g] with no phase, zeta, zeta^7 or -1, on both wire
-    orders of two qutrits: g is every table kind, every TAU and every
-    ZPHASE/XPHASE with exponents in thirds 0..8/3 (1,760 ops)."""
-    thirds = [Fraction(k, 3) for k in range(9)]
-    forms = [(kind, ()) for kind in sorted(GATES)] + [("TAU", (lab,)) for lab in TAU_LABELS]
-    forms += [(kind, (a, b)) for kind in ("ZPHASE", "XPHASE") for a in thirds for b in thirds]
-    for c, t in ((0, 1), (1, 0)):
-        for kind, params in forms:
-            inner = Op(kind, (t,), params)
-            yield Circuit(2, (Op("LAMBDA", (c,), inner=inner),))
-            for phase in (None, (1, 1), (1, 7), (-1, 0)):
-                yield Circuit(2, (Op("C2", (c,), inner=inner, phase=phase),))
-
-
 class TestGateTableProperties:
     def test_print_parse_roundtrip(self):
         for circ in _random_words(200):
@@ -304,7 +289,7 @@ class TestGateTableProperties:
             assert circuit_matrix(adjoint(circ)) == m.dag(), print_circuit(circ)
 
     def test_expansion_is_exact_or_refused(self):
-        for circuits, least in ((_random_words(150), 50), (_every_controlled_op(), 32)):
+        for circuits, least in ((_random_words(150), 50), (every_controlled_op(), 32)):
             expanded = 0
             for circ in circuits:
                 try:

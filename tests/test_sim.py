@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     CT_KINDS,
     assert_close,
+    every_controlled_op,
     mat_complex,
     numeric_gate,
     numeric_op,
@@ -369,6 +370,8 @@ class TestIntegerSimulator:
             length = rng.randint(1, 10 if n < 3 else 4)
             circ = Circuit(n, tuple(random_any_op(rng, n) for _ in range(length)))
             assert circuit_matrix(circ) == _reference_matrix(circ), circ
+        for circ in every_controlled_op():
+            assert circuit_matrix(circ) == _reference_matrix(circ), circ
 
     def test_pending_exponents_differ_across_dense_sources(self):
         rng = random.Random(0x9E7D)
@@ -397,7 +400,7 @@ class TestIntegerSimulator:
 
     def test_which_forms_compile_to_monomial_data(self):
         def monomial(op: Op) -> bool:
-            return gates._compiled(op)[0] is not None
+            return gates._step(2, op)[0] is not None
 
         def controlled(g: Op) -> list[Op]:
             return [Op("LAMBDA", (0,), inner=g)] + [

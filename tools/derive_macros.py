@@ -344,26 +344,21 @@ def build_c2neg_tau12(c2sdg_ops: list[Op]) -> list[Op]:
     # scales the controlled block by a free power of omega.  Solve
     # W3 W2 W1 = -zeta**(-s1-s2-s3) * omega**j * tau12.
     by_sign = {1: class_dn, -1: class_up}
-    found = None
-    for signs in ((1, 1, 1), (-1, -1, -1), (1, 1, -1), (1, -1, 1), (-1, 1, 1),
-                  (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
-        s1, s2, s3 = signs
-        for j in range(3):
-            scale = MINUS_ONE * Cyclo36.zeta9_pow(-(s1 + s2 + s3)) * omega**j
-            target3 = tau12.scale(scale)
-            for v1, w1 in by_sign[s1].values():
-                for v2, w2 in by_sign[s2].values():
-                    v3 = target3 @ v1.dag() @ v2.dag()
-                    hit = by_sign[s3].get(v3.rows)
-                    if hit is not None:
-                        found = (signs, j, (v1, w1), (v2, w2), hit)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
+
+    def triples():
+        for signs in ((1, 1, 1), (-1, -1, -1), (1, 1, -1), (1, -1, 1), (-1, 1, 1),
+                      (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
+            s1, s2, s3 = signs
+            for j in range(3):
+                scale = MINUS_ONE * Cyclo36.zeta9_pow(-(s1 + s2 + s3)) * omega**j
+                target3 = tau12.scale(scale)
+                for v1, w1 in by_sign[s1].values():
+                    for v2, w2 in by_sign[s2].values():
+                        hit = by_sign[s3].get((target3 @ v1.dag() @ v2.dag()).rows)
+                        if hit is not None:
+                            yield signs, j, (v1, w1), (v2, w2), hit
+
+    found = next(triples(), None)
     if found is None:
         raise SystemExit("no Clifford triple yields -tau12 up to a control phase")
     signs, j, *pieces = found
