@@ -9,94 +9,56 @@ all-2 (for A) or all-1 (for C) 3x3 block.  Violating any of these
 necessary conditions certifies that no ancilla-free single-qutrit circuit
 over the gate set implements the operator; passing them is consistency
 evidence only, never a membership proof.
+
+The two bordered patterns form one orbit, since diag(1, 2, 2, 2) maps the
+all-1 border onto the all-2 one, and ``is_bordered`` tests membership
+directly: a 4x4 pattern p over Z_3 is in the orbit iff it has exactly one
+zero row and exactly one zero column, and the 3x3 interior M left after
+deleting them has no zero entry and rank one.  Proof: a monomial map
+permutes and scales rows and columns by units, so it keeps the zero rows,
+the zero columns, the zero entries and the rank, which the bordered
+patterns have as stated.  Conversely, permute the zero row and column
+first; a rank-one interior with no zero is u v^T with u, v in {1, 2}^3, and
+scaling the rows by u and the columns by v (each unit is its own inverse)
+gives the all-1 block.
+
+The code tests M[r][s] M[0][0] = M[r][0] M[0][s] for all r, s and nothing
+more, since M has no zero row or column.  If M[0][0] = 0, each r, s has
+M[r][0] = 0 or M[0][s] = 0, so column 0 or row 0 of M is zero; otherwise
+M = u v^T with u = M[.][0] and v = M[0][.] / M[0][0], and a zero in u or v
+would be a zero row or column of M.  Either way rank one with no zero line
+leaves no zero entry.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from qutrit_exact.adjoint.rep import AdjointMatrix, adjoint_of, block_lde
-from qutrit_exact.errors import KTooSmallError, RingError
+from qutrit_exact.errors import RingError
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
-@dataclass(frozen=True)
-class ResiduePattern:
-    """4x4 matrix over Z_3, compared up to monomial row/column action."""
-
-    cells: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.cells) != 4 or any(len(r) != 4 for r in self.cells):
-            raise ValueError("residue pattern must be 4 x 4")
-        object.__setattr__(
-            self, "cells", tuple(tuple(v % 3 for v in row) for row in self.cells)
-        )
-
-
-#: Bordered patterns: zero first row/column framing a constant 3x3 block.
-BORDERED_TWOS = ResiduePattern(
-    ((0, 0, 0, 0), (0, 2, 2, 2), (0, 2, 2, 2), (0, 2, 2, 2))
-)
-BORDERED_ONES = ResiduePattern(
-    ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 1), (0, 1, 1, 1))
-)
-
-_PERMS = tuple(itertools.permutations(range(4)))
-# a global factor on the rows is absorbed by the column side, so row 0 keeps scale 1
-_SCALES = tuple((1,) + rest for rest in itertools.product((1, 2), repeat=3))
-
-
-def _canon_column(col: tuple[int, ...]) -> tuple[int, ...]:
-    doubled = tuple(2 * v % 3 for v in col)
-    return col if col <= doubled else doubled
-
-
-def _column_profile(cells) -> tuple:
-    cols = tuple(tuple(cells[r][c] for r in range(4)) for c in range(4))
-    return tuple(sorted(_canon_column(c) for c in cols))
-
-
-def pattern_equiv(p: ResiduePattern, q: ResiduePattern) -> bool:
-    """True iff monomial matrices L, R over Z_3 exist with L p R = q.
-
-    Row transforms are enumerated: the permutations that send each row of p
-    to a row of q with as many zeros (a monomial action keeps that count),
-    times the 8 scalings with row 0 fixed.  For each, a column transform
-    exists iff the multisets of columns agree after canonicalizing each
-    column up to a global Z_3 scaling, which is checked directly instead of
-    enumerating the column side.
-    """
-    if p.cells == q.cells:
-        return True
-    zp = [row.count(0) for row in p.cells]
-    zq = [row.count(0) for row in q.cells]
-    if sorted(zp) != sorted(zq):
+def is_bordered(p: tuple[tuple[int, ...], ...]) -> bool:
+    """True iff the 4x4 pattern p (entries 0, 1, 2) is monomially equivalent
+    to the bordered all-1, equivalently all-2, pattern."""
+    zero_rows = [i for i in range(4) if not any(p[i])]
+    zero_cols = [j for j in range(4) if not any(row[j] for row in p)]
+    if len(zero_rows) != 1 or len(zero_cols) != 1:
         return False
-    target = _column_profile(q.cells)
-    for perm in _PERMS:
-        if any(zp[perm[i]] != zq[i] for i in range(4)):
-            continue
-        rows = [p.cells[i] for i in perm]
-        for scales in _SCALES:
-            transformed = tuple(
-                tuple(s * v % 3 for v in row) for s, row in zip(scales, rows)
-            )
-            if _column_profile(transformed) == target:
-                return True
-    return False
+    m = [[v for j, v in enumerate(row) if j not in zero_cols]
+         for i, row in enumerate(p) if i not in zero_rows]
+    return all(v * m[0][0] % 3 == row[0] * m[0][s] % 3 for row in m for s, v in enumerate(row))
 
 
-def residue_pattern(m: AdjointMatrix, block: str, k: int) -> ResiduePattern:
-    """Residue of alpha**k * entry over a block; raises K_TOO_SMALL if k is too small."""
-
-    def cell(lde: int, r: int) -> int:
-        if k < lde:
-            raise KTooSmallError(f"k={k} is below the least denominator exponent")
-        return r if k == lde else 0  # the residue map sends alpha to 0
-
-    return ResiduePattern(tuple(tuple(cell(*p) for p in row) for row in m.alpha_block(block)))
+def residue_pattern(m: AdjointMatrix, block: str, k: int) -> tuple[tuple[int, ...], ...] | None:
+    """Residues of alpha**k times a block's entries, or None when some entry
+    needs an exponent above k."""
+    cells = m.alpha_block(block)
+    if any(lde > k for row in cells for lde, _ in row):
+        return None
+    # the residue map sends alpha to 0
+    return tuple(tuple(r if lde == k else 0 for lde, r in row) for row in cells)
 
 
 @dataclass(frozen=True)
@@ -154,23 +116,22 @@ def single_qutrit_ct_obstruction(u: UnitaryMatrix) -> ObstructionVerdict:
             lde_a=0,
         )
 
-    if not pattern_equiv(residue_pattern(adj, "A", lde_a), BORDERED_TWOS):
+    if not is_bordered(residue_pattern(adj, "A", lde_a)):
         return ObstructionVerdict(
             "obstructed",
             reason=f"residue of block A at exponent {2 * k} is not monomially "
             "equivalent to the bordered all-2 pattern",
             lde_a=lde_a,
         )
-    try:
-        pat_c = residue_pattern(adj, "C", 2 * k + 1)
-    except KTooSmallError:
+    pat_c = residue_pattern(adj, "C", 2 * k + 1)
+    if pat_c is None:
         return ObstructionVerdict(
             "obstructed",
             reason=f"block C needs a denominator exponent beyond {2 * k + 1}, "
             "violating the block structure of exact circuits",
             lde_a=lde_a,
         )
-    if not pattern_equiv(pat_c, BORDERED_ONES):
+    if not is_bordered(pat_c):
         return ObstructionVerdict(
             "obstructed",
             reason=f"residue of block C at exponent {2 * k + 1} is not "

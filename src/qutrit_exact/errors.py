@@ -4,7 +4,6 @@ from __future__ import annotations
 
 __all__ = [
     "DimMismatchError",
-    "KTooSmallError",
     "NotInAError",
     "NotRealError",
     "ParseError",
@@ -58,12 +57,6 @@ class NotInAError(RingError):
     """Raised when a real value lies outside the alpha-local ring."""
 
     code = "NOT_IN_A"
-
-
-class KTooSmallError(RingError):
-    """Raised when k-th residue is requested below the least denominator exponent."""
-
-    code = "K_TOO_SMALL"
 
 
 class ParseError(QutritExactError):

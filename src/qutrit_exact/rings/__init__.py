@@ -2,12 +2,11 @@
 
 from .alpha import to_alpha
 from .cyclo import MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO, Cyclo36
-from ..errors import KTooSmallError, NotInAError, NotRealError, RingError
+from ..errors import NotInAError, NotRealError, RingError
 from .membership import RingTag, in_ring
 
 __all__ = [
     "Cyclo36",
-    "KTooSmallError",
     "MINUS_ONE",
     "NotInAError",
     "NotRealError",

@@ -17,10 +17,10 @@ per width and op, built from that form as a program: for each row, its
 (source row, c, x) terms of c * zeta_18**x.  One kernel, ``_run``, sums the
 terms' sources rotated by zeta_18**(x + e) and folds the result into six
 planes; the gate then adds k to d, and the final s**(d % 2) runs on the
-same kernel.  A monomial gate, whose program has k = 0 and one term with
-c = 1 per row, runs on a fast path read off that program: one gather of
-both lists, which permutes the rows and adds each x to its row's e.  The
-matrix over Q(zeta_36) is decoded once, at the end.
+same kernel.  A gate with k = 0 is monomial, one term with c = 1 per row
+(``_step`` gives the reason), and runs on a fast path read off its program:
+one gather of both lists, which permutes the rows and adds each x to its
+row's e.  The matrix over Q(zeta_36) is decoded once, at the end.
 
 W, the least multiple of 8 with W >= d + 4, is wide enough.  Packing is
 Z-linear, so only the final lanes must satisfy |c| < 2**(W-1).  They are the
@@ -204,11 +204,14 @@ def _run(program, exps, planes) -> list:
 def _step(n: int, op: Op):
     """A gate on n qutrits as (gather, program, k), the power k of s that it
     adds to d.  The program holds, per row, the (source row, c, x) terms of
-    c * zeta_18**x, a minus sign folded into x.  When k is 0 and every row is
-    one term with c = 1, the step is a gather instead, with program None: an
-    itemgetter of the rows' sources, and their x as the exponents the rows
-    gain (None when all are 0).  The sources then form a permutation: the
-    local rows are unitary, so two rows that each hold one unit are
+    c * zeta_18**x, a minus sign folded into x.  When k is 0 the step is a
+    gather instead, with program None: an itemgetter of the rows' sources,
+    and their x as the exponents the rows gain (None when all are 0).  Then
+    every row is one term with c = 1: each local entry is an algebraic
+    integer whose conjugates all have modulus at most 1 (sigma of a unitary
+    is unitary), so by Kronecker's theorem it is 0 or +-zeta_9**j, which
+    ``_terms`` writes as one term, and a unitary row holds one such unit.
+    The sources form a permutation: two rows that each hold one unit are
     orthogonal only if their units sit in different columns."""
     k, terms = _compiled(canonical(op))
     local, base, offsets = _layout(n, op.all_wires())
@@ -217,7 +220,7 @@ def _step(n: int, op: Op):
               for off, t in zip(offsets, terms[local[r]]) for c, j in t)
         for r in range(3**n)
     )
-    if k or any(len(row) != 1 or row[0][1] != 1 for row in program):
+    if k:
         return None, program, k
     source, _, gain = zip(*(row[0] for row in program))
     return (itemgetter(*source), gain if any(gain) else None), None, 0

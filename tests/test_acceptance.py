@@ -13,11 +13,9 @@ import pytest
 
 from conftest import ALPHA, CLIFFORD_KINDS, CT_KINDS, random_word
 from qutrit_exact.adjoint import (
-    BORDERED_ONES,
-    BORDERED_TWOS,
     adjoint_of,
     block_lde,
-    pattern_equiv,
+    is_bordered,
     residue_pattern,
     single_qutrit_ct_obstruction,
 )
@@ -61,8 +59,8 @@ def test_criterion_07_r_adjoint_obstruction():
     residue patterns that the obstruction reads."""
     adj = adjoint_of(_g("R"))
     assert block_lde(adj, "A") == 6
-    assert pattern_equiv(residue_pattern(adj, "A", 6), BORDERED_TWOS)
-    assert not pattern_equiv(residue_pattern(adj, "C", 7), BORDERED_ONES)
+    assert is_bordered(residue_pattern(adj, "A", 6))
+    assert not is_bordered(residue_pattern(adj, "C", 7))
 
 
 def test_criterion_09_property_suites():

@@ -16,19 +16,16 @@ from conftest import (
     to_complex,
 )
 from qutrit_exact.adjoint import (
-    BORDERED_ONES,
-    BORDERED_TWOS,
-    ResiduePattern,
     adjoint_of,
     block_lde,
-    pattern_equiv,
+    is_bordered,
     residue_pattern,
     single_qutrit_ct_obstruction,
 )
 from qutrit_exact.adjoint.rep import _times_i
 from qutrit_exact.circuit.core import Circuit, Op
 from qutrit_exact.errors import DimMismatchError
-from qutrit_exact.rings import KTooSmallError, NotInAError
+from qutrit_exact.rings import NotInAError
 from qutrit_exact.rings.cyclo import Cyclo36, conjugate_coords
 from qutrit_exact.rings.packed import lane_width
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
@@ -261,8 +258,13 @@ class TestBlocks:
             block_lde(adjoint_of(_gate("T")), "E")
 
 
+# the bordered all-2 pattern
+_ALL_TWO = ((0, 0, 0, 0), (0, 2, 2, 2), (0, 2, 2, 2), (0, 2, 2, 2))
+
+
 def _bordered_orbit() -> set:
-    """BORDERED_TWOS under row/column swaps and x2 scalings, by breadth-first search."""
+    """The bordered all-2 pattern under row/column swaps and x2 scalings, by
+    breadth-first search."""
 
     def row_moves(rows):
         for a in range(4):
@@ -277,7 +279,7 @@ def _bordered_orbit() -> set:
         for t in row_moves(tuple(zip(*cells))):
             yield tuple(zip(*t))
 
-    seen, frontier = {BORDERED_TWOS.cells}, [BORDERED_TWOS.cells]
+    seen, frontier = {_ALL_TWO}, [_ALL_TWO]
     while frontier:
         nxt = []
         for cells in frontier:
@@ -289,117 +291,76 @@ def _bordered_orbit() -> set:
     return seen
 
 
-def _reference_equiv(p: ResiduePattern, q: ResiduePattern) -> bool:
-    """pattern_equiv by the full 24 x 16 row-transform enumeration."""
-
-    def profile(cells):
-        cols = [tuple(r[c] for r in cells) for c in range(4)]
-        return sorted(min(c, tuple(2 * v % 3 for v in c)) for c in cols)
-
-    target = profile(q.cells)
-    return any(
-        profile([[s * v % 3 for v in p.cells[perm[i]]] for i, s in enumerate(scales)])
-        == target
-        for perm in itertools.permutations(range(4))
-        for scales in itertools.product((1, 2), repeat=4)
-    )
+def _profile_patterns():
+    """The 131,072 patterns with one zero row and exactly one zero in each other row."""
+    rows = [r for r in itertools.product(range(3), repeat=4) if r.count(0) == 1]
+    for z in range(4):
+        for others in itertools.product(rows, repeat=3):
+            yield others[:z] + ((0,) * 4,) + others[z:]
 
 
-def _random_pattern(rng) -> ResiduePattern:
-    # zeros weighted up, so that zero counts vary across rows
-    return ResiduePattern(
-        tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(4)) for _ in range(4))
+def _scrambled(cells, rng):
+    """cells under a random monomial row and column action."""
+    rows, cols = rng.sample(range(4), 4), rng.sample(range(4), 4)
+    rs, cs = [rng.choice((1, 2)) for _ in range(4)], [rng.choice((1, 2)) for _ in range(4)]
+    return tuple(
+        tuple(cells[rows[i]][cols[j]] * rs[i] * cs[j] % 3 for j in range(4)) for i in range(4)
     )
 
 
 def _mutations(cells):
+    """cells with one entry changed, and with one more row or column zeroed."""
     for r in range(4):
         for c in range(4):
             for d in (1, 2):
                 rows = [list(row) for row in cells]
                 rows[r][c] = (rows[r][c] + d) % 3
-                yield ResiduePattern(tuple(tuple(row) for row in rows))
+                yield tuple(tuple(row) for row in rows)
+    for line in range(4):
+        yield tuple((0,) * 4 if i == line else row for i, row in enumerate(cells))
+        yield tuple(tuple(0 if j == line else v for j, v in enumerate(row)) for row in cells)
 
 
 class TestPatterns:
     def test_equiv_is_orbit_membership(self, rng):
         orbit = _bordered_orbit()
         assert len(orbit) == 512  # 4 x 4 border positions x 32 sign patterns
-        for cells in orbit:
-            p = ResiduePattern(cells)
-            assert pattern_equiv(p, BORDERED_TWOS) and pattern_equiv(p, BORDERED_ONES)
+        ones = tuple(tuple(v and 1 for v in row) for row in _ALL_TWO)
+        patterns = [ones, ((1, 0, 2, 0), (0, 1, 0, 2), (2, 0, 1, 0), (0, 2, 0, 1))]
+        patterns += [_scrambled(ones, rng) for _ in range(20)]
         for cells in rng.sample(sorted(orbit), 40):
-            for m in _mutations(cells):
-                assert pattern_equiv(m, BORDERED_TWOS) == (m.cells in orbit)
-        for _ in range(300):
-            p = _random_pattern(rng)
-            assert pattern_equiv(p, BORDERED_ONES) == (p.cells in orbit)
-
-    def test_equiv_matches_full_enumeration(self, rng):
-        outcomes = set()
-        for _ in range(150):
-            p = _random_pattern(rng)
-            rows, cols = rng.sample(range(4), 4), rng.sample(range(4), 4)
-            rs, cs = [rng.choice((1, 2)) for _ in range(4)], [rng.choice((1, 2)) for _ in range(4)]
-            q = ResiduePattern(tuple(
-                tuple(p.cells[rows[i]][cols[j]] * rs[i] * cs[j] % 3 for j in range(4))
-                for i in range(4)
-            ))
-            if rng.random() < 0.5:
-                q = rng.choice(list(_mutations(q.cells)))
-            want = _reference_equiv(p, q)
-            assert pattern_equiv(p, q) == want
-            outcomes.add(want)
-        assert outcomes == {True, False}
-
-    def test_bordered_patterns_are_equivalent_to_each_other(self):
-        # row scaling by 2 maps the all-2 interior onto the all-1 interior
-        assert pattern_equiv(BORDERED_TWOS, BORDERED_ONES)
-
-    def test_equiv_is_reflexive_and_symmetric(self):
-        p = ResiduePattern(((1, 0, 2, 0), (0, 1, 0, 2),
-                            (2, 0, 1, 0), (0, 2, 0, 1)))
-        assert pattern_equiv(p, p)
-        assert pattern_equiv(p, BORDERED_ONES) == pattern_equiv(BORDERED_ONES, p)
+            patterns += _mutations(cells)
+        # any shape: uniform, and with zeros weighted up so that zero lines occur
+        for weights in ((0, 1, 2), (0, 0, 1, 2), (0, 0, 0, 1, 2)):
+            patterns += [
+                tuple(tuple(rng.choice(weights) for _ in range(4)) for _ in range(4))
+                for _ in range(2000)
+            ]
+        for cells in patterns:
+            assert is_bordered(cells) == (cells in orbit)
+        # the profile patterns hold the whole orbit
+        assert sorted(cells for cells in _profile_patterns() if is_bordered(cells)) == sorted(orbit)
 
     def test_equiv_under_permutation_and_scaling(self, rng):
-        base = BORDERED_TWOS.cells
+        orbit = _bordered_orbit()
         for _ in range(20):
-            rows = list(range(4))
-            cols = list(range(4))
-            rng.shuffle(rows)
-            rng.shuffle(cols)
-            rscale = [rng.choice((1, 2)) for _ in range(4)]
-            cscale = [rng.choice((1, 2)) for _ in range(4)]
-            scrambled = ResiduePattern(
-                tuple(
-                    tuple(
-                        (base[rows[i]][cols[j]] * rscale[i] * cscale[j]) % 3
-                        for j in range(4)
-                    )
-                    for i in range(4)
-                )
-            )
-            assert pattern_equiv(scrambled, BORDERED_TWOS)
+            scrambled = _scrambled(_ALL_TWO, rng)
+            assert scrambled in orbit
+            assert is_bordered(scrambled)
 
     def test_inequivalent_patterns(self):
-        zero = ResiduePattern(((0,) * 4,) * 4)
-        ident = ResiduePattern(tuple(
-            tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
-        ))
-        assert not pattern_equiv(zero, BORDERED_ONES)
-        assert not pattern_equiv(ident, BORDERED_ONES)
-        assert not pattern_equiv(zero, ident)
+        zero = ((0,) * 4,) * 4
+        ident = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+        assert not is_bordered(zero)
+        assert not is_bordered(ident)
 
     def test_r_residues(self):
         adj = adjoint_of(_gate("R"))
-        assert pattern_equiv(residue_pattern(adj, "A", 6), BORDERED_TWOS)
-        assert not pattern_equiv(residue_pattern(adj, "C", 7), BORDERED_ONES)
+        assert is_bordered(residue_pattern(adj, "A", 6))
+        assert not is_bordered(residue_pattern(adj, "C", 7))
 
     def test_residue_needs_large_enough_exponent(self):
-        adj = adjoint_of(_gate("R"))
-        with pytest.raises(KTooSmallError):
-            residue_pattern(adj, "A", 5)
+        assert residue_pattern(adjoint_of(_gate("R")), "A", 5) is None
 
 
 class TestObstructionVerdicts:
