@@ -18,6 +18,13 @@ Z[zeta_36] at p is F_9 = Z[i]/3 with zeta -> i; complex conjugation acts on
 it as the Frobenius, so a real numerator vector n reduces to the rational
 part of sum(n_j * i**j) mod 3, and beta divides n exactly when that is 0.
 
+Dividing by beta is a map of coordinates, ``_over_beta``, with no product:
+over the power basis of zeta,
+3/beta = zeta + 2 zeta^3 + zeta^5 - 2 zeta^7 - zeta^9 + zeta^11, and each
+output coordinate is a line of that product reduced mod Phi_36, divided
+exactly by 3.  The constant has only odd powers, so even outputs read only
+odd inputs and odd outputs only even ones.
+
 Membership needs no change of basis.  The discriminant of the minimal
 polynomial of beta is 2^6 * 3^9 and the polynomial is Eisenstein at 3, so
 the index of Z[beta] in the integers of K is a power of 2: Z[1/2][alpha] is
@@ -32,13 +39,27 @@ so v <= 5: at most five divisions by beta.
 
 from __future__ import annotations
 
-from .cyclo import Cyclo36, _mul_vectors
+from .cyclo import Cyclo36
 from ..errors import NotInAError, NotRealError
 
 __all__ = ["denominator_exponents", "to_alpha"]
 
-# 3/beta = 9*beta - 6*beta^3 + beta^5 over the power basis of zeta
-_THREE_OVER_BETA = (0, 1, 0, 2, 0, 1, 0, -2, 0, -1, 0, 1)
+
+def _over_beta(n) -> tuple[int, ...]:
+    """n / beta for numerators n that beta divides, as n * (3/beta) / 3."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = n
+    return ((-a1 + a3 + 2*a5 - 2*a7 - a9 + a11) // 3,
+            (a0 - a2 + a4 + 2*a6 - 2*a8 - a10) // 3,
+            (a1 - a3 + a5 + 2*a7 - 2*a9 - a11) // 3,
+            (2*a0 + a2 - a4 + a6 + 2*a8 - 2*a10) // 3,
+            (2*a1 + a3 - a5 + a7 + 2*a9 - 2*a11) // 3,
+            (a0 + 2*a2 + a4 - a6 + a8 + 2*a10) // 3,
+            (2*a1 + a3 - a5 + a7 + 2*a9 + a11) // 3,
+            (-2*a0 + 2*a2 + a4 - a6 + a8 + 2*a10) // 3,
+            (-2*a1 + 2*a3 + a5 - a7 + a9 + 2*a11) // 3,
+            (-a0 - 2*a2 + 2*a4 + a6 - a8 + a10) // 3,
+            (-a1 - 2*a3 + 2*a5 + a7 - a9 + a11) // 3,
+            (a0 - a2 - 2*a4 + 2*a6 + a8 - a10) // 3)
 
 
 def _residue(n) -> int:
@@ -77,7 +98,7 @@ def to_alpha(x: Cyclo36) -> tuple[int, int]:
             # v <= 5 (module docstring), so a sixth division is a defect; not a
             # RingError, which ringcert would read as "not a member"
             raise AssertionError("beta divides a numerator free of 3 more than five times")
-        n = [c // 3 for c in _mul_vectors(n, _THREE_OVER_BETA)]
+        n = _over_beta(n)
         lde -= 1
     r = _residue(n)
     return lde, -r % 3 if (a + lde) & 1 else r

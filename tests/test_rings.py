@@ -11,7 +11,7 @@ from conftest import ALPHA, CT_KINDS, IMAG, approx_equal, random_cyclo, random_w
 from qutrit_exact.adjoint import adjoint_of
 from qutrit_exact.circuit.core import Op
 from qutrit_exact.rings import NotInAError, NotRealError
-from qutrit_exact.rings.alpha import to_alpha
+from qutrit_exact.rings.alpha import _over_beta, to_alpha
 from qutrit_exact.rings.cyclo import MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO, Cyclo36
 from qutrit_exact.rings.membership import RingTag, in_ring
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
@@ -265,13 +265,23 @@ class TestAlphaRing:
             fx = sum(float(c) * alpha**k for k, c in enumerate(coeffs))
             assert abs(to_complex(x).real - fx) < 1e-8
 
+    def test_over_beta_inverts_the_product_by_beta(self):
+        # the reference is Cyclo36's product by beta = 2*alpha, not the map
+        beta = ALPHA * 2
+        for j in range(6):
+            assert _over_beta((beta ** (j + 1)).numerators) == (beta**j).numerators
+        rng = random.Random(0xBE7A)
+        for _ in range(500):
+            c = Cyclo36([rng.randint(-10**6, 10**6) for _ in range(12)])
+            m = c + c.conjugate()
+            assert m.is_real()
+            assert _over_beta((beta * m).numerators) == m.numerators
+
     def test_division_loop_is_bounded(self, monkeypatch):
-        # with a wrong 3/beta, beta seems to divide alpha/3 forever; as 3 does
+        # with a wrong map, beta seems to divide alpha/3 forever; as 3 does
         # not divide its numerators, the sixth division raises, and not as a
         # RingError, which ringcert would read as "not a member"
-        monkeypatch.setattr(
-            "qutrit_exact.rings.alpha._THREE_OVER_BETA", (0, 1, 0, 2, 0, 1, 0, -1, 0, -1, 0, 1)
-        )
+        monkeypatch.setattr("qutrit_exact.rings.alpha._over_beta", lambda n: n)
         with pytest.raises(AssertionError):
             to_alpha(ALPHA * Fraction(1, 3))
 

@@ -19,11 +19,11 @@ from conftest import (
     random_word,
 )
 from qutrit_exact.circuit import TAU_LABELS
-from qutrit_exact.circuit.core import GATES, Circuit, Op, adjoint, tensor
+from qutrit_exact.circuit.core import GATES, Circuit, Op, adjoint, gate_facts, tensor
 from qutrit_exact.circuit.macros import circuits_dir, expand_macros
 from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.errors import DimMismatchError, RingError
-from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE, ZERO
+from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO
 from qutrit_exact.sim import gates
 from qutrit_exact.sim.gates import MAX_QUTRITS, circuit_matrix, gate_local, gate_matrix
 from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact, equal_up_to_phase
@@ -282,13 +282,57 @@ class TestControlledTarget:
                 assert m.entry(6 + r, 6 + c) == inner.entry(r, c) * phase
 
 
+# H = (omega - omega^2)/3 * [[1,1,1],[1,w,w^2],[1,w^2,w]] and its adjoint,
+# written out here so that the reference shares no gate matrix with
+# ``gate_local``; every other gate is read off its ``gate_facts``
+_REF_H = tuple(tuple((OMEGA - OMEGA2) * Fraction(1, 3) * Cyclo36.omega_pow(r * c)
+                     for c in range(3)) for r in range(3))
+_REF_HDG = tuple(tuple((OMEGA2 - OMEGA) * Fraction(1, 3) * Cyclo36.omega_pow(-r * c)
+                       for c in range(3)) for r in range(3))
+
+
+def _reference_single(kind: str, params: tuple) -> UnitaryMatrix:
+    if kind in ("H", "HDG"):
+        return UnitaryMatrix(_REF_H if kind == "H" else _REF_HDG)
+    if kind == "XPHASE":
+        z = _reference_single("ZPHASE", params)
+        return UnitaryMatrix(_REF_H) @ z @ UnitaryMatrix(_REF_HDG)
+    facts = gate_facts(kind, params)
+    rows = [[ZERO] * 3 for _ in range(3)]
+    for col, (row, e) in enumerate(zip(facts.images, facts.zeta18)):
+        rows[row][col] = Cyclo36.zeta_pow(2 * e)
+    return UnitaryMatrix(tuple(tuple(r) for r in rows))
+
+
+def _reference_local(op: Op):
+    """An op's local rows, with a two-qutrit gate as the block diagonal over
+    the control digit j: g**j for LAMBDA[g] and CX = LAMBDA[X], and
+    sign * zeta_9**e * g for C2[g] only at j = 2."""
+    if op.kind not in ("CX", "C2", "LAMBDA"):
+        return _reference_single(op.kind, op.params).rows
+    inner = ("X", ()) if op.kind == "CX" else (op.inner.kind, op.inner.params)
+    g = _reference_single(*inner)
+    eye = UnitaryMatrix.identity(3)
+    if op.kind == "C2":
+        sign, e = op.phase or (1, 0)
+        blocks = (eye, eye, g.scale(Cyclo36.zeta9_pow(e) * sign))
+    else:
+        blocks = (eye, g, g @ g)
+    local = [[ZERO] * 9 for _ in range(9)]
+    for j, block in enumerate(blocks):
+        for r in range(3):
+            for c in range(3):
+                local[3 * j + r][3 * j + c] = block.rows[r][c]
+    return tuple(tuple(row) for row in local)
+
+
 def _reference_matrix(circ: Circuit) -> UnitaryMatrix:
-    """The circuit matrix over Cyclo36, applying each op's ``gate_local`` rows
-    to whole matrix rows: the dense path the integer simulator replaced."""
+    """The circuit matrix over Cyclo36, applying each op's ``_reference_local``
+    rows to whole matrix rows: the dense path the integer simulator replaced."""
     n, dim = circ.n, 3**circ.n
     acc = UnitaryMatrix.identity(dim).rows
     for op in circ.ops:
-        local, wires = gate_local(op)
+        local, wires = _reference_local(op), op.all_wires()
         places = [3 ** (n - 1 - w) for w in wires]
 
         def offset(idx):  # the rows a local index adds on ``wires``
