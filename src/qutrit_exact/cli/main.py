@@ -35,8 +35,8 @@ from qutrit_exact.cli.catalog import run_catalog
 from qutrit_exact.errors import DimMismatchError, ParseError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
 from qutrit_exact.rings.membership import RingTag
-from qutrit_exact.sim.gates import check_width, circuit_matrix, phase_unit
-from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact, equal_up_to_phase
+from qutrit_exact.sim.gates import check_width, circuit_matrix, circuit_scalar, phase_unit
+from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -88,25 +88,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     phase = None if args.phase is None else parse_phase_value(args.phase)
     if args.mode == "cphase" and phase is None:
         raise ValueError("--mode cphase requires --phase VALUE")
-    # U = c * (+-V) exactly when V^dag U = +-c * I: one simulation, no target matrix
-    m = circuit_matrix(Circuit(circ.n, circ.ops + adjoint(target).ops))
+    # U = c * (+-V) exactly when V^dag U = +-c * I: one simulation, no matrix decoded
+    c = circuit_scalar(Circuit(circ.n, circ.ops + adjoint(target).ops))
     unit = MINUS_ONE if negated else ONE
     if args.mode == "cphase":
         unit *= phase
-    scalar = UnitaryMatrix.identity(m.dim, unit)
     print(f"mode: {args.mode}")
     if args.mode == "exact":
-        ok = equal_exact(m, scalar)
+        ok = c == unit
         detail = "circuit matrix equals the target entrywise"
     elif args.mode == "phase":
-        witness = equal_up_to_phase(m, scalar)
-        ok = witness is not None
+        witness = None if c is None else c * unit.inverse()
+        ok = witness is not None and witness * witness.conjugate() == ONE
         if ok:
             print(f"phase: {witness}")
         detail = "circuit matrix equals a unit multiple of the target"
     else:  # cphase
         print(f"phase: {phase}")
-        ok = equal_exact(m, scalar)
+        ok = c == unit
         detail = "circuit matrix equals phase * target entrywise"
     if ok:
         print(f"result: verified ({detail})")

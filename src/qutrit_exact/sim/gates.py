@@ -31,6 +31,17 @@ Tr(zeta_9**k) is 6, -3 or 0 when 9 | k, 3 | k or neither,
 9 c_j = 2 Tr(x zeta_9**-j) + Tr(x zeta_9**(-j-3)) for j < 3 (zeta_9**(3-j) for
 j >= 3).  Each trace is at most 6 max|sigma(x)|, so
 |c_j| <= 2 max|sigma(x)| <= 2 * 3**ceil(d/2) < 2**(d+3).
+
+``circuit_scalar`` decodes no matrix.  Row r of c * I is lane r alone, so
+every plane of row r must be v << (W * r) with |v| < 2**(W-1): balanced
+base-2**W digits are unique under that bound, so v is then the lane and
+every other lane is 0.  The lanes are read before the final s**(d % 2)
+step.  There they are the coordinates of s**d * zeta_18**-e * u, and the
+bound above holds for them as well, as
+|sigma(s**d * zeta_18**-e)| = 3**(d/2) <= 3**ceil(d/2).  Rows that share e
+must agree lane for lane.  One row per e then takes its zeta_18**e and the
+s**(d % 2) step on ``_run``, and all must give the same coordinates, those
+of (-3)**ceil(d/2) * c.  A row that fails either row test ends the read.
 """
 
 from __future__ import annotations
@@ -45,7 +56,9 @@ from ..errors import RingError
 from ..rings.cyclo import Cyclo36, ONE, ZERO, OMEGA, OMEGA2
 from .matrix import UnitaryMatrix
 
-__all__ = ["gate_matrix", "circuit_matrix", "check_width", "gate_local", "phase_unit"]
+__all__ = [
+    "gate_matrix", "circuit_matrix", "circuit_scalar", "check_width", "gate_local", "phase_unit",
+]
 
 _Rows = tuple[tuple[Cyclo36, ...], ...]
 # (coefficient, zeta_9 exponent) terms of one integral entry
@@ -226,13 +239,19 @@ def _step(n: int, op: Op):
     return (itemgetter(*source), gain if any(gain) else None), None, 0
 
 
-def _to_matrix(exps, planes, d: int, width: int) -> UnitaryMatrix:
-    # rows / s**d = rows * s**(d % 2) / (-3)**ceil(d / 2), and
-    # s = zeta_9^3 - zeta_9^6 = zeta_18^6 + zeta_18^21
+def _unscaled(exps, planes, d: int):
+    """``planes`` times their pending zeta_18**e and s**(d % 2), and the
+    denominator (-3)**ceil(d/2) left over: rows / s**d =
+    rows * s**(d % 2) / (-3)**ceil(d / 2), and s = zeta_9^3 - zeta_9^6 =
+    zeta_18^6 + zeta_18^21.  Row-wise and Z-linear, so it takes packed rows
+    and single lanes alike."""
     scale = ((1, 6), (1, 21)) if d % 2 else ((1, 0),)
-    planes = _run([tuple((r, c, x) for c, x in scale) for r in range(len(planes))],
-                  exps, planes)
-    den = (-3) ** ((d + 1) // 2)
+    program = [tuple((r, c, x) for c, x in scale) for r in range(len(planes))]
+    return _run(program, exps, planes), (-3) ** ((d + 1) // 2)
+
+
+def _to_matrix(exps, planes, d: int, width: int) -> UnitaryMatrix:
+    planes, den = _unscaled(exps, planes, d)
     dim, step = len(planes), width // 8
     # adding 2**(width-1) to every lane makes each lane c, |c| < 2**(width-1), unsigned
     half, bias = 1 << (width - 1), int.from_bytes((bytes(step - 1) + b"\x80") * dim, "little")
@@ -252,13 +271,8 @@ def _to_matrix(exps, planes, d: int, width: int) -> UnitaryMatrix:
     return UnitaryMatrix._of(tuple(out))
 
 
-def gate_matrix(op: Op, n: int) -> UnitaryMatrix:
-    """The 3**n-dimensional matrix of one gate."""
-    return circuit_matrix(Circuit(n, (op,)))
-
-
-def circuit_matrix(circ: Circuit) -> UnitaryMatrix:
-    """The exact unitary of a circuit (earlier gates act first)."""
+def _simulate(circ: Circuit):
+    """The packed rows of a circuit: (pending exponents, planes, d, lane width)."""
     check_width(circ.n)
     n, dim = circ.n, 3**circ.n
     steps = [_step(n, op) for op in circ.ops]
@@ -274,7 +288,39 @@ def circuit_matrix(circ: Circuit) -> UnitaryMatrix:
                 exps = tuple(map(add, exps, gain))
         else:
             planes, exps = _run(program, exps, planes), zeros
-    return _to_matrix(exps, planes, d, width)
+    return exps, planes, d, width
+
+
+def gate_matrix(op: Op, n: int) -> UnitaryMatrix:
+    """The 3**n-dimensional matrix of one gate."""
+    return circuit_matrix(Circuit(n, (op,)))
+
+
+def circuit_matrix(circ: Circuit) -> UnitaryMatrix:
+    """The exact unitary of a circuit (earlier gates act first)."""
+    return _to_matrix(*_simulate(circ))
+
+
+def circuit_scalar(circ: Circuit) -> Cyclo36 | None:
+    """The c with ``circuit_matrix(circ) == c * I``, or None when there is
+    none; read off the packed rows, with no matrix decoded."""
+    exps, planes, d, width = _simulate(circ)
+    half, lanes, shift = 1 << (width - 1), {}, 0
+    for e, row in zip(exps, planes):
+        # row r of c * I is lane r alone: every plane is v << (width * r), |v| < half
+        low, lo, hi = (1 << shift) - 1, -half << shift, half << shift
+        for p in row:
+            if p & low or not lo < p < hi:
+                return None
+        # rows that share a pending exponent agree before it is applied
+        vs = tuple([p >> shift for p in row])
+        if lanes.setdefault(e % 18, vs) != vs:
+            return None
+        shift += width
+    coords, den = _unscaled(tuple(lanes), list(lanes.values()), d)
+    if any(x != coords[0] for x in coords):
+        return None
+    return Cyclo36.from_zeta9_coords(coords[0], den)
 
 
 def check_width(n: int) -> None:

@@ -42,12 +42,12 @@ class UnitaryMatrix:
         return m
 
     @classmethod
-    def identity(cls, dim: int, unit: Cyclo36 = ONE) -> UnitaryMatrix:
-        """``unit`` times the identity: each row a copy of one row of the shared
-        ZERO with ``unit`` on the diagonal."""
+    def identity(cls, dim: int) -> UnitaryMatrix:
+        """The identity: each row a copy of one row of the shared ZERO with ONE
+        on the diagonal."""
         row, rows = [ZERO] * dim, []
         for r in range(dim):
-            row[r] = unit
+            row[r] = ONE
             rows.append(tuple(row))
             row[r] = ZERO
         return cls._of(tuple(rows))

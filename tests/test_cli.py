@@ -27,7 +27,9 @@ from qutrit_exact.circuit.parse import parse_circuit, parse_target
 from qutrit_exact.cli.main import main, parse_phase_value
 from qutrit_exact.errors import DimMismatchError, ParseError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, ONE
-from qutrit_exact.sim.gates import MAX_QUTRITS, circuit_matrix, gate_matrix, phase_unit
+from qutrit_exact.sim.gates import (
+    MAX_QUTRITS, circuit_matrix, circuit_scalar, gate_matrix, phase_unit,
+)
 from qutrit_exact.sim.matrix import equal_exact, equal_up_to_phase
 
 
@@ -602,10 +604,14 @@ class TestOneSimulation:
 
         def counted(circ):
             calls.append(circ)
-            return circuit_matrix(circ)
+            return circuit_scalar(circ)
 
-        monkeypatch.setattr(cli_main, "circuit_matrix", counted)
-        monkeypatch.setattr(sim_gates, "circuit_matrix", counted)
+        def decoded(circ):
+            raise AssertionError("verify decoded a matrix")
+
+        for module in (cli_main, sim_gates):
+            monkeypatch.setattr(module, "circuit_scalar", counted)
+            monkeypatch.setattr(module, "circuit_matrix", decoded)
         path = str(circuits_dir() / "r_construction.qc")
         for options, code in ((["--mode", "exact"], 0), (["--mode", "phase"], 0),
                               (["--mode", "cphase", "--phase", "omega"], 1)):

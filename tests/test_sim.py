@@ -25,7 +25,9 @@ from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.errors import DimMismatchError, RingError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO
 from qutrit_exact.sim import gates
-from qutrit_exact.sim.gates import MAX_QUTRITS, circuit_matrix, gate_local, gate_matrix
+from qutrit_exact.sim.gates import (
+    MAX_QUTRITS, circuit_matrix, circuit_scalar, gate_local, gate_matrix,
+)
 from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact, equal_up_to_phase
 
 
@@ -473,3 +475,63 @@ class TestIntegerSimulator:
             k, terms = gates._dense(gate_local(Op(kind, (0,)))[0])
             assert k == 1
             assert all(len(t) == 1 and abs(t[0][0]) == 1 for row in terms for t in row)
+
+
+def _decoded_scalar(circ: Circuit) -> Cyclo36 | None:
+    """m[0][0] when the decoded matrix m is m[0][0] * I, else None."""
+    m = circuit_matrix(circ)
+    c = m.entry(0, 0)
+    return c if m == UnitaryMatrix.identity(m.dim).scale(c) else None
+
+
+def _on(wire: int, *kinds: str) -> list[Op]:
+    return [Op(kind, (wire,), ("12",) if kind == "TAU" else ()) for kind in kinds]
+
+
+class TestCircuitScalar:
+    """circuit_scalar reads off the packed rows what the decoded matrix says."""
+
+    # gadgets on one wire: I, -I and -omega * I, the last with an odd power of s
+    GADGETS = {(): ONE, ("H", "H", "TAU"): MINUS_ONE, ("S", "H") * 3: -OMEGA}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_words_times_a_scalar_gadget(self, n):
+        rng = random.Random(0x5CA1 + n)
+        for _ in range(60 if n < 3 else 30):
+            word = [random_any_op(rng, n) for _ in range(rng.randint(1, 8 if n < 3 else 4))]
+            for kinds, want in self.GADGETS.items():
+                ops = word + list(adjoint(Circuit(n, tuple(word))).ops)
+                at = rng.randint(0, len(ops))
+                circ = Circuit(n, tuple(ops[:at] + _on(rng.randrange(n), *kinds) + ops[at:]))
+                assert circuit_scalar(circ) == _decoded_scalar(circ) == want, circ
+                # one gate dropped: a scalar only when the decoded matrix is one
+                drop = rng.randrange(len(circ.ops))
+                cut = Circuit(n, circ.ops[:drop] + circ.ops[drop + 1:])
+                assert circuit_scalar(cut) == _decoded_scalar(cut), cut
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_non_scalar_rows(self, n):
+        last = n - 1
+        cases = [
+            # the first and last rows swap: off-diagonal units in lanes 3**n - 1 and 0
+            [Op("TAU", (w,), ("02",)) for w in range(n)],
+            # diagonals whose rows differ only by omega, pending or in the planes
+            _on(last, "Z"),
+            _on(last, "Z", "H", "HDG"),
+            _on(last, "S", "H") * 3 + _on(last, "Z"),
+        ]
+        for ops in cases:
+            circ = Circuit(n, tuple(ops))
+            assert _decoded_scalar(circ) is None
+            assert circuit_scalar(circ) is None, ops
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_equal_only_after_their_pending_exponents(self, n):
+        # Z H HDG leaves diag(1, omega, omega^2) in the planes; Z Z puts its
+        # inverse into the pending exponents
+        for kinds, want in self.GADGETS.items():
+            circ = Circuit(n, tuple(_on(0, *kinds, "Z", "H", "HDG", "Z", "Z")))
+            exps, planes, _, width = gates._simulate(circ)
+            lanes = {tuple(p >> (width * r) for p in row) for r, row in enumerate(planes)}
+            assert len(set(exps)) == len(lanes) == 3
+            assert circuit_scalar(circ) == _decoded_scalar(circ) == want
