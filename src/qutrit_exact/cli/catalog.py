@@ -1,10 +1,11 @@
 """One-shot verification catalog: every shipped identity and obstruction.
 
 Most claims are ``Equation`` rows, lhs = phase * rhs as circuit matrices,
-and one function, ``check_equation``, checks them all.  The single-qutrit
-relations are written below; the rows for the bundled data files, with their
-claim names and pinned T-counts, are read from
-``qutrit_exact.circuit.macros.CONSTRUCTIONS``.
+and one function, ``check_equation``, checks them all with verify's check:
+one simulation of lhs followed by the inverse of rhs, read by
+``circuit_scalar``.  The single-qutrit relations are written below; the rows
+for the bundled data files, with their claim names and pinned T-counts, are
+read from ``qutrit_exact.circuit.macros.CONSTRUCTIONS``.
 The other claims (ring membership, the cubic, refutations, hierarchy level and
 the adjoint obstruction of R) are functions.  The runner prints one line per
 claim and succeeds only if every claim verifies.  File-backed claims read macro
@@ -20,12 +21,12 @@ from typing import Callable
 
 from qutrit_exact.adjoint import adjoint_of, single_qutrit_ct_obstruction
 from qutrit_exact.analysis import hierarchy_level, refute_phase_membership
-from qutrit_exact.circuit.core import Circuit, Op
+from qutrit_exact.circuit.core import Circuit, Op, adjoint
 from qutrit_exact.circuit.macros import CONSTRUCTIONS, load_named, macro_names, t_count
 from qutrit_exact.circuit.parse import parse_circuit, parse_phase
 from qutrit_exact.rings.cyclo import Cyclo36
 from qutrit_exact.rings.membership import RingTag, in_ring
-from qutrit_exact.sim.gates import circuit_matrix, gate_matrix, phase_unit
+from qutrit_exact.sim.gates import circuit_scalar, gate_matrix, phase_unit
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
@@ -47,9 +48,13 @@ def _lines(text: str, n: int) -> Circuit:
 def check_equation(lhs: Circuit, rhs: str, phase: str = "1", tcount: int | None = None) -> None:
     """Raise AssertionError unless lhs = phase * rhs and, when ``tcount`` is
     given, lhs has that T-count; ``rhs`` is circuit lines joined by ';' on as
-    many qutrits as lhs, and ``phase`` a unit read by ``parse_phase``."""
-    want = circuit_matrix(_lines(rhs, lhs.n)).scale(phase_unit(parse_phase(phase)))
-    _require(circuit_matrix(lhs) == want, "matrix mismatch")
+    many qutrits as lhs, and ``phase`` a unit read by ``parse_phase``.
+
+    This is verify's check: lhs = c * rhs exactly when rhs^dag lhs = c * I, so
+    lhs followed by the inverse of rhs is simulated once and read by
+    ``circuit_scalar``, with no matrix decoded."""
+    both = Circuit(lhs.n, lhs.ops + adjoint(_lines(rhs, lhs.n)).ops)
+    _require(circuit_scalar(both) == phase_unit(parse_phase(phase)), "matrix mismatch")
     if tcount is not None:
         t = t_count(lhs)
         _require(t == tcount, f"T-count {t} != {tcount}")

@@ -57,7 +57,7 @@ from ..rings.cyclo import Cyclo36, ONE, ZERO, OMEGA, OMEGA2
 from .matrix import UnitaryMatrix
 
 __all__ = [
-    "gate_matrix", "circuit_matrix", "circuit_scalar", "check_width", "gate_local", "phase_unit",
+    "gate_matrix", "circuit_matrix", "circuit_scalar", "check_width", "phase_unit",
 ]
 
 _Rows = tuple[tuple[Cyclo36, ...], ...]

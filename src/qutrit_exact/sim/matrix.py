@@ -11,7 +11,7 @@ from ..errors import DimMismatchError
 from ..rings.cyclo import Cyclo36, ONE, ZERO
 from ..rings.packed import lane_width, lanes, over_common_denominator
 
-__all__ = ["UnitaryMatrix", "equal_exact", "equal_up_to_phase"]
+__all__ = ["UnitaryMatrix"]
 
 
 def _coerce(entry) -> Cyclo36:
@@ -108,30 +108,4 @@ class UnitaryMatrix:
 
     def __repr__(self) -> str:
         return f"UnitaryMatrix(dim={self.dim})"
-
-
-def equal_exact(a: UnitaryMatrix, b: UnitaryMatrix) -> bool:
-    """Entrywise exact equality; DIM_MISMATCH if shapes differ."""
-    if a.dim != b.dim:
-        raise DimMismatchError(f"{a.dim} vs {b.dim}")
-    return a.rows == b.rows
-
-
-def equal_up_to_phase(a: UnitaryMatrix, b: UnitaryMatrix) -> Cyclo36 | None:
-    """The unit c with a == c*b, or None when there is none.
-
-    The candidate is a/b at the first nonzero entry of b (1 when b == 0) and
-    is then verified against every entry, so a positive answer is a proof.
-    """
-    if a.dim != b.dim:
-        raise DimMismatchError(f"{a.dim} vs {b.dim}")
-    pairs = [(x, y) for arow, brow in zip(a.rows, b.rows) for x, y in zip(arow, brow)]
-    x, y = next(((x, y) for x, y in pairs if not y.is_zero()), (ONE, ONE))
-    witness = x * y.inverse()
-    if witness * witness.conjugate() != ONE:
-        return None
-    for x, y in pairs:
-        if (x != witness * y) if not y.is_zero() else not x.is_zero():
-            return None
-    return witness
 

@@ -25,13 +25,14 @@ from qutrit_exact.analysis import (
     matrix_ring_certificate,
     pauli_elements,
 )
-from qutrit_exact.circuit.core import Op, adjoint
-from qutrit_exact.circuit.macros import load_named
-from qutrit_exact.cli.catalog import CLAIMS, check_equation
+from qutrit_exact.circuit.core import Circuit, Op, adjoint
+from qutrit_exact.circuit.macros import load_named, macro_names
+from qutrit_exact.circuit.parse import parse_circuit, parse_phase
+from qutrit_exact.cli.catalog import CLAIMS, Equation, check_equation
 from qutrit_exact.rings.alpha import to_alpha
-from qutrit_exact.rings.cyclo import ZERO
+from qutrit_exact.rings.cyclo import MINUS_ONE, ZERO
 from qutrit_exact.rings.membership import RingTag
-from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
+from qutrit_exact.sim.gates import circuit_matrix, circuit_scalar, gate_matrix, phase_unit
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
@@ -47,6 +48,62 @@ def test_catalog_claim(slug, claim):
 def test_criterion_01_clifford_relations():
     """X is the phase gate XPHASE(2,1); the other relations are catalog claims."""
     assert _g("X") == _g("XPHASE", (2, 1))
+
+
+def _circuit(lines: str, n: int) -> Circuit:
+    return parse_circuit(f"qutrits {n}\n" + lines.replace(";", "\n"))
+
+
+def _decoded_equal(lhs: Circuit, rhs: str, phase: str) -> bool:
+    """The reference for ``check_equation``: both sides simulated and decoded,
+    compared entry by entry."""
+    unit = phase_unit(parse_phase(phase))
+    return circuit_matrix(lhs) == circuit_matrix(_circuit(rhs, lhs.n)).scale(unit)
+
+
+def _lhs(text: str) -> Circuit:
+    """An ``Equation`` lhs: a bundled data file's stem or one-qutrit lines."""
+    return load_named(text) if text in macro_names() else _circuit(text, 1)
+
+
+def _perturbed(eq: Equation):
+    """(lhs, rhs, phase) of the claim with its phase times omega, zeta and -1,
+    and with one gate dropped: the last of rhs, or of lhs when rhs is empty."""
+    sign, e = parse_phase(eq.phase)
+    for s, step in ((1, 3), (1, 1), (-1, 0)):
+        yield eq.lhs, eq.rhs, f"{'-' if sign * s < 0 else ''}zeta^{(e + step) % 9}"
+    if eq.rhs:
+        yield eq.lhs, eq.rhs.rpartition(";")[0], eq.phase
+    else:
+        yield eq.lhs.rpartition(";")[0], eq.rhs, eq.phase
+
+
+_EQUATIONS = [claim for _, claim in CLAIMS if isinstance(claim, Equation)]
+
+
+@pytest.mark.parametrize("eq", _EQUATIONS, ids=[eq.slug for eq in _EQUATIONS])
+def test_equation_check_matches_the_decoded_matrices(eq):
+    """``check_equation`` reads one simulation; it holds exactly when the two
+    decoded matrices agree, and refutes every perturbed row."""
+    lhs = _lhs(eq.lhs)
+    assert _decoded_equal(lhs, eq.rhs, eq.phase)
+    check_equation(lhs, eq.rhs, eq.phase, eq.tcount)
+    for lhs_text, rhs, phase in _perturbed(eq):
+        wrong = _lhs(lhs_text)
+        assert not _decoded_equal(wrong, rhs, phase), (lhs_text, rhs, phase)
+        with pytest.raises(AssertionError, match="^matrix mismatch$"):
+            check_equation(wrong, rhs, phase, eq.tcount)
+
+
+def test_equation_check_reads_the_witness():
+    """H H = -TAU(12): the scalar read is the witness -1; T against H has none."""
+    assert circuit_scalar(_circuit("H 0; H 0; TAU(12) 0", 1)) == MINUS_ONE
+    check_equation(_circuit("H 0; H 0", 1), "TAU(12) 0", "-1")
+    assert circuit_scalar(_circuit("T 0; HDG 0", 1)) is None
+    for phase in ("1", "-1", "omega", "zeta"):
+        assert not _decoded_equal(_circuit("T 0", 1), "H 0", phase)
+        with pytest.raises(AssertionError, match="^matrix mismatch$"):
+            check_equation(_circuit("T 0", 1), "H 0", phase)
 
 
 def test_criterion_02_controlled_x_three_t():

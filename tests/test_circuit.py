@@ -23,7 +23,7 @@ from qutrit_exact.circuit.core import (
 from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.errors import ParseError
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
-from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact
+from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
 _CLASH = "line 2, col 1: control and target wires must differ"
@@ -134,7 +134,7 @@ class TestParsing:
                 ]
                 for r in range(9)
             ]
-            assert equal_exact(m, UnitaryMatrix(rows))
+            assert m == UnitaryMatrix(rows)
             assert circuit_matrix(base).dim == 9
 
     @pytest.mark.parametrize(
@@ -245,7 +245,7 @@ class TestStructure:
         )
         adj = adjoint(circ)
         m = circuit_matrix(circ)
-        assert equal_exact(circuit_matrix(adj), m.dag())
+        assert circuit_matrix(adj) == m.dag()
 
     def test_op_text_forms(self):
         assert op_text(Op("TAU", (1,), ("021",))) == "TAU(021) 1"

@@ -28,10 +28,10 @@ def test_all_names_resolve(name):
 def test_perfbench_trace_hooks_resolve():
     """Every name ``perfbench/tracing.py`` rebinds exists but three: a rename fails here, not
     in a trace.  The three stay reported missing until the hook table is rebound: the two
-    ``sim.compare`` hooks, because verify reads its scalar off the packed rows with
-    ``circuit_scalar`` and ``cli.main`` no longer binds ``equal_exact`` or
-    ``equal_up_to_phase``; and the hook of the monomial-equivalence search that the direct
-    bordered test replaced."""
+    ``sim.compare`` hooks, because verify and the catalog read their scalar off the packed
+    rows with ``circuit_scalar`` and ``equal_exact`` and ``equal_up_to_phase`` are gone;
+    and the hook of the monomial-equivalence search that the direct bordered test
+    replaced."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)

@@ -32,7 +32,7 @@ from qutrit_exact.cli.catalog import check_equation
 from qutrit_exact.errors import UnexpandableError, UnknownMacroError
 from qutrit_exact.rings.cyclo import Cyclo36
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
-from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact
+from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
 def _single(kind: str, params: tuple = ()) -> UnitaryMatrix:
@@ -139,7 +139,7 @@ class TestExpansion:
         circ = parse_circuit("qutrits 1\nZPHASE 1/3 2/3 0\nXPHASE 2 2 0\n")
         flat = expand_macros(circ)
         assert all(op.kind in BASE_KINDS for op in flat.ops)
-        assert equal_exact(circuit_matrix(flat), circuit_matrix(circ))
+        assert circuit_matrix(flat) == circuit_matrix(circ)
         # every pair of thirds: exact when a + b is an integer, else refused
         # with a text naming the op and its determinant zeta^(3(a + b))
         thirds = [Fraction(k, 3) for k in range(9)]
@@ -154,13 +154,13 @@ class TestExpansion:
                         continue
                     flat = expand_macros(circ)
                     assert all(op.kind in BASE_KINDS for op in flat.ops)
-                    assert equal_exact(circuit_matrix(flat), circuit_matrix(circ)), (kind, a, b)
+                    assert circuit_matrix(flat) == circuit_matrix(circ), (kind, a, b)
 
     def test_r_expansion_borrows_a_partner_qutrit(self):
         circ = parse_circuit("qutrits 2\nR 1\n")
         flat = expand_macros(circ)
         assert all(op.kind in BASE_KINDS for op in flat.ops)
-        assert equal_exact(circuit_matrix(flat), circuit_matrix(circ))
+        assert circuit_matrix(flat) == circuit_matrix(circ)
         assert t_count(circ) == 39
 
     def test_r_alone_is_unexpandable(self):
@@ -172,8 +172,8 @@ class TestExpansion:
         flat = expand_macros(circ)
         assert [op.kind for op in flat.ops] == ["CX"]
         cx = gate_matrix(Op("CX", (0, 1)), 2)
-        assert equal_exact(circuit_matrix(flat), cx)
-        assert equal_exact(circuit_matrix(circ), cx)
+        assert circuit_matrix(flat) == cx
+        assert circuit_matrix(circ) == cx
 
     def test_lambda_applies_power_per_control_level(self):
         circ = parse_circuit("qutrits 2\nLAMBDA[TAU(12) 1] 0\n")

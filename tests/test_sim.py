@@ -25,10 +25,8 @@ from qutrit_exact.circuit.parse import parse_circuit
 from qutrit_exact.errors import DimMismatchError, RingError
 from qutrit_exact.rings.cyclo import Cyclo36, MINUS_ONE, OMEGA, OMEGA2, ONE, ZERO
 from qutrit_exact.sim import gates
-from qutrit_exact.sim.gates import (
-    MAX_QUTRITS, circuit_matrix, circuit_scalar, gate_local, gate_matrix,
-)
-from qutrit_exact.sim.matrix import UnitaryMatrix, equal_exact, equal_up_to_phase
+from qutrit_exact.sim.gates import MAX_QUTRITS, circuit_matrix, circuit_scalar, gate_matrix
+from qutrit_exact.sim.matrix import UnitaryMatrix
 
 
 class TestGateOracles:
@@ -61,17 +59,17 @@ class TestGateOracles:
     def test_x_gate_equals_its_phase_gate_form(self):
         x = gate_matrix(Op("X", (0,)), 1)
         xp = gate_matrix(Op("XPHASE", (0,), (Fraction(2), Fraction(1))), 1)
-        assert equal_exact(x, xp)
+        assert x == xp
         xdg = gate_matrix(Op("TAU", (0,), ("021",)), 1)
         xpdg = gate_matrix(Op("XPHASE", (0,), (Fraction(1), Fraction(2))), 1)
-        assert equal_exact(xdg, xpdg)
+        assert xdg == xpdg
 
     def test_t_gate_as_zphase(self):
         t = gate_matrix(Op("T", (0,)), 1)
         zp = gate_matrix(
             Op("ZPHASE", (0,), (Fraction(1, 3), Fraction(-1, 3))), 1
         )
-        assert equal_exact(t, zp)
+        assert t == zp
 
     @pytest.mark.parametrize("wires", [(0, 1), (1, 0)])
     def test_cx_both_orientations(self, wires):
@@ -120,30 +118,25 @@ class TestCircuitMatrix:
             for _ in range(15):
                 circ = random_word(rng, CT_KINDS, n, 25)
                 m = circuit_matrix(circ)
-                assert equal_exact(m.dag() @ m, UnitaryMatrix.identity(m.dim))
+                assert m.dag() @ m == UnitaryMatrix.identity(m.dim)
 
     def test_ops_apply_in_time_order(self):
         circ = Circuit(1, (Op("H", (0,)), Op("S", (0,))))
         h = gate_matrix(Op("H", (0,)), 1)
         s = gate_matrix(Op("S", (0,)), 1)
-        assert equal_exact(circuit_matrix(circ), s @ h)
+        assert circuit_matrix(circ) == s @ h
 
     def test_compose_multiplies_in_time_order(self, rng):
         a = random_word(rng, CT_KINDS, 2, 8)
         b = random_word(rng, CT_KINDS, 2, 8)
-        assert equal_exact(
-            circuit_matrix(Circuit(2, a.ops + b.ops)),
-            circuit_matrix(b) @ circuit_matrix(a),
-        )
+        assert circuit_matrix(Circuit(2, a.ops + b.ops)) == circuit_matrix(b) @ circuit_matrix(a)
 
     def test_adjoint_inverts(self, rng):
         for n in (1, 2):
             circ = random_word(rng, CT_KINDS, n, 20)
             m = circuit_matrix(circ)
-            assert equal_exact(circuit_matrix(adjoint(circ)), m.dag())
-            assert equal_exact(
-                m @ m.dag(), UnitaryMatrix.identity(3**n)
-            )
+            assert circuit_matrix(adjoint(circ)) == m.dag()
+            assert m @ m.dag() == UnitaryMatrix.identity(3**n)
 
     def test_tensor_matches_kron(self, rng):
         a = random_word(rng, CT_KINDS, 1, 10)
@@ -225,46 +218,6 @@ class TestMatmul:
     def test_dimension_mismatch(self):
         with pytest.raises(DimMismatchError, match="^DIM_MISMATCH: 3 vs 9$"):
             UnitaryMatrix.identity(3) @ UnitaryMatrix.identity(9)
-
-
-class TestComparisons:
-    def test_equal_exact_requires_same_shape(self):
-        a = UnitaryMatrix.identity(3)
-        b = UnitaryMatrix.identity(9)
-        with pytest.raises(DimMismatchError):
-            equal_exact(a, b)
-
-    def test_phase_match_finds_the_witness(self):
-        h = gate_matrix(Op("H", (0,)), 1)
-        tau = gate_matrix(Op("TAU", (0,), ("12",)), 1)
-        assert equal_up_to_phase(h @ h, tau) == MINUS_ONE
-        assert equal_exact((h @ h), tau.scale(MINUS_ONE))
-        zeta = Cyclo36.zeta9_pow(1)
-        assert equal_up_to_phase(h.scale(zeta), h) == zeta
-        assert equal_up_to_phase(h, h.scale(zeta)) == zeta.conjugate()
-
-    def test_phase_match_identity_is_one(self):
-        t = gate_matrix(Op("T", (0,)), 1)
-        assert equal_up_to_phase(t, t) == ONE
-        zero = t.scale(0)  # b == 0 matches only a == 0, with phase 1
-        assert equal_up_to_phase(zero, zero) == ONE
-        assert equal_up_to_phase(t, zero) is None
-
-    def test_phase_match_rejects_unrelated(self):
-        t = gate_matrix(Op("T", (0,)), 1)
-        h = gate_matrix(Op("H", (0,)), 1)
-        assert equal_up_to_phase(t, h) is None
-
-    def test_phase_match_checks_the_zeros_of_b(self):
-        t = gate_matrix(Op("T", (0,)), 1)
-        rows = [list(row) for row in t.rows]
-        rows[0][1] = ONE  # a differs from t only where t is 0
-        assert equal_up_to_phase(UnitaryMatrix(rows), t) is None
-
-    def test_phase_match_rejects_nonunit_scale(self):
-        t = gate_matrix(Op("T", (0,)), 1)
-        doubled = t.scale(Cyclo36.from_int(2))
-        assert equal_up_to_phase(doubled, t) is None
 
 
 class TestControlledTarget:
@@ -472,7 +425,7 @@ class TestIntegerSimulator:
 
     def test_hadamard_is_one_power_of_s_with_unit_terms(self):
         for kind in ("H", "HDG"):
-            k, terms = gates._dense(gate_local(Op(kind, (0,)))[0])
+            k, terms = gates._dense(gates.gate_local(Op(kind, (0,)))[0])
             assert k == 1
             assert all(len(t) == 1 and abs(t[0][0]) == 1 for row in terms for t in row)
 
