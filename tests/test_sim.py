@@ -441,6 +441,28 @@ def _on(wire: int, *kinds: str) -> list[Op]:
     return [Op(kind, (wire,), ("12",) if kind == "TAU" else ()) for kind in kinds]
 
 
+class TestComparisons:
+    """Two circuits agree up to a phase c when circuit_scalar of the one
+    followed by the adjoint of the other is c."""
+
+    def test_phase_match_finds_the_witness(self):
+        h = gate_matrix(Op("H", (0,)), 1)
+        tau = gate_matrix(Op("TAU", (0,), ("12",)), 1)
+        assert circuit_scalar(Circuit(1, tuple(_on(0, "H", "H", "TAU")))) == MINUS_ONE
+        assert h @ h == tau.scale(MINUS_ONE)
+        # (S H)^3 = -omega * I; the other order gives the conjugate witness
+        sh = Circuit(1, tuple(_on(0, "S", "H") * 3))
+        assert circuit_scalar(sh) == -OMEGA
+        assert circuit_scalar(adjoint(sh)) == (-OMEGA).conjugate()
+
+    def test_phase_match_rejects_unrelated(self):
+        t = gate_matrix(Op("T", (0,)), 1)
+        h = gate_matrix(Op("H", (0,)), 1)
+        assert circuit_scalar(Circuit(1, tuple(_on(0, "T", "HDG")))) is None
+        for unit in (ONE, MINUS_ONE, OMEGA, OMEGA2, Cyclo36.zeta9_pow(1)):
+            assert t != h.scale(unit)
+
+
 class TestCircuitScalar:
     """circuit_scalar reads off the packed rows what the decoded matrix says."""
 
