@@ -6,13 +6,14 @@ from qutrit_exact.adjoint.patterns import (
     residue_pattern,
     single_qutrit_ct_obstruction,
 )
-from qutrit_exact.adjoint.rep import AdjointMatrix, adjoint_of, block_lde
+from qutrit_exact.adjoint.rep import adjoint_of, alpha_block, block_lde, check_alpha_ring
 
 __all__ = [
-    "AdjointMatrix",
     "ObstructionVerdict",
     "adjoint_of",
+    "alpha_block",
     "block_lde",
+    "check_alpha_ring",
     "is_bordered",
     "residue_pattern",
     "single_qutrit_ct_obstruction",

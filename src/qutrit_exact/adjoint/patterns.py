@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qutrit_exact.adjoint.rep import AdjointMatrix, adjoint_of, block_lde
+from qutrit_exact.adjoint.rep import adjoint_of, alpha_block, block_lde, check_alpha_ring
 from qutrit_exact.errors import RingError
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
@@ -51,10 +51,10 @@ def is_bordered(p: tuple[tuple[int, ...], ...]) -> bool:
     return all(v * m[0][0] % 3 == row[0] * m[0][s] % 3 for row in m for s, v in enumerate(row))
 
 
-def residue_pattern(m: AdjointMatrix, block: str, k: int) -> tuple[tuple[int, ...], ...] | None:
-    """Residues of alpha**k times a block's entries, or None when some entry
-    needs an exponent above k."""
-    cells = m.alpha_block(block)
+def residue_pattern(cells: tuple[tuple[tuple[int, int], ...], ...],
+                    k: int) -> tuple[tuple[int, ...], ...] | None:
+    """Residues of alpha**k times a block's entries, read off its (lde, residue)
+    cells, or None when some entry needs an exponent above k."""
     if any(lde > k for row in cells for lde, _ in row):
         return None
     # the residue map sends alpha to 0
@@ -90,14 +90,15 @@ def single_qutrit_ct_obstruction(u: UnitaryMatrix) -> ObstructionVerdict:
 
     adj = adjoint_of(u)
     try:
-        adj.check_alpha_ring()
+        check_alpha_ring(adj)
     except RingError as e:
         return ObstructionVerdict(
             "not_in_ring",
             reason=f"adjoint entry falls outside the alpha ring ({e})",
         )
 
-    lde_a = block_lde(adj, "A")
+    cells_a = alpha_block(adj, "A")
+    lde_a = block_lde(cells_a)
     if lde_a % 2:
         return ObstructionVerdict(
             "obstructed",
@@ -116,14 +117,14 @@ def single_qutrit_ct_obstruction(u: UnitaryMatrix) -> ObstructionVerdict:
             lde_a=0,
         )
 
-    if not is_bordered(residue_pattern(adj, "A", lde_a)):
+    if not is_bordered(residue_pattern(cells_a, lde_a)):
         return ObstructionVerdict(
             "obstructed",
             reason=f"residue of block A at exponent {2 * k} is not monomially "
             "equivalent to the bordered all-2 pattern",
             lde_a=lde_a,
         )
-    pat_c = residue_pattern(adj, "C", 2 * k + 1)
+    pat_c = residue_pattern(alpha_block(adj, "C"), 2 * k + 1)
     if pat_c is None:
         return ObstructionVerdict(
             "obstructed",

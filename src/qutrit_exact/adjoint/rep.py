@@ -25,16 +25,18 @@ products, read as 12 reduced lanes each (32 reads per matrix).  Conjugation
 (``rings.cyclo.conjugate_coords``) and the factor i are maps of coordinates
 on the read lanes, and each entry is built once as a ``Cyclo36`` over 6 D^2.
 
-``AdjointMatrix`` is an 8 x 8 ``UnitaryMatrix`` (product, equality and
-hashing are the matrix's own) that adds the view the T-count obstruction
-reads.  Every entry is real by construction, and for circuits over the
-supported gate set it lies in A = Z[1/2][alpha, 1/3], alpha = sin(2*pi/9),
-which holds exactly when its reduced denominator is 2^a * 3^b.
+``adjoint_of`` returns a plain 8 x 8 ``UnitaryMatrix``, so a product of
+adjoints is a matrix like any other (Ad(U) Ad(V) = Ad(UV) for unitary U and
+V), and the block view that the T-count obstruction reads is three functions
+of any 8 x 8 matrix.  Every entry is real by construction, and for circuits
+over the supported gate set it lies in A = Z[1/2][alpha, 1/3], alpha =
+sin(2*pi/9), which holds exactly when its reduced denominator is 2^a * 3^b.
 ``check_alpha_ring`` reads that off each entry's denominator and raises
 NOT_IN_A otherwise, while the symbolic matrix stays available for
-inspection.  ``alpha_block`` converts one block to (lde, residue) pairs with
-``to_alpha`` on first use and caches it, so the obstruction converts block A
-and, only when it gets that far, block C.
+inspection.  ``alpha_block`` converts one 4 x 4 quadrant A, B, C or D to
+(lde, residue) cells with ``to_alpha``, and ``block_lde`` reads the largest
+exponent off such cells; the caller keeps the cells, so the obstruction
+converts block A and, only when it gets that far, block C, each once.
 """
 
 from __future__ import annotations
@@ -47,12 +49,8 @@ from qutrit_exact.rings.cyclo import Cyclo36, conjugate_coords
 from qutrit_exact.rings.packed import lane_width, lanes, over_common_denominator
 from qutrit_exact.sim.matrix import UnitaryMatrix
 
-_BLOCK_SLICES = {
-    "A": (range(0, 4), range(0, 4)),
-    "B": (range(0, 4), range(4, 8)),
-    "C": (range(4, 8), range(0, 4)),
-    "D": (range(4, 8), range(4, 8)),
-}
+#: the first row and column of each 4 x 4 block
+_BLOCK_CORNERS = {"A": (0, 0), "B": (0, 4), "C": (4, 0), "D": (4, 4)}
 
 
 def _columns(x: int, z: int):
@@ -84,33 +82,6 @@ _PAIRS = tuple(
 )
 
 
-class AdjointMatrix(UnitaryMatrix):
-    """8x8 exact real matrix; blocks A, B, C, D are its 4x4 quadrants."""
-
-    __slots__ = ("_alpha",)
-
-    def __init__(self, rows):
-        super().__init__(rows)
-        if self.dim != 8:
-            raise ValueError("adjoint matrix must be 8 x 8")
-        self._alpha = {}
-
-    def check_alpha_ring(self) -> None:
-        """Raise NOT_IN_A if an entry's denominator has a prime other than 2 or 3."""
-        for row in self.rows:
-            for e in row:
-                denominator_exponents(e.denominator)
-
-    def alpha_block(self, name: str) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """(lde, residue) per entry of a block, converted on first use."""
-        block = self._alpha.get(name)
-        if block is None:
-            rows, cols = _BLOCK_SLICES[name]
-            block = tuple(tuple(to_alpha(self.rows[i][j]) for j in cols) for i in rows)
-            self._alpha[name] = block
-        return block
-
-
 def _times_i(v: list[int]) -> list[int]:
     """i * v as a map of coordinates, with no product.
 
@@ -122,7 +93,7 @@ def _times_i(v: list[int]) -> list[int]:
             a3, a4, a5, a0 + a6, a1 + a7, a2 + a8]
 
 
-def adjoint_of(u: UnitaryMatrix) -> AdjointMatrix:
+def adjoint_of(u: UnitaryMatrix) -> UnitaryMatrix:
     """Exact adjoint-representation matrix of a 3 x 3 matrix."""
     if u.dim != 3:
         raise DimMismatchError(
@@ -151,9 +122,24 @@ def adjoint_of(u: UnitaryMatrix) -> AdjointMatrix:
         rows[i][j + 4] = Cyclo36(_times_i([a - b for a, b in zip(minus, minus_c)]), scale)
         rows[i + 4][j] = Cyclo36(_times_i([a - b for a, b in zip(plus, plus_c)]), scale)
         rows[i + 4][j + 4] = Cyclo36([a + b for a, b in zip(minus, minus_c)], -scale)
-    return AdjointMatrix(rows)
+    return UnitaryMatrix._of(tuple(map(tuple, rows)))
 
 
-def block_lde(m: AdjointMatrix, name: str) -> int:
-    """Largest least denominator exponent over the 16 entries of a block."""
-    return max(lde for row in m.alpha_block(name) for lde, _ in row)
+def check_alpha_ring(m: UnitaryMatrix) -> None:
+    """Raise NOT_IN_A if an entry's denominator has a prime other than 2 or 3."""
+    for row in m.rows:
+        for e in row:
+            denominator_exponents(e.denominator)
+
+
+def alpha_block(m: UnitaryMatrix, name: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(lde, residue) of each entry of block A, B, C or D of an 8 x 8 matrix."""
+    if m.dim != 8:
+        raise DimMismatchError(f"adjoint blocks need an 8 x 8 matrix, got {m.dim} x {m.dim}")
+    r, c = _BLOCK_CORNERS[name]
+    return tuple(tuple(map(to_alpha, row[c:c + 4])) for row in m.rows[r:r + 4])
+
+
+def block_lde(cells: tuple[tuple[tuple[int, int], ...], ...]) -> int:
+    """Largest least denominator exponent over a block's (lde, residue) cells."""
+    return max(lde for row in cells for lde, _ in row)

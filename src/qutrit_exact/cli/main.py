@@ -98,7 +98,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ok = c == unit
         detail = "circuit matrix equals the target entrywise"
     elif args.mode == "phase":
-        witness = None if c is None else c * unit.inverse()
+        # only cphase multiplies the phase in, so unit is +-1, its own inverse
+        witness = None if c is None else c * unit
         ok = witness is not None and witness * witness.conjugate() == ONE
         if ok:
             print(f"phase: {witness}")

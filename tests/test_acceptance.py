@@ -14,6 +14,7 @@ import pytest
 from conftest import ALPHA, CLIFFORD_KINDS, CT_KINDS, random_word
 from qutrit_exact.adjoint import (
     adjoint_of,
+    alpha_block,
     block_lde,
     is_bordered,
     residue_pattern,
@@ -113,9 +114,10 @@ def test_criterion_07_r_adjoint_obstruction():
     """The adjoint image of R has the least denominator exponent and the
     residue patterns that the obstruction reads."""
     adj = adjoint_of(_g("R"))
-    assert block_lde(adj, "A") == 6
-    assert is_bordered(residue_pattern(adj, "A", 6))
-    assert not is_bordered(residue_pattern(adj, "C", 7))
+    cells_a = alpha_block(adj, "A")
+    assert block_lde(cells_a) == 6
+    assert is_bordered(residue_pattern(cells_a, 6))
+    assert not is_bordered(residue_pattern(alpha_block(adj, "C"), 7))
 
 
 def test_criterion_09_property_suites():

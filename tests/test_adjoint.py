@@ -17,7 +17,9 @@ from conftest import (
 )
 from qutrit_exact.adjoint import (
     adjoint_of,
+    alpha_block,
     block_lde,
+    check_alpha_ring,
     is_bordered,
     residue_pattern,
     single_qutrit_ct_obstruction,
@@ -26,6 +28,7 @@ from qutrit_exact.adjoint.rep import _times_i
 from qutrit_exact.circuit.core import Circuit, Op
 from qutrit_exact.errors import DimMismatchError
 from qutrit_exact.rings import NotInAError
+from qutrit_exact.rings.alpha import to_alpha
 from qutrit_exact.rings.cyclo import Cyclo36, conjugate_coords
 from qutrit_exact.rings.packed import lane_width
 from qutrit_exact.sim.gates import circuit_matrix, gate_matrix
@@ -227,12 +230,9 @@ class TestAdjointMap:
     def test_ct_words_lie_in_alpha_ring(self, rng):
         for _ in range(10):
             m = circuit_matrix(random_word(rng, CT_KINDS, 1, 12))
-            adj = adjoint_of(m)
-            adj.check_alpha_ring()  # raises NOT_IN_A outside the ring
-            for name in "ABCD":
-                assert adj.alpha_block(name) is adj.alpha_block(name)
+            check_alpha_ring(adjoint_of(m))  # raises NOT_IN_A outside the ring
         with pytest.raises(NotInAError):
-            adjoint_of(_fifth_rotation()).check_alpha_ring()
+            check_alpha_ring(adjoint_of(_fifth_rotation()))
 
 
 class TestBlocks:
@@ -249,13 +249,43 @@ class TestBlocks:
                 assert adj.entry(i + 4, j).is_zero()      # block C
 
     def test_block_lde_values(self):
-        assert block_lde(adjoint_of(_gate("R")), "A") == 6
-        assert block_lde(adjoint_of(_gate("H")), "A") == 0
-        assert block_lde(adjoint_of(_gate("T")), "A") == 2
+        assert block_lde(alpha_block(adjoint_of(_gate("R")), "A")) == 6
+        assert block_lde(alpha_block(adjoint_of(_gate("H")), "A")) == 0
+        assert block_lde(alpha_block(adjoint_of(_gate("T")), "A")) == 2
+
+    def test_blocks_are_the_quadrants(self, rng):
+        # the corners are spelled out here, not read from adjoint.rep
+        corners = {"A": (0, 0), "B": (0, 4), "C": (4, 0), "D": (4, 4)}
+        for _ in range(5):
+            adj = adjoint_of(circuit_matrix(random_word(rng, CT_KINDS + ("R",), 1, 8)))
+            for name, (r, c) in corners.items():
+                want = tuple(
+                    tuple(to_alpha(adj.entry(r + i, c + j)) for j in range(4)) for i in range(4)
+                )
+                assert alpha_block(adj, name) == want, name
 
     def test_bad_block_name(self):
         with pytest.raises(KeyError):
-            block_lde(adjoint_of(_gate("T")), "E")
+            alpha_block(adjoint_of(_gate("T")), "E")
+
+    def test_blocks_need_an_eight_by_eight_matrix(self):
+        with pytest.raises(DimMismatchError):
+            alpha_block(_gate("T"), "A")
+
+    def test_blocks_read_products_of_adjoints(self, rng):
+        # Ad(U) Ad(V) is a plain matrix product, and it equals Ad(UV)
+        def word():
+            return circuit_matrix(random_word(rng, CT_KINDS + ("R",), 1, rng.randint(1, 12)))
+
+        t, h = _gate("T"), _gate("H")
+        pairs = [(t, h)] + [(word(), word()) for _ in range(200)]
+        for u, v in pairs:
+            product, direct = adjoint_of(u) @ adjoint_of(v), adjoint_of(u @ v)
+            for name in "ABCD":
+                cells, want = alpha_block(product, name), alpha_block(direct, name)
+                assert cells == want, name
+                assert block_lde(cells) == block_lde(want), name
+        assert block_lde(alpha_block(adjoint_of(t) @ adjoint_of(h), "A")) == 2
 
 
 # the bordered all-2 pattern
@@ -356,11 +386,11 @@ class TestPatterns:
 
     def test_r_residues(self):
         adj = adjoint_of(_gate("R"))
-        assert is_bordered(residue_pattern(adj, "A", 6))
-        assert not is_bordered(residue_pattern(adj, "C", 7))
+        assert is_bordered(residue_pattern(alpha_block(adj, "A"), 6))
+        assert not is_bordered(residue_pattern(alpha_block(adj, "C"), 7))
 
     def test_residue_needs_large_enough_exponent(self):
-        assert residue_pattern(adjoint_of(_gate("R")), "A", 5) is None
+        assert residue_pattern(alpha_block(adjoint_of(_gate("R")), "A"), 5) is None
 
 
 class TestObstructionVerdicts:
@@ -418,3 +448,16 @@ class TestObstructionVerdicts:
             m = circuit_matrix(random_word(rng, CT_KINDS, 1, 14))
             verdict = single_qutrit_ct_obstruction(m)
             assert not verdict.is_obstructed()
+
+    @pytest.mark.parametrize("kind, calls", [("H", 16), ("S", 16), ("X", 16), ("T", 32), ("R", 32)])
+    def test_each_block_is_converted_once(self, monkeypatch, kind, calls):
+        # block A for every verdict, and block C once the residue of A passes
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return to_alpha(x)
+
+        monkeypatch.setattr("qutrit_exact.adjoint.rep.to_alpha", counted)
+        single_qutrit_ct_obstruction(_gate(kind))
+        assert len(seen) == calls
